@@ -299,9 +299,9 @@ def _apply_fold_thresholds(
     return FeatureMatrix(rows=matrix.rows, columns=matrix.columns, values=values)
 
 
-def _run_fold(args) -> FoldRecord:
-    matrix, y, fold, fold_index, config, pool, reading = args
-    train_idx = [i for i in range(matrix.n) if i not in set(fold.indices)]
+def _run_fold(matrix, y, config, pool, reading, fold, fold_index) -> FoldRecord:
+    held_out = set(fold.indices)
+    train_idx = [i for i in range(matrix.n) if i not in held_out]
     test_idx = list(fold.indices)
     train_paths = {matrix.rows[i].source_path for i in train_idx}
     test_paths = {matrix.rows[i].source_path for i in test_idx}
@@ -361,10 +361,8 @@ def _run_fold(args) -> FoldRecord:
             predicted=tuple(int(p) for p in predicted),
             selected=result.selected,
         )
-    except AssertionError:
-        raise
-    except Exception as exc:  # a failed fold counts as misclassified
-        logger.warning("fold %s failed: %s", fold.fold_id, exc)
+    except (ValueError, ArithmeticError) as exc:  # numerical or data failure: misclassified
+        logger.warning("fold %s failed: %s: %s", fold.fold_id, type(exc).__name__, exc)
         return FoldRecord(
             fold_id=fold.fold_id,
             indices=tuple(test_idx),
@@ -375,8 +373,21 @@ def _run_fold(args) -> FoldRecord:
             predicted=tuple(1 - int(y[i]) for i in test_idx),
             selected=(),
             failed=True,
-            error=str(exc),
+            error=f"{type(exc).__name__}: {exc}",
         )
+
+
+#: What every fold of a parallel run shares, set once in each worker process.
+_worker_shared: tuple | None = None
+
+
+def _init_worker(*shared) -> None:
+    global _worker_shared
+    _worker_shared = shared
+
+
+def _run_worker_fold(task) -> FoldRecord:
+    return _run_fold(*_worker_shared, *task)
 
 
 def run_cv(
@@ -390,23 +401,26 @@ def run_cv(
     Every training fold runs feature selection, fits the selected model,
     chooses its cutoff and predicts the held-out movement(s).  With
     filter_mode="per-fold" the near-zero-variance filter is recomputed
-    inside each training fold; "global" filters once up front.  Failed
-    folds are recorded as misclassified, never aborting the run.
+    inside each training fold; "global" filters once up front.  A fold
+    that fails with a numerical or data error (ValueError or
+    ArithmeticError) is recorded as misclassified; any other exception is
+    a programming error and propagates.
     """
     y = np.array([int(meta.composer) for meta in matrix.rows])
     scoped = _scope_matrix(matrix, config.feature_scope)
     if config.filter_mode == "global":
         scoped = near_zero_variance_filter(scoped)
     folds = _make_folds(scoped, config.scheme)
-    jobs = [
-        (scoped, y, fold, fi, config, development_pool, threshold_reading)
-        for fi, fold in enumerate(folds)
-    ]
+    shared = (scoped, y, config, development_pool, threshold_reading)
+    tasks = [(fold, fi) for fi, fold in enumerate(folds)]
     if config.n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.n_jobs) as pool_exec:
-            records = list(pool_exec.map(_run_fold, jobs))
+        # the matrix and the pool go to each worker once, not with every fold
+        with ProcessPoolExecutor(
+            max_workers=config.n_jobs, initializer=_init_worker, initargs=shared
+        ) as pool_exec:
+            records = list(pool_exec.map(_run_worker_fold, tasks))
     else:
-        records = [_run_fold(job) for job in jobs]
+        records = [_run_fold(*shared, *task) for task in tasks]
     return CVResult(
         scheme=config.scheme.value, config=config.to_json(), folds=tuple(records)
     )

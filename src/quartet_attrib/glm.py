@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.special import expit
 from scipy.stats import chi2, norm
 
@@ -92,12 +93,217 @@ class FittedModel:
         )
 
 
-def _log_likelihood(eta: np.ndarray, y: np.ndarray) -> float:
-    return float(y @ eta - np.logaddexp(0.0, eta).sum())
+def check_data(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """Float copies of a design X (n x d; a vector is one column) and a 0/1 y."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X.reshape(-1, 1)
+    y = np.asarray(y, dtype=float)
+    if X.shape[0] != len(y):
+        raise ValueError("X and y disagree on n")
+    if len(y) < 1:
+        raise ValueError("need at least one observation")
+    if not np.all((y == 0) | (y == 1)):
+        raise ValueError("y must be binary 0/1")
+    return X, y
 
 
-def _penalized_objective(beta: np.ndarray, eta: np.ndarray, y: np.ndarray, scales: np.ndarray) -> float:
-    return _log_likelihood(eta, y) - float(np.log1p((beta / scales) ** 2).sum())
+def prior_scales(sds: np.ndarray, prior: PriorConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Prior scales, intercept first, from feature sds; and which sds were
+    zero or not finite (those features are scaled as if their sd were 1)."""
+    bad = ~(np.isfinite(sds) & (sds > 0))
+    sds = np.where(bad, 1.0, sds)
+    return np.concatenate(([prior.intercept_scale], prior.scale_factor / (2.0 * sds))), bad
+
+
+class Modes(NamedTuple):
+    """Posterior modes of a stack of K fits, one row per member."""
+
+    beta: np.ndarray  # K x (d + 1), intercept first
+    log_likelihood: np.ndarray  # unpenalized, at the mode
+    converged: np.ndarray
+    iterations: np.ndarray
+    singular: np.ndarray  # a Newton system had to be jittered
+    objectives: np.ndarray  # (rounds + 1) x K, the objective after each round
+    steps: np.ndarray  # accepted steps; member k's path is objectives[: steps[k] + 1, k]
+
+
+#: Line-search step sizes, in the blocks solved together: 2^-h for h < 60.
+_STEP_BLOCKS = tuple(
+    np.ldexp(1.0, -np.arange(a, b)) for a, b in ((0, 1), (1, 4), (4, 12), (12, 28), (28, 60))
+)
+
+
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return np.matmul(A, x[:, :, None])[:, :, 0]
+
+
+def _log_likelihoods(eta: np.ndarray, y: np.ndarray) -> np.ndarray:
+    y_eta = np.matmul(y[None, None, :], eta[:, :, None])[:, 0, 0]
+    return y_eta - np.logaddexp(0.0, eta).sum(axis=1)
+
+
+def _log_priors(beta: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    return np.log1p((beta / scales) ** 2).sum(axis=1)
+
+
+def _with_diagonal(A: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    D = np.zeros_like(A)
+    r = np.arange(A.shape[-1])
+    D[:, r, r] = diag
+    return A + D
+
+
+def _positive_definite(H: np.ndarray) -> np.ndarray:
+    # np.linalg.cholesky raises for the whole stack if one member fails;
+    # the gufunc behind it fills a failed member with NaN instead.
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
+        L = _umath_linalg.cholesky_lo(H, signature="d->d")
+    return ~np.isnan(L).all(axis=(1, 2))
+
+
+def _newton_deltas(H: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve each H_k delta_k = grad_k; a singular H_k is solved again with
+    1e-8 added to its diagonal and flagged."""
+    singular = np.zeros(len(H), dtype=bool)
+    try:
+        return np.linalg.solve(H, grad[:, :, None])[:, :, 0], singular
+    except np.linalg.LinAlgError:
+        pass
+    delta = np.empty_like(grad)
+    for k in range(len(H)):  # only to find the singular members
+        try:
+            delta[k] = np.linalg.solve(H[k], grad[k])
+        except np.linalg.LinAlgError:
+            singular[k] = True
+            delta[k] = np.linalg.solve(H[k] + 1e-8 * np.eye(H.shape[-1]), grad[k])
+    return delta, singular
+
+
+def design_stack(design: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """K x n x (d + 1) designs from the rows of [1 | X]^T, rows[k] picking
+    member k's; each laid out in memory as ``fit`` lays out its own design
+    (C order up to one feature, Fortran order beyond), because BLAS sums
+    in an order that follows the layout."""
+    Xt = design[rows].transpose(0, 2, 1)
+    return Xt.copy() if rows.shape[1] <= 2 else Xt
+
+
+def posterior_modes(
+    Xt: np.ndarray,
+    y: np.ndarray,
+    scales: np.ndarray,
+    start: np.ndarray,
+    tol: float = 1e-8,
+    max_iter: int = 200,
+) -> Modes:
+    """Posterior modes of K Cauchy-prior logits that share y, solved together.
+
+    Xt is K x n x (d + 1) with the intercept column first, scales and start
+    are K x (d + 1).  Every member runs the iteration of ``fit``: a Newton
+    step on the exact Hessian when it is positive definite, else on the EM
+    surrogate, each with up to 60 step halvings until the penalized
+    objective does not decrease.  A member stops when no step is found,
+    when it converges, or after max_iter iterations.
+
+    Each member's result is bit-identical to solving it alone, in a stack
+    of one with the same memory layout (see ``design_stack``): every product
+    is a stacked matmul or LAPACK call, which sums as the unstacked call
+    does, and every reduction runs along one member's own row.
+    """
+    K, n, m = Xt.shape
+    beta = np.array(start, dtype=float)
+    eta = _matvec(Xt, beta)
+    ll = _log_likelihoods(eta, y)
+    obj = ll - _log_priors(beta, scales)
+    converged = np.zeros(K, dtype=bool)
+    iterations = np.zeros(K, dtype=int)
+    steps = np.zeros(K, dtype=int)
+    singular = np.zeros(K, dtype=bool)
+    objectives = [obj.copy()]
+    live = np.arange(K)
+
+    for it in range(1, max_iter + 1):
+        if not live.size:
+            break
+        iterations[live] = it
+        X, b, e, s, o = Xt[live], beta[live], eta[live], scales[live], obj[live]
+        XT = X.transpose(0, 2, 1)
+        p = expit(e)
+        w = p * (1.0 - p)
+        s2b2 = s**2 + b**2
+        grad = _matvec(XT, y - p) - 2.0 * b / s2b2
+        xtwx = np.matmul(XT, X * w[:, :, None])
+
+        # Exact curvature of the log prior is negative in the tails, where
+        # the Hessian may be indefinite; it is only used when positive
+        # definite, otherwise the EM surrogate (always positive) steps.
+        exact_curv = 2.0 * (s**2 - b**2) / s2b2**2
+        em_curv = 2.0 / s2b2
+
+        found = np.zeros(len(live), dtype=bool)
+        new_b, new_e = np.empty_like(b), np.empty_like(e)
+        new_ll, new_o, alpha = np.empty_like(o), np.empty_like(o), np.empty_like(o)
+        for curv, need_pd in ((exact_curv, True), (em_curv, False)):
+            idx = np.flatnonzero(~found)
+            if not idx.size:
+                break
+            H = _with_diagonal(xtwx[idx], curv[idx])
+            if need_pd:
+                pd = _positive_definite(H)
+                idx, H = idx[pd], H[pd]
+            if not idx.size:
+                continue
+            delta, sing = _newton_deltas(H, grad[idx])
+            singular[live[idx[sing]]] = True
+            finite = np.isfinite(delta).all(axis=1)
+            idx, delta = idx[finite], delta[finite]
+            # step sizes 1, 1/2, ... 2^-59 are tried in blocks; each member
+            # takes the first (largest) one that does not lower its objective
+            pending = np.arange(len(idx))
+            for block in _STEP_BLOCKS:
+                if not pending.size:
+                    break
+                rows = idx[pending]
+                cand = b[rows][:, None, :] + block[None, :, None] * delta[pending][:, None, :]
+                cand_eta = np.matmul(X[rows][:, None], cand[..., None])[..., 0]
+                cand_ll = _log_likelihoods(cand_eta.reshape(-1, n), y).reshape(len(rows), -1)
+                cand_prior = _log_priors(cand.reshape(-1, m), s[rows].repeat(len(block), axis=0))
+                cand_obj = cand_ll - cand_prior.reshape(len(rows), -1)
+                ok = cand_obj >= o[rows][:, None]
+                hit = ok.any(axis=1)
+                first = ok.argmax(axis=1)[hit]
+                at, take = (np.flatnonzero(hit), first), rows[hit]
+                new_b[take], new_e[take] = cand[at], cand_eta[at]
+                new_ll[take], new_o[take], alpha[take] = cand_ll[at], cand_obj[at], block[first]
+                found[take] = True
+                pending = pending[~hit]
+
+        # a member with no ascent direction left at floating-point
+        # resolution stops unconverged
+        idx = np.flatnonzero(found)
+        members = live[idx]
+        new_b, new_e, new_ll, new_o = new_b[idx], new_e[idx], new_ll[idx], new_o[idx]
+        alpha = alpha[idx]
+        change = np.max(np.abs(new_b - b[idx]), axis=1)
+        grad_small = np.max(np.abs(grad[idx]), axis=1) < 1e-8
+        stalled = new_o == o[idx]  # objective flat at float resolution
+        beta[members], eta[members], ll[members], obj[members] = new_b, new_e, new_ll, new_o
+        steps[members] += 1
+        objectives.append(obj.copy())
+        done = (change < tol) & ((alpha == 1.0) | grad_small | stalled)
+        converged[members[done]] = True
+        live = members[~done]
+
+    return Modes(
+        beta=beta,
+        log_likelihood=ll,
+        converged=converged,
+        iterations=iterations,
+        singular=singular,
+        objectives=np.array(objectives),
+        steps=steps,
+    )
 
 
 def fit(
@@ -116,33 +322,16 @@ def fit(
     configured intercept scale.  Returns the last iterate with
     converged=False if max_iter is hit.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
-    y = np.asarray(y, dtype=float)
+    X, y = check_data(X, y)
     n, d = X.shape
-    if n != len(y):
-        raise ValueError("X and y disagree on n")
-    if n < 1:
-        raise ValueError("need at least one observation")
-    if not np.all((y == 0) | (y == 1)):
-        raise ValueError("y must be binary 0/1")
     if feature_names is None:
         feature_names = tuple(f"x{j}" for j in range(d))
     feature_names = tuple(feature_names)
     if len(feature_names) != d:
         raise ValueError("feature_names length does not match X")
 
-    degenerate = False
-    if d:
-        sds = X.std(axis=0, ddof=1) if n > 1 else np.zeros(d)
-        if np.any(~np.isfinite(sds)) or np.any(sds == 0):
-            degenerate = True
-            sds = np.where(np.isfinite(sds) & (sds > 0), sds, 1.0)
-        scales = np.concatenate(([prior.intercept_scale], prior.scale_factor / (2.0 * sds)))
-    else:
-        scales = np.array([prior.intercept_scale])
-
+    sds = X.std(axis=0, ddof=1) if n > 1 else np.zeros(d)
+    scales, bad_sds = prior_scales(sds, prior)
     Xt = np.column_stack([np.ones(n), X]) if d else np.ones((n, 1))
     beta = np.zeros(d + 1)
     if start is not None:
@@ -150,66 +339,15 @@ def fit(
         if beta.shape != (d + 1,):
             raise ValueError("start must have length d + 1")
 
-    eta = Xt @ beta
-    obj = _penalized_objective(beta, eta, y, scales)
-    path = [obj]
-    converged = False
-    iterations = 0
-
-    for iterations in range(1, max_iter + 1):
-        p = expit(eta)
-        w = p * (1.0 - p)
-        grad = Xt.T @ (y - p) - 2.0 * beta / (scales**2 + beta**2)
-        xtwx = Xt.T @ (Xt * w[:, None])
-
-        # Exact curvature of the log prior is negative in the tails, where
-        # the Hessian may be indefinite; it is only used when positive
-        # definite, otherwise the EM surrogate (always positive) steps.
-        exact_curv = 2.0 * (scales**2 - beta**2) / (scales**2 + beta**2) ** 2
-        em_curv = 2.0 / (scales**2 + beta**2)
-
-        step = None
-        for curv, need_pd in ((exact_curv, True), (em_curv, False)):
-            H = xtwx + np.diag(curv)
-            if need_pd:
-                try:
-                    np.linalg.cholesky(H)
-                except np.linalg.LinAlgError:
-                    continue
-            try:
-                delta = np.linalg.solve(H, grad)
-            except np.linalg.LinAlgError:
-                degenerate = True
-                delta = np.linalg.solve(H + 1e-8 * np.eye(d + 1), grad)
-            if not np.all(np.isfinite(delta)):
-                continue
-            alpha = 1.0
-            for _ in range(60):
-                cand = beta + alpha * delta
-                cand_eta = Xt @ cand
-                cand_obj = _penalized_objective(cand, cand_eta, y, scales)
-                if cand_obj >= obj:
-                    step = (cand, cand_eta, cand_obj, alpha)
-                    break
-                alpha *= 0.5
-            if step is not None:
-                break
-        if step is None:
-            break  # no ascent direction left at floating-point resolution
-
-        new_beta, new_eta, new_obj, alpha = step
-        change = float(np.max(np.abs(new_beta - beta)))
-        grad_small = float(np.max(np.abs(grad))) < 1e-8
-        stalled = new_obj == obj  # objective flat at float resolution
-        beta, eta, obj = new_beta, new_eta, new_obj
-        path.append(obj)
-        if change < tol and (alpha == 1.0 or grad_small or stalled):
-            converged = True
-            break
+    modes = posterior_modes(Xt[None], y, scales[None], beta[None], tol=tol, max_iter=max_iter)
+    beta = modes.beta[0]
+    converged = bool(modes.converged[0])
+    iterations = int(modes.iterations[0])
+    degenerate = bool(bad_sds.any() or modes.singular[0])
     if not converged:
         logger.warning("fit did not converge in %d iterations", iterations)
 
-    p = expit(eta)
+    p = expit(Xt @ beta)
     w = p * (1.0 - p)
     exact_curv = 2.0 * (scales**2 - beta**2) / (scales**2 + beta**2) ** 2
     hessian = Xt.T @ (Xt * w[:, None]) + np.diag(exact_curv)
@@ -226,14 +364,14 @@ def fit(
         intercept=float(beta[0]),
         coef=beta[1:].copy(),
         standard_errors=ses,
-        log_likelihood=_log_likelihood(eta, y),
+        log_likelihood=float(modes.log_likelihood[0]),
         n=n,
         d=d,
         converged=converged,
         iterations=iterations,
         prior=prior,
         prior_scales=scales,
-        objective_path=tuple(path),
+        objective_path=tuple(float(v) for v in modes.objectives[: modes.steps[0] + 1, 0]),
         degenerate=degenerate,
     )
 
@@ -266,13 +404,18 @@ def bic(model: FittedModel, form: str = "paper") -> float:
     form="paper" uses c = 2 (the doubled dimension penalty this pipeline
     selects with); form="textbook" uses the standard c = 1.
     """
+    return bic_value(model.log_likelihood, model.d, model.n, form)
+
+
+def bic_value(log_likelihood, d: int, n: int, form: str = "paper"):
+    """``bic`` from a log-likelihood (a float or an array of them)."""
     if form == "paper":
         c = 2.0
     elif form == "textbook":
         c = 1.0
     else:
         raise ValueError("form must be 'paper' or 'textbook'")
-    return -2.0 * model.log_likelihood + c * (model.d + 1) * math.log(model.n)
+    return -2.0 * log_likelihood + c * (d + 1) * math.log(n)
 
 
 def wald_pvalues(model: FittedModel) -> np.ndarray:

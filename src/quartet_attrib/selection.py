@@ -21,6 +21,10 @@ from .features import FeatureMatrix
 #: preventing oscillation on floating-point ties.
 ACCEPT_TOL = 1e-9
 
+#: Candidate moves solved together.  An accepted move discards the fits after
+#: it in its chunk; 64 keeps stacks small and that waste a few percent.
+CHUNK = 64
+
 
 @dataclass(frozen=True)
 class TraceEntry:
@@ -111,14 +115,25 @@ def icm_select(
     array.  Candidate fits are warm-started from the current model; the
     winning subset is refit cold so the reported BIC is recomputable.
     An empty selection (intercept-only model) is a legal outcome.
+
+    The moves of a sweep are tried in chunks of ``CHUNK``: the candidates of
+    a chunk that are not cached are solved together, and the first one in
+    order whose BIC beats the current BIC is accepted.  The fits after it
+    are dropped and the sweep resumes right after it, so every decision is
+    the one a candidate-by-candidate search would make.
     """
     X, labels = _as_array(matrix)
-    y = np.asarray(y, dtype=float)
-    n, p = X.shape
-    if n != len(y):
+    if X.shape[0] != len(y):
         raise ValueError("matrix and y disagree on n")
     if restarts < 1:
         raise ValueError("need at least one restart")
+    X, y = glm.check_data(X, y)
+    n, p = X.shape
+    # design rows [1 | X]^T, gathered per candidate; sds row by row match
+    # the column sds glm.fit computes for any subset
+    design = np.ascontiguousarray(np.column_stack([np.ones(n), X]).T)
+    sds = design[1:].std(axis=1, ddof=1) if n > 1 else np.zeros(p)
+    scales, _ = glm.prior_scales(sds, prior)
 
     best_key: tuple[float, int] | None = None
     best_state: dict | None = None
@@ -129,7 +144,7 @@ def icm_select(
         order = rng.permutation(p)
         selected: set[int] = set()
         current_bic = float("inf")
-        current_model: glm.FittedModel | None = None
+        beta = np.zeros(p + 1)  # current model's coefficients by design row
         cache: dict[tuple[int, ...], float] = {}
         entries: list[TraceEntry] = []
         sweeps = 0
@@ -140,39 +155,48 @@ def icm_select(
             changed = False
             if redraw_each_pass and sweeps > 1:
                 order = rng.permutation(p)
-            for j in order:
-                cand = selected | {j} if j not in selected else selected - {j}
-                key = tuple(sorted(cand))
-                cand_bic = cache.get(key)
-                cand_model = None
-                if cand_bic is None:
-                    cand_model = _fit_subset(X, y, labels, key, prior, current_model)
-                    cand_bic = glm.bic(cand_model, form=bic_form)
+            pos = 0
+            while pos < p:
+                chunk = order[pos : pos + CHUNK]
+                keys = [tuple(sorted(selected ^ {j})) for j in chunk]
+                fresh = [i for i, key in enumerate(keys) if key not in cache]
+                solved = _fit_subsets([keys[i] for i in fresh], design, y, scales, beta, bic_form)
+                fits = dict(zip(fresh, solved))
+                for i, j in enumerate(chunk):
+                    key = keys[i]
+                    cand_bic, coef = fits[i] if i in fits else (cache[key], None)
                     cache[key] = cand_bic
-                if cand_bic < current_bic - ACCEPT_TOL:
-                    action = "add" if j not in selected else "remove"
+                    if not cand_bic < current_bic - ACCEPT_TOL:
+                        continue
+                    # never a cache hit: a cached BIC lost to an earlier, higher current_bic
+                    assert coef is not None
                     if trace:
                         entries.append(
                             TraceEntry(
                                 restart=k,
                                 sweep=sweeps,
                                 feature=labels[j],
-                                action=action,
+                                action="add" if j not in selected else "remove",
                                 bic_before=current_bic,
                                 bic_after=cand_bic,
                             )
                         )
-                    selected = cand
+                    selected = set(key)
                     current_bic = cand_bic
-                    if cand_model is None:
-                        cand_model = _fit_subset(X, y, labels, key, prior, current_model)
-                    current_model = cand_model
+                    beta = np.zeros(p + 1)
+                    beta[_design_rows(key)] = coef
                     changed = True
+                    pos += i + 1  # the fits after the accepted move are dropped
+                    break
+                else:
+                    pos += len(chunk)
             quiet = 0 if changed else quiet + 1
 
         # cold refit so the reported BIC is reproducible from the subset alone
         final_cols = tuple(sorted(selected))
-        final_model = _fit_subset(X, y, labels, final_cols, prior, None)
+        final_model = glm.fit(
+            X[:, final_cols], y, prior=prior, feature_names=tuple(labels[j] for j in final_cols)
+        )
         final_bic = glm.bic(final_model, form=bic_form)
         restart_bics.append(final_bic)
         key = (final_bic, k)
@@ -200,17 +224,30 @@ def icm_select(
     )
 
 
-def _fit_subset(
-    X: np.ndarray,
+def _design_rows(cols) -> np.ndarray:
+    """Design rows of a subset: the intercept, then each column."""
+    return np.concatenate(([0], np.asarray(cols, dtype=int) + 1))
+
+
+def _fit_subsets(
+    subsets: list[tuple[int, ...]],
+    design: np.ndarray,
     y: np.ndarray,
-    labels: tuple[str, ...],
-    cols: tuple[int, ...],
-    prior: glm.PriorConfig,
-    warm: glm.FittedModel | None,
-) -> glm.FittedModel:
-    names = tuple(labels[j] for j in cols)
-    start = None
-    if warm is not None:
-        prev = dict(zip(warm.feature_names, warm.coef))
-        start = np.array([warm.intercept] + [prev.get(nm, 0.0) for nm in names])
-    return glm.fit(X[:, cols], y, prior=prior, feature_names=names, start=start)
+    scales: np.ndarray,
+    warm: np.ndarray,
+    bic_form: str,
+) -> list[tuple[float, np.ndarray]]:
+    """BIC and coefficients of each subset's posterior mode, warm-started
+    from warm; subsets of one size are solved as one stack."""
+    out: list = [None] * len(subsets)
+    by_size: dict[int, list[int]] = {}
+    for i, cols in enumerate(subsets):
+        by_size.setdefault(len(cols), []).append(i)
+    n = len(y)
+    for d, members in by_size.items():
+        rows = np.array([_design_rows(subsets[i]) for i in members])
+        modes = glm.posterior_modes(glm.design_stack(design, rows), y, scales[rows], warm[rows])
+        bics = glm.bic_value(modes.log_likelihood, d, n, bic_form)
+        for i, b, coef in zip(members, bics, modes.beta):
+            out[i] = (float(b), coef)
+    return out

@@ -1,13 +1,22 @@
-"""Brute-force reference computations the feature tests check against.
+"""Brute-force reference computations the tests check against.
 
 Everything here recomputes feature definitions directly with plain loops,
-independently of the library's vectorized implementations.
+independently of the library's vectorized implementations, and runs BIC
+subset selection one candidate fit at a time.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from quartet_attrib import glm
+from quartet_attrib.selection import (
+    ACCEPT_TOL,
+    SelectionResult,
+    TraceEntry,
+    _as_array,
+)
 
 MODE_OF_CLASS = (0, 1, 2, 1, 2, 0, 3, 0, 1, 2, 1, 2)
 MODE_LABELS = ("perfect", "minor", "major", "dimaug")
@@ -262,3 +271,109 @@ def weighted_quantile_oracle(values, weights, q):
         if acc / total >= q:
             return v
     return pairs[-1][0]
+
+
+def _fit_subset(X, y, labels, cols, prior, warm):
+    names = tuple(labels[j] for j in cols)
+    start = None
+    if warm is not None:
+        prev = dict(zip(warm.feature_names, warm.coef))
+        start = np.array([warm.intercept] + [prev.get(nm, 0.0) for nm in names])
+    return glm.fit(X[:, cols], y, prior=prior, feature_names=names, start=start)
+
+
+def icm_select_oracle(
+    matrix,
+    y,
+    prior=glm.PriorConfig(),
+    restarts=10,
+    seed=0,
+    bic_form="paper",
+    trace=False,
+    redraw_each_pass=False,
+):
+    """icm_select one candidate at a time, each a warm-started glm.fit."""
+    X, labels = _as_array(matrix)
+    y = np.asarray(y, dtype=float)
+    n, p = X.shape
+    if n != len(y):
+        raise ValueError("matrix and y disagree on n")
+    if restarts < 1:
+        raise ValueError("need at least one restart")
+
+    best_key = None
+    best_state = None
+    restart_bics = []
+
+    for k in range(restarts):
+        rng = np.random.default_rng([seed, k])
+        order = rng.permutation(p)
+        selected = set()
+        current_bic = float("inf")
+        current_model = None
+        cache = {}
+        entries = []
+        sweeps = 0
+        quiet = 0
+
+        while quiet < 2:
+            sweeps += 1
+            changed = False
+            if redraw_each_pass and sweeps > 1:
+                order = rng.permutation(p)
+            for j in order:
+                cand = selected | {j} if j not in selected else selected - {j}
+                key = tuple(sorted(cand))
+                cand_bic = cache.get(key)
+                cand_model = None
+                if cand_bic is None:
+                    cand_model = _fit_subset(X, y, labels, key, prior, current_model)
+                    cand_bic = glm.bic(cand_model, form=bic_form)
+                    cache[key] = cand_bic
+                if cand_bic < current_bic - ACCEPT_TOL:
+                    action = "add" if j not in selected else "remove"
+                    if trace:
+                        entries.append(
+                            TraceEntry(
+                                restart=k,
+                                sweep=sweeps,
+                                feature=labels[j],
+                                action=action,
+                                bic_before=current_bic,
+                                bic_after=cand_bic,
+                            )
+                        )
+                    selected = cand
+                    current_bic = cand_bic
+                    if cand_model is None:
+                        cand_model = _fit_subset(X, y, labels, key, prior, current_model)
+                    current_model = cand_model
+                    changed = True
+            quiet = 0 if changed else quiet + 1
+
+        final_cols = tuple(sorted(selected))
+        final_model = _fit_subset(X, y, labels, final_cols, prior, None)
+        final_bic = glm.bic(final_model, form=bic_form)
+        restart_bics.append(final_bic)
+        key = (final_bic, k)
+        if best_key is None or key < best_key:
+            best_key = key
+            best_state = {
+                "cols": final_cols,
+                "model": final_model,
+                "bic": final_bic,
+                "restart": k,
+                "passes": sweeps,
+                "trace": tuple(entries) if trace else None,
+            }
+
+    return SelectionResult(
+        selected=tuple(labels[j] for j in best_state["cols"]),
+        bic=best_state["bic"],
+        restart_index=best_state["restart"],
+        orderings_seed=seed,
+        passes=best_state["passes"],
+        model=best_state["model"],
+        restart_bics=tuple(restart_bics),
+        trace=best_state["trace"],
+    )

@@ -163,7 +163,7 @@ class TestRunCV:
         def flaky(*args, **kwargs):
             calls["i"] += 1
             if calls["i"] == 3:
-                raise RuntimeError("synthetic failure")
+                raise np.linalg.LinAlgError("synthetic failure")
             return real(*args, **kwargs)
 
         import quartet_attrib.evaluation as ev
@@ -175,6 +175,20 @@ class TestRunCV:
         f = failed[0]
         assert f.predicted[0] == 1 - f.true_classes[0]
         assert math.isnan(f.probabilities[0])
+        assert f.error == "LinAlgError: synthetic failure"
+
+    def test_programming_error_in_a_fold_propagates(self, monkeypatch):
+        rng = np.random.default_rng(28)
+        matrix = toy_matrix(rng, n=8, p=3)
+
+        def broken(*args, **kwargs):
+            raise TypeError("synthetic bug")
+
+        import quartet_attrib.evaluation as ev
+
+        monkeypatch.setattr(ev.selection, "icm_select", broken)
+        with pytest.raises(TypeError, match="synthetic bug"):
+            run_cv(matrix, CVConfig(scheme=Scheme.LOO, seed=3, **FAST))
 
     def test_label_symmetry_with_flat_intercept_prior(self):
         rng = np.random.default_rng(29)
@@ -401,6 +415,18 @@ class TestLeakageAudit:
         result = run_cv(matrix, config, development_pool=pool)
         assert result.n == matrix.n
         assert not any(f.failed for f in result.folds)
+
+    def test_parallel_leakage_audit_matches_serial(self):
+        rng = np.random.default_rng(41)
+        matrix, pool = self._corpus_matrix(rng)
+        config = CVConfig(scheme=Scheme.LOO, seed=1, restarts=2,
+                          prior=PriorConfig(scale_factor=0.6), leakage_audit=True)
+        import dataclasses
+
+        a = run_cv(matrix, config, development_pool=pool)
+        b = run_cv(matrix, dataclasses.replace(config, n_jobs=2), development_pool=pool)
+        assert not any(f.failed for f in a.folds)
+        assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(b.to_json(), sort_keys=True)
 
     def test_leakage_audit_requires_pool(self):
         rng = np.random.default_rng(42)

@@ -11,9 +11,12 @@ from quartet_attrib.glm import (
     FittedModel,
     PriorConfig,
     bic,
+    design_stack,
     fit,
     hosmer_lemeshow,
+    posterior_modes,
     predict_prob,
+    prior_scales,
     wald_pvalues,
 )
 
@@ -140,6 +143,46 @@ class TestFit:
         assert back.intercept == model.intercept
         assert np.array_equal(back.coef, model.coef)
         assert back.log_likelihood == model.log_likelihood
+
+
+class TestStackedSolver:
+    @pytest.mark.parametrize(
+        "n, d, max_iter",
+        [(2, 1, 200), (15, 0, 200), (15, 1, 200), (40, 2, 200), (90, 3, 200), (30, 4, 3)],
+    )
+    def test_members_match_fit_bit_for_bit(self, n, d, max_iter):
+        rng = np.random.default_rng(100 * n + d)
+        p = d + 4
+        X = rng.normal(size=(n, p)) * rng.uniform(0.2, 3.0, size=p)
+        y = (rng.random(n) < 0.5).astype(float)
+        y[:2] = (0.0, 1.0)
+        X[:, 0] = 2 * y - 1 + rng.normal(scale=0.05, size=n)  # separates y
+        X[:, 1] = 1.5  # constant
+        prior = PriorConfig(scale_factor=0.6)
+        subsets = [(0, 1, 2, 3)[:d]] + [
+            tuple(sorted(rng.choice(p, size=d, replace=False))) for _ in range(5)
+        ]
+        starts = rng.normal(size=(len(subsets), d + 1)) * 3.0
+        design = np.ascontiguousarray(np.column_stack([np.ones(n), X]).T)
+        scales, _ = prior_scales(design[1:].std(axis=1, ddof=1), prior)
+        rows = np.array([[0, *(c + 1 for c in cols)] for cols in subsets])
+        stacked = posterior_modes(
+            design_stack(design, rows), y, scales[rows], starts, max_iter=max_iter
+        )
+        for k, cols in enumerate(subsets):
+            one = rows[k : k + 1]
+            alone = posterior_modes(
+                design_stack(design, one), y, scales[one], starts[k : k + 1], max_iter=max_iter
+            )
+            model = fit(X[:, list(cols)], y, prior, start=starts[k], max_iter=max_iter)
+            coef = np.concatenate(([model.intercept], model.coef))
+            assert np.array_equal(stacked.beta[k], coef)
+            assert np.array_equal(alone.beta[0], coef)
+            assert stacked.log_likelihood[k] == alone.log_likelihood[0] == model.log_likelihood
+            assert stacked.iterations[k] == model.iterations
+            assert stacked.converged[k] == model.converged
+            path = tuple(stacked.objectives[: stacked.steps[k] + 1, k])
+            assert path == model.objective_path
 
 
 class TestPredict:

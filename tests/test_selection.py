@@ -185,3 +185,63 @@ def test_selection_trace_surface():
     untraced = icm_select(X, y, prior=PRIOR, restarts=2, seed=1)
     with pytest.raises(ValueError):
         selection_trace(untraced)
+
+
+def _oracle_cases():
+    """Seeded matrices for the oracle comparison: a separating column, a
+    constant column, duplicated columns, a column with a missing value,
+    tiny n and an empty matrix."""
+    rng = np.random.default_rng(18)
+    for case in range(14):
+        n = (2, 3, 12, 25, 40, 60, 90)[case % 7]
+        p = 0 if case == 5 else int(rng.integers(3, 30))
+        X = rng.normal(size=(n, p)) * rng.uniform(0.2, 3.0, size=p)
+        y = (rng.uniform(size=n) < 0.5).astype(float)
+        y[:2] = (0.0, 1.0)
+        if p >= 3:
+            X[:, 0] = 2 * y - 1 + rng.normal(scale=0.05, size=n)  # separates y
+            X[:, 1] = 1.5  # constant
+        if p >= 6 and case % 2:
+            X[:, 4] = X[:, 5]
+        if p >= 3 and case % 3 == 0:
+            X[0, 2] = np.nan  # its fits never converge and its BIC never wins
+        kwargs = dict(
+            prior=glm.PriorConfig(scale_factor=(0.6, 2.5)[case % 2]),
+            restarts=1 + case % 3,
+            seed=case,
+            bic_form=("paper", "textbook")[(case // 2) % 2],
+            trace=case % 4 != 3,
+            redraw_each_pass=case % 3 == 1,
+        )
+        yield X, y, kwargs
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_batched_search_matches_one_fit_per_candidate_oracle(monkeypatch):
+    import oracles
+
+    seen = {"nonconverged": 0, "em_fallback": 0}
+    real_modes, real_pd = glm.posterior_modes, glm._positive_definite
+
+    def modes(*args, **kwargs):
+        out = real_modes(*args, **kwargs)
+        seen["nonconverged"] += int((~out.converged).sum())
+        return out
+
+    def positive_definite(H):
+        out = real_pd(H)
+        seen["em_fallback"] += int((~out).sum())
+        return out
+
+    monkeypatch.setattr(glm, "posterior_modes", modes)
+    monkeypatch.setattr(glm, "_positive_definite", positive_definite)
+    for X, y, kwargs in _oracle_cases():
+        want = oracles.icm_select_oracle(X, y, **kwargs)
+        got = icm_select(X, y, **kwargs)
+        assert got.selected == want.selected
+        assert got.restart_bics == want.restart_bics
+        assert got.passes == want.passes
+        assert got.trace == want.trace
+        assert (got.bic, got.restart_index) == (want.bic, want.restart_index)
+    # the cases reach the solver's fallback paths, not just plain Newton steps
+    assert seen["nonconverged"] > 0 and seen["em_fallback"] > 0, seen
