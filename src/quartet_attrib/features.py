@@ -25,7 +25,6 @@ from .score import (
     EncodedMovement,
     MovementMeta,
     VOICE_ORDER,
-    note_sequence,
     onset_grid,
 )
 from .segments import SegmentConfig, weighted_quantile
@@ -357,26 +356,37 @@ class _VoiceData:
 
 
 def _voice_data(movement: EncodedMovement) -> dict[str, _VoiceData]:
+    """Per-voice arrays of the window features, from one pass over each
+    voice's notes.  A feature family computes them itself when called on
+    its own; ``movement_features`` computes them once for all families."""
     out = {}
     for track in movement.voices:
-        durations = note_sequence(track, "duration")
-        code_of: dict[Fraction, int] = {}
-        codes = np.array(
-            [code_of.setdefault(d, len(code_of)) for d in durations], dtype=np.int64
-        )
-        den = math.lcm(*(d.denominator for d in durations)) if durations else 1
-        nums = [int(d * den) for d in durations]
-        if nums and max(abs(k) for k in nums) > 1 << 20:
+        notes = [
+            (e.pitch_class, e.absolute_pitch, e.duration)
+            for e in track.events
+            if not e.is_rest
+        ]
+        pcs, abs_pitch, durations = zip(*notes) if notes else ((), (), ())
+        ratios = [d.as_integer_ratio() for d in durations]
+        den = math.lcm(*(b for _, b in ratios))
+        nums = [a * (den // b) for a, b in ratios]
+        if max(nums, default=0) > 1 << 20:
             # degenerate tuplet denominators; exact variance would overflow
             logger.warning("huge duration denominators; development sds lose exactness")
-            den = 0
-            nums = [0] * len(durations)
+            code_of: dict[Fraction, int] = {}
+            codes = np.array(
+                [code_of.setdefault(d, len(code_of)) for d in durations], dtype=np.int64
+            )
+            den, nums = 0, [0] * len(durations)
+        dur_num = np.array(nums, dtype=np.int64)
         out[track.voice.value] = _VoiceData(
-            pcs=np.array(note_sequence(track, "pitch_class"), dtype=np.int64),
-            abs_pitch=np.array(note_sequence(track, "absolute_pitch"), dtype=np.int64),
-            dur_float=np.array([float(d) for d in durations], dtype=float),
-            dur_codes=codes,
-            dur_num=np.array(nums, dtype=np.int64),
+            pcs=np.array(pcs, dtype=np.int64),
+            abs_pitch=np.array(abs_pitch, dtype=np.int64),
+            dur_float=np.array([a / b for a, b in ratios], dtype=float),
+            # equal durations have equal numerators, which is all window
+            # matching needs
+            dur_codes=dur_num if den else codes,
+            dur_num=dur_num,
             dur_den=den,
         )
     return out
@@ -420,33 +430,34 @@ def _sd(x) -> float:
 # ---------------------------------------------------------------------------
 
 
-def basic_summary(movement: EncodedMovement) -> dict[str, float]:
+def basic_summary(
+    movement: EncodedMovement, data: dict[str, _VoiceData] | None = None
+) -> dict[str, float]:
     """Per-voice note counts and duration/pitch summaries plus the two
     all-four-voices simultaneity proportions."""
+    if data is None:
+        data = _voice_data(movement)
     feats: dict[str, float] = {}
-    for track in movement.voices:
-        v = track.voice.value
-        notes = [e for e in track.events if not e.is_rest]
-        if not notes:
+    for v in VOICE_LABELS:
+        vd = data[v]
+        if not vd.m_notes:
             raise EmptyVoice(f"voice {v} has no notes")
-        durs = [float(e.duration) for e in notes]
-        pcs = [e.pitch_class for e in notes]
-        feats[f"basic|note_count|{v}"] = float(len(notes))
-        feats[f"basic|mean_duration|{v}"] = float(np.mean(durs))
-        feats[f"basic|sd_duration|{v}"] = _sd(durs)
-        feats[f"basic|mean_pitch|{v}"] = float(np.mean(pcs))
-        feats[f"basic|sd_pitch|{v}"] = _sd(pcs)
+        feats[f"basic|note_count|{v}"] = float(vd.m_notes)
+        feats[f"basic|mean_duration|{v}"] = float(np.mean(vd.dur_float))
+        feats[f"basic|sd_duration|{v}"] = _sd(vd.dur_float)
+        feats[f"basic|mean_pitch|{v}"] = float(np.mean(vd.pcs))
+        feats[f"basic|sd_pitch|{v}"] = _sd(vd.pcs)
 
-    grid = onset_grid(movement)
-    starts = [dict(pairs) for pairs in grid.values()]
-    all_onsets = set()
-    for d in starts:
-        all_onsets.update(d)
-    n_onsets = len(all_onsets)
-    all_note = sum(
-        1 for t in all_onsets if all(t in d and not d[t] for d in starts)
+    # onsets as integer numerators over the movement's common denominator
+    grid = onset_grid(movement).values()
+    den = math.lcm(*{t.denominator for pairs in grid for t, _ in pairs})
+    first, *others = (
+        {t.numerator * (den // t.denominator): rest for t, rest in pairs} for pairs in grid
     )
-    all_rest = sum(1 for t in all_onsets if all(t in d and d[t] for d in starts))
+    n_onsets = len(set(first).union(*others))
+    shared = [r for t, r in first.items() if all(t in d and d[t] == r for d in others)]
+    all_rest = sum(shared)
+    all_note = len(shared) - all_rest
     feats["basic|simultaneous_notes"] = all_note / n_onsets if n_onsets else float("nan")
     feats["basic|simultaneous_rests"] = all_rest / n_onsets if n_onsets else float("nan")
     return feats
@@ -458,7 +469,9 @@ def basic_summary(movement: EncodedMovement) -> dict[str, float]:
 
 
 def pairwise_interval_features(
-    movement: EncodedMovement, signed_differences: bool = True
+    movement: EncodedMovement,
+    signed_differences: bool = True,
+    data: dict[str, _VoiceData] | None = None,
 ) -> dict[str, float]:
     """Consecutive-note interval features on the full 1..132 pitch scale.
 
@@ -469,7 +482,8 @@ def pairwise_interval_features(
     """
     feats: dict[str, float] = {}
     stats: dict[str, dict | None] = {}
-    data = _voice_data(movement)
+    if data is None:
+        data = _voice_data(movement)
     for v in VOICE_LABELS:
         vd = data[v]
         if vd.m_notes < 2:
@@ -528,7 +542,9 @@ def pairwise_interval_features(
 
 
 def minor_third_segment_features(
-    movement: EncodedMovement, config: SegmentConfig = SegmentConfig()
+    movement: EncodedMovement,
+    config: SegmentConfig = SegmentConfig(),
+    data: dict[str, _VoiceData] | None = None,
 ) -> dict[str, float]:
     """Summary statistics of per-segment minor-third proportions.
 
@@ -537,7 +553,8 @@ def minor_third_segment_features(
     statistics plus counts of all-zero and high-proportion segments.
     """
     feats: dict[str, float] = {}
-    data = _voice_data(movement)
+    if data is None:
+        data = _voice_data(movement)
     for v in VOICE_LABELS:
         ap = data[v].abs_pitch
         for m in config.lengths:
@@ -604,16 +621,18 @@ def _overlap_stats(wmat: np.ndarray, last_start: int) -> dict[str, float] | None
 _OVERLAP_DESCS = ("max_overlap", "max_location", "count_t0.7", "count_t0.9", "count_t1")
 
 
-def exposition_features(
-    movement: EncodedMovement, config: SegmentConfig = SegmentConfig()
+def _overlap_features(
+    category: str,
+    movement: EncodedMovement,
+    config: SegmentConfig,
+    data: dict[str, _VoiceData] | None,
+    first_half: bool,
 ) -> dict[str, float]:
-    """Overlap of the opening segment against segments in the first half.
-
-    The first half covers segments starting at or before ceil(M/2); a voice
-    needs at least two segments there, otherwise its cells are masked.
-    """
+    """Overlap of each voice's opening segment against its later segments:
+    those starting at or before ceil(M/2) with ``first_half``, else all."""
+    if data is None:
+        data = _voice_data(movement)
     feats: dict[str, float] = {}
-    data = _voice_data(movement)
     for v in VOICE_LABELS:
         vd = data[v]
         half = (vd.m_notes + 1) // 2
@@ -623,34 +642,35 @@ def exposition_features(
                 wmat = _track_windows(vd, track, m)
                 stats = None
                 if wmat is not None:
-                    stats = _overlap_stats(wmat, min(half, wmat.shape[0]))
+                    total = wmat.shape[0]
+                    stats = _overlap_stats(wmat, min(half, total) if first_half else total)
                 for desc in _OVERLAP_DESCS:
-                    feats[f"exposition|{desc}{base}"] = (
+                    feats[f"{category}|{desc}{base}"] = (
                         stats[desc] if stats is not None else float("nan")
                     )
     return feats
+
+
+def exposition_features(
+    movement: EncodedMovement,
+    config: SegmentConfig = SegmentConfig(),
+    data: dict[str, _VoiceData] | None = None,
+) -> dict[str, float]:
+    """Overlap of the opening segment against segments in the first half.
+
+    The first half covers segments starting at or before ceil(M/2); a voice
+    needs at least two segments there, otherwise its cells are masked.
+    """
+    return _overlap_features("exposition", movement, config, data, first_half=True)
 
 
 def recapitulation_features(
-    movement: EncodedMovement, config: SegmentConfig = SegmentConfig()
+    movement: EncodedMovement,
+    config: SegmentConfig = SegmentConfig(),
+    data: dict[str, _VoiceData] | None = None,
 ) -> dict[str, float]:
     """Overlap of the opening segment against all subsequent segments."""
-    feats: dict[str, float] = {}
-    data = _voice_data(movement)
-    for v in VOICE_LABELS:
-        vd = data[v]
-        for m in config.lengths:
-            for track in TRACKS:
-                base = f"|{track}|{v}|m={m}"
-                wmat = _track_windows(vd, track, m)
-                stats = None
-                if wmat is not None:
-                    stats = _overlap_stats(wmat, wmat.shape[0])
-                for desc in _OVERLAP_DESCS:
-                    feats[f"recapitulation|{desc}{base}"] = (
-                        stats[desc] if stats is not None else float("nan")
-                    )
-    return feats
+    return _overlap_features("recapitulation", movement, config, data, first_half=False)
 
 
 # ---------------------------------------------------------------------------
@@ -739,10 +759,8 @@ class DevelopmentSdPool:
             w = np.concatenate(wts)
             if reading == "prose":
                 # weighted quantile of the raw sd values, weights 1/(M_i - m + 1)
-                order = np.argsort(v, kind="stable")
-                sv, sw = v[order].tolist(), w[order].tolist()
                 table[key] = tuple(
-                    float(weighted_quantile(sv, sw, q)) for q in self.quantiles
+                    float(x) for x in weighted_quantile(v, w, self.quantiles)
                 )
             else:
                 # literal reading: plain quantile of the scaled values
@@ -819,6 +837,7 @@ def development_features(
     movement: EncodedMovement,
     thresholds: DevelopmentThresholds,
     config: SegmentConfig = SegmentConfig(),
+    data: dict[str, _VoiceData] | None = None,
 ) -> dict[str, float]:
     """Within-window variability features.
 
@@ -827,7 +846,8 @@ def development_features(
     windows at or above each quantile threshold.
     """
     feats: dict[str, float] = {}
-    data = _voice_data(movement)
+    if data is None:
+        data = _voice_data(movement)
     for v in VOICE_LABELS:
         vd = data[v]
         for m in config.lengths:
@@ -865,13 +885,15 @@ def movement_features(
     config: SegmentConfig = SegmentConfig(),
     signed_differences: bool = True,
 ) -> dict[str, float]:
-    """All features of one movement, keyed by canonical label."""
-    feats = basic_summary(movement)
-    feats.update(pairwise_interval_features(movement, signed_differences))
-    feats.update(minor_third_segment_features(movement, config))
-    feats.update(exposition_features(movement, config))
-    feats.update(development_features(movement, thresholds, config))
-    feats.update(recapitulation_features(movement, config))
+    """All features of one movement, keyed by canonical label; the per-voice
+    data is built once and shared by the families."""
+    data = _voice_data(movement)
+    feats = basic_summary(movement, data)
+    feats.update(pairwise_interval_features(movement, signed_differences, data))
+    feats.update(minor_third_segment_features(movement, config, data))
+    feats.update(exposition_features(movement, config, data))
+    feats.update(development_features(movement, thresholds, config, data))
+    feats.update(recapitulation_features(movement, config, data))
     return feats
 
 

@@ -349,8 +349,11 @@ def parse_kern(file_content: str, meta: MovementMeta | None = None) -> EncodedMo
                     continue
                 m = _METER_RE.match(tok)
                 if m:
+                    num, den = int(m.group(1)), int(m.group(2))
+                    if not num or not den:
+                        raise MalformedKern(f"line {lineno}: meter {tok!r} has a zero term")
                     # a bar of num/den meter lasts num/den whole notes
-                    voices[spine].meter_bar = Fraction(int(m.group(1)), int(m.group(2)))
+                    voices[spine].meter_bar = Fraction(num, den)
             continue
 
         if tokens[0].startswith("="):

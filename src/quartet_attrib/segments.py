@@ -1,34 +1,26 @@
-"""Sliding-window segment primitives shared by the higher-order features.
+"""Segment configuration and the weighted quantile behind the development
+thresholds.
 
-All operations are pure functions over plain sequences; pitch segments hold
-integers 1..12 and duration segments exact Fractions, so equality checks
-are exact.
+The sliding-window features themselves are vectorised in ``features``; the
+scalar reference versions of their primitives live with the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
+
+import numpy as np
 
 DEFAULT_SEGMENT_LENGTHS = (8, 10, 12, 14, 16, 18)
 
 
-class RestInSegment(ValueError):
-    """A pitch segment contains a rest (value 0)."""
-
-
 class LengthMismatch(ValueError):
-    """Two segments of different lengths were compared."""
+    """Two sequences that must align have different lengths."""
 
 
 class EmptyInput(ValueError):
     """An aggregate was requested over an empty collection."""
-
-
-class Segment(NamedTuple):
-    values: tuple
-    start: int  # 1-based position of the first note in the voice sequence
 
 
 @dataclass(frozen=True)
@@ -44,80 +36,33 @@ class SegmentConfig:
             raise ValueError("segment lengths must be distinct")
 
 
-def windows(seq: Sequence, m: int) -> list[Segment]:
-    """All max(0, M - m + 1) length-m windows of seq with 1-based starts."""
-    if m < 2:
-        raise ValueError("segment length must be >= 2")
-    vals = tuple(seq)
-    n = len(vals)
-    return [Segment(vals[i : i + m], i + 1) for i in range(n - m + 1)]
-
-
-def location(segment_order: int, segment_count: int) -> Fraction:
-    """Relative position of a segment: its order over the total count."""
-    if not 1 <= segment_order <= segment_count:
-        raise ValueError(
-            f"segment order {segment_order} outside 1..{segment_count}"
-        )
-    return Fraction(segment_order, segment_count)
-
-
-def relative_transform(segment: Segment) -> Segment:
-    """Re-express a pitch-class segment relative to its first note.
-
-    output[k] = ((input[k] - input[0]) mod 12) + 1, so the first value is
-    always 1 and transposed copies of a phrase compare equal.
-    """
-    vals = segment.values
-    if any(v == 0 for v in vals):
-        raise RestInSegment("pitch segment contains a rest")
-    first = vals[0]
-    return Segment(tuple((v - first) % 12 + 1 for v in vals), segment.start)
-
-
-def fraction_overlap(a: Segment, b: Segment) -> Fraction:
-    """Proportion of positions at which two equal-length segments agree.
-
-    Pitch segments must be relative-transformed by the caller; duration
-    values compare as exact rationals.
-    """
-    if len(a.values) != len(b.values):
-        raise LengthMismatch(f"segment lengths differ: {len(a.values)} vs {len(b.values)}")
-    m = len(a.values)
-    matches = sum(1 for x, y in zip(a.values, b.values) if x == y)
-    return Fraction(matches, m)
-
-
-def overlap_count(fractions: Sequence, t) -> int:
-    """Number of overlap fractions at or above the threshold t."""
-    if not 0 <= t <= 1:
-        raise ValueError("threshold must lie in [0, 1]")
-    return sum(1 for f in fractions if f >= t)
-
-
-def weighted_quantile(values: Sequence, weights: Sequence, q) -> float:
-    """Lower weighted q-quantile.
+def weighted_quantile(values: Sequence, weights: Sequence, q):
+    """Lower weighted q-quantile(s).
 
     Returns the smallest value v such that the normalized cumulative weight
     of {values <= v} reaches q.  With equal weights on distinct values this
-    is the standard lower empirical quantile.
+    is the standard lower empirical quantile.  q is a scalar (a scalar is
+    returned) or a sequence (an array is returned, one value per quantile).
+    Weights are added in sorted order (a stable sort), and the total is the
+    last running sum, so every comparison is reproducible bit for bit.
     """
     if len(values) != len(weights):
         raise LengthMismatch("values and weights lengths differ")
     if len(values) == 0:
         raise EmptyInput("weighted quantile of an empty collection")
-    if not 0 < q < 1:
+    qs = np.asarray(q, dtype=float)
+    if not np.all((0 < qs) & (qs < 1)):
         raise ValueError("q must lie in (0, 1)")
-    pairs = sorted(zip(values, weights), key=lambda p: p[0])
-    total = sum(w for _, w in pairs)
-    if total <= 0:
+    values = np.asarray(values)
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    cum = np.cumsum(np.asarray(weights)[order])
+    total = cum[-1]
+    if not total > 0:
         raise ValueError("total weight must be positive")
-    cum = 0
-    for i, (v, w) in enumerate(pairs):
-        cum += w
-        # advance through ties so the cumulative weight covers {values <= v}
-        if i + 1 < len(pairs) and pairs[i + 1][0] == v:
-            continue
-        if cum / total >= q:
-            return v
-    return pairs[-1][0]
+    # the last index of each tie group, where the cumulative weight covers
+    # {values <= v}; of equal values (-0.0 and 0.0) the last in order is returned
+    last = np.flatnonzero(np.append(v[1:] != v[:-1], True))
+    reached = cum[last] / total
+    picks = [v[last[np.flatnonzero(reached >= x)[0]]] for x in qs.ravel()]
+    return picks[0] if qs.ndim == 0 else np.array(picks)

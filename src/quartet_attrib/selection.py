@@ -22,7 +22,8 @@ from .features import FeatureMatrix
 ACCEPT_TOL = 1e-9
 
 #: Candidate moves solved together.  An accepted move discards the fits after
-#: it in its chunk; 64 keeps stacks small and that waste a few percent.
+#: it in its chunk; 64 keeps stacks small and that waste a few percent.  A
+#: restart's first move is solved alone, since any finite BIC is accepted.
 CHUNK = 64
 
 
@@ -157,7 +158,9 @@ def icm_select(
                 order = rng.permutation(p)
             pos = 0
             while pos < p:
-                chunk = order[pos : pos + CHUNK]
+                # at BIC inf any finite candidate wins, so the first is solved alone
+                size = CHUNK if current_bic < float("inf") else 1
+                chunk = order[pos : pos + size]
                 keys = [tuple(sorted(selected ^ {j})) for j in chunk]
                 fresh = [i for i, key in enumerate(keys) if key not in cache]
                 solved = _fit_subsets([keys[i] for i in fresh], design, y, scales, beta, bic_form)

@@ -2,15 +2,19 @@
 
 Everything here recomputes feature definitions directly with plain loops,
 independently of the library's vectorized implementations, and runs BIC
-subset selection one candidate fit at a time.
+subset selection one candidate fit at a time.  The scalar segment
+primitives (windows, relative transform, overlap) state the paper's
+definitions one segment at a time.
 """
 
 import math
 from fractions import Fraction
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from quartet_attrib import glm
+from quartet_attrib.segments import LengthMismatch
 from quartet_attrib.selection import (
     ACCEPT_TOL,
     SelectionResult,
@@ -29,6 +33,78 @@ PAIRS = (
     ("Violin2", "Cello"),
     ("Viola", "Cello"),
 )
+
+
+# ---------------------------------------------------------------------------
+# Scalar segment primitives: the paper's definitions, one segment at a time;
+# pitch segments hold integers 1..12 and duration segments exact Fractions,
+# so equality checks are exact.
+# ---------------------------------------------------------------------------
+
+
+class RestInSegment(ValueError):
+    """A pitch segment contains a rest (value 0)."""
+
+
+class Segment(NamedTuple):
+    values: tuple
+    start: int  # 1-based position of the first note in the voice sequence
+
+
+def windows(seq: Sequence, m: int) -> list[Segment]:
+    """All max(0, M - m + 1) length-m windows of seq with 1-based starts."""
+    if m < 2:
+        raise ValueError("segment length must be >= 2")
+    vals = tuple(seq)
+    n = len(vals)
+    return [Segment(vals[i : i + m], i + 1) for i in range(n - m + 1)]
+
+
+def location(segment_order: int, segment_count: int) -> Fraction:
+    """Relative position of a segment: its order over the total count."""
+    if not 1 <= segment_order <= segment_count:
+        raise ValueError(
+            f"segment order {segment_order} outside 1..{segment_count}"
+        )
+    return Fraction(segment_order, segment_count)
+
+
+def relative_transform(segment: Segment) -> Segment:
+    """Re-express a pitch-class segment relative to its first note.
+
+    output[k] = ((input[k] - input[0]) mod 12) + 1, so the first value is
+    always 1 and transposed copies of a phrase compare equal.
+    """
+    vals = segment.values
+    if any(v == 0 for v in vals):
+        raise RestInSegment("pitch segment contains a rest")
+    first = vals[0]
+    return Segment(tuple((v - first) % 12 + 1 for v in vals), segment.start)
+
+
+def fraction_overlap(a: Segment, b: Segment) -> Fraction:
+    """Proportion of positions at which two equal-length segments agree.
+
+    Pitch segments must be relative-transformed by the caller; duration
+    values compare as exact rationals.
+    """
+    if len(a.values) != len(b.values):
+        raise LengthMismatch(f"segment lengths differ: {len(a.values)} vs {len(b.values)}")
+    m = len(a.values)
+    matches = sum(1 for x, y in zip(a.values, b.values) if x == y)
+    return Fraction(matches, m)
+
+
+def overlap_count(fractions: Sequence, t) -> int:
+    """Number of overlap fractions at or above the threshold t."""
+    if not 0 <= t <= 1:
+        raise ValueError("threshold must lie in [0, 1]")
+    return sum(1 for f in fractions if f >= t)
+
+
+# ---------------------------------------------------------------------------
+# Feature families
+# ---------------------------------------------------------------------------
 
 
 def notes_of(movement, voice):
@@ -269,6 +345,25 @@ def weighted_quantile_oracle(values, weights, q):
             acc += pairs[i][1]
             i += 1
         if acc / total >= q:
+            return v
+    return pairs[-1][0]
+
+
+def weighted_quantile_loop_oracle(values, weights, q):
+    """The lower weighted quantile as a plain loop that adds the weights one
+    at a time in sorted order and takes the running sum as the total; this
+    is the rounding the library promises, where weighted_quantile_oracle's
+    fsum total can tip a share that lands exactly on q."""
+    pairs = sorted(zip(values, weights), key=lambda p: p[0])
+    total = 0.0
+    for _, w in pairs:
+        total += w
+    cum = 0.0
+    for i, (v, w) in enumerate(pairs):
+        cum += w
+        if i + 1 < len(pairs) and pairs[i + 1][0] == v:
+            continue  # advance through ties
+        if cum / total >= q:
             return v
     return pairs[-1][0]
 

@@ -41,14 +41,9 @@ from quartet_attrib.features import (
     pairwise_interval_features,
     recapitulation_features,
 )
+from oracles import Segment, fraction_overlap, relative_transform, windows
 from quartet_attrib.score import Voice, load_corpus, note_sequence, parse_kern
-from quartet_attrib.segments import (
-    Segment,
-    SegmentConfig,
-    fraction_overlap,
-    relative_transform,
-    windows,
-)
+from quartet_attrib.segments import SegmentConfig
 from quartet_attrib.selection import icm_select
 from test_features import FLAT_THRESHOLDS
 from test_selection import PRIOR, exhaustive_best, forward_stepwise

@@ -330,6 +330,65 @@ class TestDevelopment:
                         assert counts == sorted(counts, reverse=True)
 
 
+class TestHugeDurationDenominators:
+    """Tuplets of 3, 5, ..., 19 inside quarter notes put the voices' common
+    duration denominator at 19399380, so the numerators of plain quarters
+    exceed 2**20 and the features fall back from integer numerators to
+    exact-Fraction duration codes and float window sds."""
+
+    TUPLETS = tuple(Fraction(1, 4 * k) for k in (1, 3, 5, 7, 11, 13, 17, 19))
+    THRESHOLDS = DevelopmentThresholds(
+        quantiles=FLAT_THRESHOLDS.quantiles,
+        table={
+            key: (0.5, 1.0, 2.0, 3.0) if key[2] == "pitch" else (0.02, 0.04, 0.06, 0.08)
+            for key in FLAT_THRESHOLDS.table
+        },
+    )
+
+    def movement(self, seed):
+        rng = np.random.default_rng(seed)
+        pitches, durations = [], []
+        for _ in range(4):
+            n = int(rng.integers(28, 45))
+            pitches.append(
+                [0 if rng.random() < 0.1 else int(rng.integers(40, 70)) for _ in range(n)]
+            )
+            # a repeated motif holding every tuplet, lightly varied, so
+            # duration windows recur and the overlaps are not all zero
+            motif = np.concatenate([rng.permutation(8), rng.integers(0, 8, size=2)])
+            idx = np.where(rng.random(n) < 0.15, rng.integers(0, 8, size=n), np.resize(motif, n))
+            durations.append([self.TUPLETS[int(i)] for i in idx])
+        return synth.movement_from_pitches(pitches, durations)
+
+    def test_fallback_matches_oracles_and_warns(self, caplog):
+        lengths = SMALL.lengths
+        overlaps = 0
+        for seed in range(6):
+            mv = self.movement(seed)
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="quartet_attrib.features"):
+                expo = exposition_features(mv, SMALL)
+            assert any("lose exactness" in r.getMessage() for r in caplog.records)
+            assert_dicts_close(expo, oracles.exposition_oracle(mv, lengths))
+            recap = recapitulation_features(mv, SMALL)
+            assert_dicts_close(recap, oracles.recapitulation_oracle(mv, lengths))
+            dev = development_features(mv, self.THRESHOLDS, SMALL)
+            want = oracles.development_oracle(mv, self.THRESHOLDS, lengths)
+            # float sds may break an exact tie for the maximum either way: the
+            # location must still point at a window of maximal exact sd
+            for key in [k for k in want if k.startswith("development|max_location|duration")]:
+                v, m = key.split("|")[3], int(key.split("=")[1])
+                durs = [e.duration for e in oracles.notes_of(mv, v)]
+                sds = [oracles.exact_sample_sd(durs[i : i + m]) for i in range(len(durs) - m + 1)]
+                assert sds[round(dev[key] * len(sds)) - 1] == max(sds), key
+                del want[key]
+            assert_dicts_close(dev, want)
+            overlaps += sum(
+                x > 0 for k, x in recap.items() if k.startswith("recapitulation|count_t0.7|dur")
+            )
+        assert overlaps > 0
+
+
 class TestDevelopmentThresholds:
     def test_constant_corpus_zero_thresholds(self):
         mv = synth.movement_from_pitches([[50] * 12] * 4)
@@ -353,6 +412,28 @@ class TestDevelopmentThresholds:
         for qi, q in enumerate(thr.quantiles):
             want = oracles.weighted_quantile_oracle(sds, wts, q)
             assert thr.get("Violin1", 8, "pitch")[qi] == pytest.approx(want, abs=1e-12)
+
+    def test_pool_thresholds_on_training_rows_match_oracle(self):
+        rng = np.random.default_rng(23)
+        movements = [synth.random_movement(rng, n_notes=(5, 40)) for _ in range(7)]
+        pool = build_development_pool(movements, SMALL)
+        rows = [0, 2, 3, 6]
+        thr = pool.thresholds(rows=rows)
+        assert thr.quantiles == pool.quantiles
+        missing = 0
+        for key, arrays in pool.sds.items():
+            vals = [x for i in rows for x in arrays[i].tolist()]
+            wts = [1.0 / arrays[i].size for i in rows for _ in range(arrays[i].size)]
+            if not vals:
+                missing += 1
+                assert all(math.isnan(t) for t in thr.table[key])
+                continue
+            # equal weights 1/size often put a cumulative share exactly on q,
+            # so the oracle rounds as the library does: a running sum in order
+            for qi, q in enumerate(pool.quantiles):
+                want = oracles.weighted_quantile_loop_oracle(vals, wts, q)
+                assert thr.table[key][qi] == want, (key, q)
+        assert missing < len(pool.sds)
 
     def test_non_decreasing_in_quantile(self):
         rng = np.random.default_rng(20)

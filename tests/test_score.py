@@ -163,6 +163,11 @@ class TestErrors:
         with pytest.raises(MissingMeter):
             parse_kern(content)
 
+    @pytest.mark.parametrize("meter", ["*M4/0", "*M0/4"])
+    def test_zero_meter_term(self, meter):
+        with pytest.raises(MalformedKern):
+            parse_kern(four_spine(["4c\t4c\t4c\t4c"], meter=meter))
+
     def test_malformed_token(self):
         with pytest.raises(MalformedKern):
             parse_kern(melody_file(["=1", "4zz", "2.r"]))

@@ -1,21 +1,24 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import oracles
-from quartet_attrib.segments import (
-    EmptyInput,
-    LengthMismatch,
+from oracles import (
     RestInSegment,
     Segment,
-    SegmentConfig,
     fraction_overlap,
     location,
     overlap_count,
     relative_transform,
-    weighted_quantile,
     windows,
+)
+from quartet_attrib.segments import (
+    EmptyInput,
+    LengthMismatch,
+    SegmentConfig,
+    weighted_quantile,
 )
 
 
@@ -189,6 +192,13 @@ class TestWeightedQuantile:
     def test_ties_accumulate(self):
         assert weighted_quantile([1, 1, 2], [0.3, 0.3, 0.4], 0.5) == 1
 
+    def test_tie_group_returns_its_last_member(self):
+        # -0.0 == 0.0, so they form one tie group; the stable order keeps
+        # the input order and the group's last member is returned
+        for vals in ([-0.0, 0.0, 1.0], [0.0, -0.0, 1.0]):
+            got = weighted_quantile(vals, [1.0, 1.0, 1.0], [0.2, 0.5])
+            assert [math.copysign(1.0, g) for g in got] == [math.copysign(1.0, vals[1])] * 2
+
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             weighted_quantile([], [], 0.5)
@@ -196,6 +206,32 @@ class TestWeightedQuantile:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             weighted_quantile([1, 2], [1], 0.5)
+
+    def test_quantile_validation(self):
+        for q in (0.0, 1.0, [0.5, 1.2]):
+            with pytest.raises(ValueError):
+                weighted_quantile([1, 2], [1, 1], q)
+        with pytest.raises(ValueError):
+            weighted_quantile([1, 2], [0.0, 0.0], 0.5)
+
+    def test_sequence_of_quantiles_matches_oracle(self):
+        rng = np.random.default_rng(7)
+        qs = (0.05, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.999)
+        for case in range(40):
+            n = int(rng.integers(1, 300))
+            # heavy ties: values rounded to 2 decimals, few distinct values
+            vals = np.round(rng.normal(scale=(0.02, 1.0)[case % 2], size=n), 2)
+            wts = rng.random(n) + 0.01
+            if case % 3 == 0:
+                wts = np.repeat(1.0 / rng.integers(1, 50, size=4), -(-n // 4))[:n]
+            got = weighted_quantile(vals, wts, qs)
+            assert got.shape == (len(qs),)
+            for g, q in zip(got, qs):
+                want = oracles.weighted_quantile_oracle(vals.tolist(), wts.tolist(), q)
+                assert g == want, (case, q)
+            # a scalar q gives the matching element, as a scalar
+            assert np.ndim(weighted_quantile(vals, wts, qs[3])) == 0
+            assert weighted_quantile(vals, wts, qs[3]) == got[3]
 
 
 def test_segment_config_validation():

@@ -245,3 +245,33 @@ def test_batched_search_matches_one_fit_per_candidate_oracle(monkeypatch):
         assert (got.bic, got.restart_index) == (want.bic, want.restart_index)
     # the cases reach the solver's fallback paths, not just plain Newton steps
     assert seen["nonconverged"] > 0 and seen["em_fallback"] > 0, seen
+
+
+def test_first_move_of_each_restart_costs_one_fit(monkeypatch):
+    """A restart starts at BIC inf, where any finite candidate is accepted,
+    so its first candidate is solved alone instead of in a full chunk."""
+    rng = np.random.default_rng(19)
+    X, y = synth.logistic_toy(rng, n=50, p=40)
+    calls = []  # stack sizes of posterior_modes, None for a cold refit
+    real_modes, real_fit = glm.posterior_modes, glm.fit
+
+    def modes(Xt, *args, **kwargs):
+        calls.append(Xt.shape[0])
+        return real_modes(Xt, *args, **kwargs)
+
+    def fit(*args, **kwargs):
+        calls.append(None)
+        n_calls = len(calls)
+        model = real_fit(*args, **kwargs)
+        del calls[n_calls:]  # the refit's own stack of one
+        return model
+
+    monkeypatch.setattr(glm, "posterior_modes", modes)
+    monkeypatch.setattr(glm, "fit", fit)
+    restarts = 3
+    icm_select(X, y, prior=PRIOR, restarts=restarts, seed=4)
+    firsts = [calls[0]] + [calls[i + 1] for i, c in enumerate(calls[:-1]) if c is None]
+    assert calls.count(None) == restarts and calls[-1] is None
+    assert firsts == [1] * restarts
+    # later moves are still solved in chunks
+    assert max(c for c in calls if c is not None) > 1
