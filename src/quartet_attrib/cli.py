@@ -100,10 +100,8 @@ def _load_corpus_or_die(args):
     return movements
 
 
-def _run_config(args, command: str, extra: dict) -> dict:
-    cfg = {"command": command, "version": __version__}
-    cfg.update(extra)
-    return cfg
+def _run_config(command: str, extra: dict) -> dict:
+    return {"command": command, "version": __version__, **extra}
 
 
 def cmd_extract(args) -> int:
@@ -128,7 +126,6 @@ def cmd_extract(args) -> int:
     _write_json(
         out / "run_config.json",
         _run_config(
-            args,
             "extract",
             {
                 "corpus": str(args.corpus),
@@ -204,7 +201,12 @@ def cmd_cv(args) -> int:
         seg = SegmentConfig(_parse_lengths(args.m_lengths))
         pool = build_development_pool(movements, seg)
         if args.features:
-            matrix = FeatureMatrix.from_csv(args.features, args.meta)
+            matrix = _matrix_from_args(args)
+            if [r.source_path for r in matrix.rows] != [mv.meta.source_path for mv in movements]:
+                raise SystemExit(
+                    "error: --leakage-audit needs the --features rows to be the "
+                    "parsed --manifest movements, in the same order"
+                )
         else:
             matrix = extract_all(
                 movements,
@@ -223,7 +225,7 @@ def cmd_cv(args) -> int:
     write_stability_csv(selection_stability(result), out / "stability.csv")
     _write_json(
         out / "run_config.json",
-        _run_config(args, "cv", {"cv": config.to_json(), "features": str(args.features or "")}),
+        _run_config("cv", {"cv": config.to_json(), "features": str(args.features or "")}),
     )
     _print_cv_summary(result)
     return 0
@@ -267,7 +269,7 @@ def cmd_fit(args) -> int:
     (out / "report.txt").write_text(text, encoding="utf-8")
     _write_json(
         out / "run_config.json",
-        _run_config(args, "fit", {"cv": config.to_json(), "features": str(args.features or "")}),
+        _run_config("fit", {"cv": config.to_json(), "features": str(args.features or "")}),
     )
     print(text, end="")
     return 0

@@ -338,18 +338,10 @@ def _run_fold(matrix, y, config, pool, reading, fold, fold_index) -> FoldRecord:
         test_X = fm.values[np.ix_(test_idx, sel_cols_global)]
 
         if config.cutoff_policy == CutoffPolicy.TUNED:
-            train_probs = (
-                glm.predict_prob(model, train_X)
-                if model.d
-                else np.full(len(train_idx), glm.predict_prob(model, np.empty((1, 0))))
-            )
-            cutoff = tune_cutoff(train_probs, y_train, config.grid)
+            cutoff = tune_cutoff(glm.predict_prob(model, train_X), y_train, config.grid)
         else:
             cutoff = 0.5
-        if model.d:
-            probs = np.atleast_1d(glm.predict_prob(model, test_X))
-        else:
-            probs = np.full(len(test_idx), glm.predict_prob(model, np.empty((1, 0))))
+        probs = glm.predict_prob(model, test_X)
         predicted = (probs > cutoff).astype(int)
         return FoldRecord(
             fold_id=fold.fold_id,
@@ -629,11 +621,8 @@ def fit_full_model(
             }
         )
 
-    if model.d:
-        cols = [scoped.column_index(lbl) for lbl in result.selected]
-        probs = glm.predict_prob(model, scoped.values[:, cols])
-    else:
-        probs = np.full(matrix.n, glm.predict_prob(model, np.empty((1, 0))))
+    cols = [scoped.column_index(lbl) for lbl in result.selected]
+    probs = glm.predict_prob(model, scoped.values[:, cols])
     hosmer: list[tuple[int, float, float]] = []
     for g in hl_groups:
         if g < 3 or g > matrix.n or g <= model.d + 1:

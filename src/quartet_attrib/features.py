@@ -11,7 +11,6 @@ transposed phrases compare equal.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -28,8 +27,6 @@ from .score import (
     onset_grid,
 )
 from .segments import SegmentConfig, weighted_quantile
-
-logger = logging.getLogger(__name__)
 
 CATEGORIES = ("basic", "interval", "exposition", "development", "recapitulation")
 TRACKS = ("pitch", "duration")
@@ -241,10 +238,6 @@ class FeatureMatrix:
     def labels(self) -> tuple[str, ...]:
         return tuple(c.label for c in self.columns)
 
-    @property
-    def mask(self) -> np.ndarray:
-        return np.isnan(self.values)
-
     def column_index(self, label: str) -> int:
         by_label = getattr(self, "_label_index", None)
         if by_label is None:
@@ -274,9 +267,6 @@ class FeatureMatrix:
     def category_indices(self, categories) -> list[int]:
         wanted = set(categories)
         return [j for j, c in enumerate(self.columns) if c.category in wanted]
-
-    def labels_of_category(self, category: str) -> list[str]:
-        return [c.label for c in self.columns if c.category == category]
 
     def to_csv(self, features_path, meta_path) -> None:
         with open(features_path, "w", newline="", encoding="utf-8") as fh:
@@ -333,7 +323,7 @@ class FeatureMatrix:
 def _format_value(x: float) -> str:
     if np.isnan(x):
         return ""
-    return f"{x:.12g}"
+    return repr(float(x))  # the shortest text that reads back as the same float
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +331,21 @@ def _format_value(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
+#: A voice's duration numerators are kept in int64 while its note count
+#: times its largest numerator or common denominator is at most this: the
+#: exact variance of any of its windows then has terms below 2**53, which
+#: int64 and float64 both hold exactly.  Past it they are Python ints.
+_INT64_EXACT = 1 << 26
+
+
 @dataclass
 class _VoiceData:
     pcs: np.ndarray  # pitch classes 1..12, rests removed
     abs_pitch: np.ndarray  # absolute pitches 1..132
     dur_float: np.ndarray
-    dur_codes: np.ndarray  # integer codes, equal exact durations share a code
-    dur_num: np.ndarray  # integer numerators over the voice's common denominator
+    # integer numerators over the voice's common denominator; equal
+    # durations have equal numerators, which is all window matching needs
+    dur_num: np.ndarray
     dur_den: int
 
     @property
@@ -370,23 +368,12 @@ def _voice_data(movement: EncodedMovement) -> dict[str, _VoiceData]:
         ratios = [d.as_integer_ratio() for d in durations]
         den = math.lcm(*(b for _, b in ratios))
         nums = [a * (den // b) for a, b in ratios]
-        if max(nums, default=0) > 1 << 20:
-            # degenerate tuplet denominators; exact variance would overflow
-            logger.warning("huge duration denominators; development sds lose exactness")
-            code_of: dict[Fraction, int] = {}
-            codes = np.array(
-                [code_of.setdefault(d, len(code_of)) for d in durations], dtype=np.int64
-            )
-            den, nums = 0, [0] * len(durations)
-        dur_num = np.array(nums, dtype=np.int64)
+        in_int64 = len(nums) * max([den, *nums]) <= _INT64_EXACT
         out[track.voice.value] = _VoiceData(
             pcs=np.array(pcs, dtype=np.int64),
             abs_pitch=np.array(abs_pitch, dtype=np.int64),
             dur_float=np.array([a / b for a, b in ratios], dtype=float),
-            # equal durations have equal numerators, which is all window
-            # matching needs
-            dur_codes=dur_num if den else codes,
-            dur_num=dur_num,
+            dur_num=np.array(nums, dtype=np.int64 if in_int64 else object),
             dur_den=den,
         )
     return out
@@ -396,16 +383,16 @@ def _exact_window_sd(windows: np.ndarray, denominator: int = 1) -> np.ndarray:
     """Sample sd per integer window via the exact variance identity.
 
     The variance of k/denominator values is (m * sum(k^2) - (sum k)^2)
-    over (denominator^2 * m * (m - 1)); computing it in integers makes the
-    result bitwise identical for any reordering of equal value multisets,
-    so location tie-breaking is exact.
+    over (denominator^2 * m * (m - 1)); computing it in integers (int64, or
+    Python ints in an object array) and rounding the quotient once makes
+    the result bitwise identical for any reordering of equal value
+    multisets, so location tie-breaking is exact.
     """
     m = windows.shape[1]
-    s1 = windows.sum(axis=1, dtype=np.int64)
-    s2 = (windows.astype(np.int64) ** 2).sum(axis=1)
-    num = m * s2 - s1**2
-    den = denominator * denominator * m * (m - 1)
-    return np.sqrt(num / den)
+    s1 = windows.sum(axis=1)
+    s2 = (windows * windows).sum(axis=1)
+    var = (m * s2 - s1 * s1) / (denominator * denominator * m * (m - 1))
+    return np.sqrt(var.astype(float))
 
 
 def _sliding(arr: np.ndarray, m: int) -> np.ndarray:
@@ -587,7 +574,7 @@ def minor_third_segment_features(
 
 
 def _track_windows(vd: _VoiceData, track: str, m: int) -> np.ndarray | None:
-    seq = vd.pcs if track == "pitch" else vd.dur_codes
+    seq = vd.pcs if track == "pitch" else vd.dur_num
     if len(seq) < m:
         return None
     if track == "pitch":
@@ -680,15 +667,10 @@ def recapitulation_features(
 
 def _dev_window_sds(vd: _VoiceData, track: str, m: int) -> np.ndarray | None:
     """Per-window standard deviations for the development feature family."""
-    if track == "pitch":
-        if len(vd.pcs) < m:
-            return None
-        return _exact_window_sd(_relative_windows(vd.pcs, m))
-    if len(vd.dur_float) < m:
+    wmat = _track_windows(vd, track, m)
+    if wmat is None:
         return None
-    if vd.dur_den:
-        return _exact_window_sd(_sliding(vd.dur_num, m), vd.dur_den)
-    return _sliding(vd.dur_float, m).std(axis=1, ddof=1)
+    return _exact_window_sd(wmat, 1 if track == "pitch" else vd.dur_den)
 
 
 @dataclass(frozen=True)

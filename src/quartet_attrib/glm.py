@@ -180,11 +180,19 @@ def _newton_deltas(H: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndar
     return delta, singular
 
 
+def design_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[1 | X]^T in C order and the column sds of X taken along its rows;
+    neither depends on the memory layout of X."""
+    n, d = X.shape
+    design = np.ascontiguousarray(np.vstack([np.ones(n), X.T]))
+    return design, design[1:].std(axis=1, ddof=1) if n > 1 else np.zeros(d)
+
+
 def design_stack(design: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """K x n x (d + 1) designs from the rows of [1 | X]^T, rows[k] picking
-    member k's; each laid out in memory as ``fit`` lays out its own design
-    (C order up to one feature, Fortran order beyond), because BLAS sums
-    in an order that follows the layout."""
+    member k's; each laid out in C order up to one feature and in Fortran
+    order beyond.  BLAS sums in an order that follows the layout, so every
+    design, ``fit``'s included, is built here."""
     Xt = design[rows].transpose(0, 2, 1)
     return Xt.copy() if rows.shape[1] <= 2 else Xt
 
@@ -330,16 +338,17 @@ def fit(
     if len(feature_names) != d:
         raise ValueError("feature_names length does not match X")
 
-    sds = X.std(axis=0, ddof=1) if n > 1 else np.zeros(d)
+    design, sds = design_rows(X)
     scales, bad_sds = prior_scales(sds, prior)
-    Xt = np.column_stack([np.ones(n), X]) if d else np.ones((n, 1))
+    stack = design_stack(design, np.arange(d + 1)[None])
     beta = np.zeros(d + 1)
     if start is not None:
         beta = np.asarray(start, dtype=float).copy()
         if beta.shape != (d + 1,):
             raise ValueError("start must have length d + 1")
 
-    modes = posterior_modes(Xt[None], y, scales[None], beta[None], tol=tol, max_iter=max_iter)
+    modes = posterior_modes(stack, y, scales[None], beta[None], tol=tol, max_iter=max_iter)
+    Xt = stack[0]
     beta = modes.beta[0]
     converged = bool(modes.converged[0])
     iterations = int(modes.iterations[0])

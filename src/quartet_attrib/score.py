@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 from fractions import Fraction
 from pathlib import Path
@@ -127,20 +127,19 @@ def pitch_class_of(absolute_pitch: int) -> int:
     return (absolute_pitch - 1) % 12 + 1
 
 
-def _token_duration(sub: str) -> Fraction | None:
-    """Duration of one note token in whole notes, or None if it has none."""
+def _token_duration(sub: str) -> tuple[int, int] | None:
+    """Duration of one note token in whole notes as an integer (numerator,
+    denominator) pair, or None if it has none."""
     m = _DUR_RE.search(sub)
     if m is None:
         return None
     digits, denom, dots = m.group(1), m.group(2), m.group(3)
     if set(digits) == {"0"}:
-        base = Fraction(2 ** len(digits))  # breve family: 0 = 2 wholes, 00 = 4
+        num, den = 2 ** len(digits), 1  # breve family: 0 = 2 wholes, 00 = 4
     else:
-        base = Fraction(1, int(digits))
-        if denom:
-            base *= int(denom)  # recip a%b lasts b/a whole notes
-    k = len(dots)
-    return base * (Fraction(2) - Fraction(1, 2**k))
+        num, den = int(denom or 1), int(digits)  # recip a%b lasts b/a whole notes
+    k = len(dots)  # k dots lengthen by (2^(k+1) - 1) / 2^k
+    return num * (2 ** (k + 1) - 1), den * 2**k
 
 
 def _token_pitch(sub: str, lineno: int) -> int:
@@ -165,33 +164,22 @@ def _token_pitch(sub: str, lineno: int) -> int:
 
 @dataclass
 class _VoiceState:
-    meter_bar: Fraction | None = None  # bar length in whole notes
+    meter: tuple[int, int] | None = None  # bar length num/den in whole notes
     events: list[Event] = field(default_factory=list)
-    offset: Fraction = Fraction(0)  # within-bar position from raw token durations
     clock: Fraction = Fraction(0)  # cumulative bar fractions from movement start
-    tie: dict | None = None
+    bar_start: Fraction = Fraction(0)  # clock at the last barline
+    tie: Event | None = None  # an open tie, as the event it will become
 
 
 def _flush_tie(st: _VoiceState, src: str) -> None:
-    tie = st.tie
-    st.tie = None
-    if tie is None:
-        return
-    if tie["duration"] > 1:
+    tie, st.tie = st.tie, None
+    if tie.duration > 1:
         logger.warning(
             "%s: tied note of duration %s exceeds one bar (stored unclamped)",
             src,
-            tie["duration"],
+            tie.duration,
         )
-    st.events.append(
-        Event(
-            absolute_pitch=tie["pitch"],
-            pitch_class=pitch_class_of(tie["pitch"]),
-            duration=tie["duration"],
-            bar_index=tie["bar_index"],
-            onset=tie["onset"],
-        )
-    )
+    st.events.append(tie)
 
 
 def _process_token(tok: str, st: _VoiceState, bar_index: int, lineno: int, src: str) -> bool:
@@ -199,10 +187,12 @@ def _process_token(tok: str, st: _VoiceState, bar_index: int, lineno: int, src: 
     if "q" in tok or "Q" in tok:
         return False  # grace notes carry no duration; dropped
     subs = [s for s in tok.split(" ") if s]
-    notes: list[tuple[int, Fraction, str]] = []
-    rest: tuple[Fraction, str] | None = None
+    notes: list[tuple[int, tuple[int, int], str]] = []
+    rest: tuple[tuple[int, int], str] | None = None
+    zero = False  # reported after the meter check, which comes first
     for sub in subs:
         dur = _token_duration(sub)
+        zero = zero or (dur is not None and not dur[0])
         if "r" in sub:
             if dur is None:
                 raise MalformedKern(f"line {lineno}: rest without duration in {tok!r}")
@@ -213,49 +203,44 @@ def _process_token(tok: str, st: _VoiceState, bar_index: int, lineno: int, src: 
             raise MalformedKern(f"line {lineno}: note without duration in {tok!r}")
         notes.append((_token_pitch(sub, lineno), dur, sub))
     if notes:
-        # Multiple stops: retain only the highest of simultaneous notes.
-        pitch, dur, sub = max(notes)
+        # Multiple stops: retain only the highest of simultaneous notes
+        # (ties: the longer, then the larger token text).
+        if len(notes) > 1:
+            notes.sort(key=lambda n: (n[0], Fraction(*n[1]), n[2]))
+        pitch, (num, den), sub = notes[-1]
     elif rest is not None:
-        dur, sub = rest
+        (num, den), sub = rest
         pitch = 0
     else:
         raise MalformedKern(f"line {lineno}: unparseable token {tok!r}")
 
-    if st.meter_bar is None:
+    if st.meter is None:
         raise MissingMeter(f"line {lineno}: note before any time signature")
-    frac = dur / st.meter_bar
+    if zero:
+        raise MalformedKern(f"line {lineno}: zero duration in {tok!r}")
+    frac = Fraction(num * st.meter[1], den * st.meter[0])
     onset = st.clock
+    st.clock = onset + frac
     opens = "[" in sub
     closes = "]" in sub
     cont = "_" in sub
 
     if st.tie is not None:
-        if (cont or closes) and pitch == st.tie["pitch"]:
-            st.tie["duration"] += frac
+        if (cont or closes) and pitch == st.tie.absolute_pitch:
+            st.tie = replace(st.tie, duration=st.tie.duration + frac)
             if closes:
                 _flush_tie(st, src)
-            st.offset += frac
-            st.clock += frac
             return True
         logger.warning("%s: line %d: tie broken by a non-matching event", src, lineno)
         _flush_tie(st, src)
 
+    event = Event(pitch, pitch_class_of(pitch), frac, bar_index, onset)
     if opens and not closes:
-        st.tie = {"pitch": pitch, "duration": frac, "bar_index": bar_index, "onset": onset}
+        st.tie = event
     else:
         if (cont or closes) and not opens:
             logger.warning("%s: line %d: stray tie marker", src, lineno)
-        st.events.append(
-            Event(
-                absolute_pitch=pitch,
-                pitch_class=pitch_class_of(pitch),
-                duration=frac,
-                bar_index=bar_index,
-                onset=onset,
-            )
-        )
-    st.offset += frac
-    st.clock += frac
+        st.events.append(event)
     return True
 
 
@@ -353,7 +338,7 @@ def parse_kern(file_content: str, meta: MovementMeta | None = None) -> EncodedMo
                     if not num or not den:
                         raise MalformedKern(f"line {lineno}: meter {tok!r} has a zero term")
                     # a bar of num/den meter lasts num/den whole notes
-                    voices[spine].meter_bar = Fraction(num, den)
+                    voices[spine].meter = (num, den)
             continue
 
         if tokens[0].startswith("="):
@@ -364,15 +349,16 @@ def parse_kern(file_content: str, meta: MovementMeta | None = None) -> EncodedMo
             if events_in_bar == 0:
                 continue  # consecutive barlines
             for spine, st in enumerate(voices):
-                if bar_index > 0 and st.offset not in (Fraction(0), Fraction(1)):
+                length = st.clock - st.bar_start
+                if bar_index > 0 and length not in (0, 1):
                     logger.warning(
                         "%s: bar %d of voice %d sums to %s, expected 1",
                         src,
                         bar_index,
                         spine,
-                        st.offset,
+                        length,
                     )
-                st.offset = Fraction(0)
+                st.bar_start = st.clock
             bar_index += 1
             events_in_bar = 0
             continue

@@ -130,10 +130,9 @@ def icm_select(
         raise ValueError("need at least one restart")
     X, y = glm.check_data(X, y)
     n, p = X.shape
-    # design rows [1 | X]^T, gathered per candidate; sds row by row match
-    # the column sds glm.fit computes for any subset
-    design = np.ascontiguousarray(np.column_stack([np.ones(n), X]).T)
-    sds = design[1:].std(axis=1, ddof=1) if n > 1 else np.zeros(p)
+    # design rows [1 | X]^T, gathered per candidate; their sds are the
+    # column sds glm.fit computes for any subset
+    design, sds = glm.design_rows(X)
     scales, _ = glm.prior_scales(sds, prior)
 
     best_key: tuple[float, int] | None = None

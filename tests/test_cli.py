@@ -380,3 +380,46 @@ class TestExtractCvChain:
         assert rc == 0
         cfg = json.loads((out / "run_config.json").read_text())
         assert cfg["cv"]["leakage_audit"] is True
+
+
+class TestCvEntryPoints:
+    """cv from an extracted feature CSV must be the same run as cv from the
+    corpus, and a leakage audit must read a CSV that matches its corpus."""
+
+    M = ["--m-lengths", "8"]
+    MODEL = ["--restarts", "1", "--seed", "3", "--scope", "reduced"]
+
+    def corpus_and_csvs(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        manifest = synth.write_styled_corpus(corpus)
+        out = tmp_path / "x"
+        rc = main(["extract", "--corpus", str(corpus), "--manifest", str(manifest), *self.M,
+                   "--out", str(out)])
+        assert rc == 0
+        src = ["--corpus", str(corpus), "--manifest", str(manifest), *self.M]
+        csvs = ["--features", str(out / "features.csv"), "--meta", str(out / "movement_meta.csv")]
+        return src, csvs, manifest
+
+    def test_cv_from_features_matches_cv_from_corpus(self, tmp_path):
+        src, csvs, _ = self.corpus_and_csvs(tmp_path)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["cv", *csvs, *self.MODEL, "--out", str(a)]) == 0
+        assert main(["cv", *src, *self.MODEL, "--out", str(b)]) == 0
+        assert (a / "cv_result.json").read_bytes() == (b / "cv_result.json").read_bytes()
+
+    def test_leakage_audit_features_need_meta(self, tmp_path, capsys):
+        src, csvs, _ = self.corpus_and_csvs(tmp_path)
+        rc = main(["cv", "--leakage-audit", *src, *csvs[:2], *self.MODEL,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "--meta is required" in capsys.readouterr().err
+
+    def test_leakage_audit_rejects_rows_in_another_order(self, tmp_path, capsys):
+        src, csvs, manifest = self.corpus_and_csvs(tmp_path)
+        header, *rows = manifest.read_text().splitlines()
+        manifest.write_text("\n".join([header, *reversed(rows)]) + "\n")
+        rc = main(["cv", "--leakage-audit", "--scheme", "loqo", *src, *csvs, *self.MODEL,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "same order" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "cv_result.json").exists()

@@ -332,11 +332,12 @@ class TestDevelopment:
 
 class TestHugeDurationDenominators:
     """Tuplets of 3, 5, ..., 19 inside quarter notes put the voices' common
-    duration denominator at 19399380, so the numerators of plain quarters
-    exceed 2**20 and the features fall back from integer numerators to
-    exact-Fraction duration codes and float window sds."""
+    duration denominator at 19399380, past what int64 and float64 hold
+    exactly for every window, so the window sds are computed on Python ints;
+    tuplets of 23, ..., 47 push the numerators past 2**35, where int64 sums
+    of squares would overflow.  Both must match the exact oracles bit for
+    bit."""
 
-    TUPLETS = tuple(Fraction(1, 4 * k) for k in (1, 3, 5, 7, 11, 13, 17, 19))
     THRESHOLDS = DevelopmentThresholds(
         quantiles=FLAT_THRESHOLDS.quantiles,
         table={
@@ -345,7 +346,7 @@ class TestHugeDurationDenominators:
         },
     )
 
-    def movement(self, seed):
+    def movement(self, seed, tuplets):
         rng = np.random.default_rng(seed)
         pitches, durations = [], []
         for _ in range(4):
@@ -357,32 +358,28 @@ class TestHugeDurationDenominators:
             # duration windows recur and the overlaps are not all zero
             motif = np.concatenate([rng.permutation(8), rng.integers(0, 8, size=2)])
             idx = np.where(rng.random(n) < 0.15, rng.integers(0, 8, size=n), np.resize(motif, n))
-            durations.append([self.TUPLETS[int(i)] for i in idx])
+            durations.append([tuplets[int(i)] for i in idx])
         return synth.movement_from_pitches(pitches, durations)
 
-    def test_fallback_matches_oracles_and_warns(self, caplog):
+    @pytest.mark.parametrize(
+        "primes", [(3, 5, 7, 11, 13, 17, 19), (23, 29, 31, 37, 41, 43, 47)], ids=["to19", "to47"]
+    )
+    def test_matches_exact_oracles_bit_for_bit(self, primes):
+        tuplets = tuple(Fraction(1, 4 * k) for k in (1, *primes))
         lengths = SMALL.lengths
         overlaps = 0
         for seed in range(6):
-            mv = self.movement(seed)
-            caplog.clear()
-            with caplog.at_level("WARNING", logger="quartet_attrib.features"):
-                expo = exposition_features(mv, SMALL)
-            assert any("lose exactness" in r.getMessage() for r in caplog.records)
-            assert_dicts_close(expo, oracles.exposition_oracle(mv, lengths))
+            mv = self.movement(seed, tuplets)
+            durs = [e.duration for e in oracles.notes_of(mv, "Violin1")]
+            den = math.lcm(*(d.denominator for d in durs))
+            assert len(durs) * den > 2**26
+            expo = exposition_features(mv, SMALL)
+            assert_dicts_close(expo, oracles.exposition_oracle(mv, lengths), tol=0.0)
             recap = recapitulation_features(mv, SMALL)
-            assert_dicts_close(recap, oracles.recapitulation_oracle(mv, lengths))
+            assert_dicts_close(recap, oracles.recapitulation_oracle(mv, lengths), tol=0.0)
             dev = development_features(mv, self.THRESHOLDS, SMALL)
             want = oracles.development_oracle(mv, self.THRESHOLDS, lengths)
-            # float sds may break an exact tie for the maximum either way: the
-            # location must still point at a window of maximal exact sd
-            for key in [k for k in want if k.startswith("development|max_location|duration")]:
-                v, m = key.split("|")[3], int(key.split("=")[1])
-                durs = [e.duration for e in oracles.notes_of(mv, v)]
-                sds = [oracles.exact_sample_sd(durs[i : i + m]) for i in range(len(durs) - m + 1)]
-                assert sds[round(dev[key] * len(sds)) - 1] == max(sds), key
-                del want[key]
-            assert_dicts_close(dev, want)
+            assert_dicts_close(dev, want, tol=0.0)
             overlaps += sum(
                 x > 0 for k, x in recap.items() if k.startswith("recapitulation|count_t0.7|dur")
             )
@@ -555,7 +552,7 @@ class TestMatrixIO:
         assert [m.source_path for m in back.rows] == [m.source_path for m in matrix.rows]
         nan = np.isnan(matrix.values)
         assert np.array_equal(nan, np.isnan(back.values))
-        assert np.allclose(back.values[~nan], matrix.values[~nan], rtol=1e-11)
+        assert np.array_equal(back.values[~nan], matrix.values[~nan])
 
     def test_select_rows_columns(self):
         rng = np.random.default_rng(30)

@@ -144,6 +144,22 @@ class TestFit:
         assert np.array_equal(back.coef, model.coef)
         assert back.log_likelihood == model.log_likelihood
 
+    def test_memory_layout_does_not_change_the_bits(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n = int(rng.integers(12, 50))
+            X = rng.normal(size=(n, 3)) * rng.uniform(0.2, 4.0, size=3)
+            y = (rng.random(n) < 0.5).astype(float)
+            y[:2] = (0.0, 1.0)
+            a = fit(np.ascontiguousarray(X), y)
+            b = fit(np.asfortranarray(X), y)
+            assert a.intercept == b.intercept
+            assert np.array_equal(a.coef, b.coef)
+            assert np.array_equal(a.prior_scales, b.prior_scales)
+            assert np.array_equal(a.standard_errors, b.standard_errors)
+            assert a.log_likelihood == b.log_likelihood
+            assert a.objective_path == b.objective_path
+
 
 class TestStackedSolver:
     @pytest.mark.parametrize(

@@ -89,6 +89,11 @@ class TestTokenHandling:
         want = solo.voice(Voice.VIOLIN1).events[0]
         assert got.absolute_pitch == want.absolute_pitch
 
+    @pytest.mark.parametrize("token", ["4c 8c", "8c 4c", "8.c 4c", "4c 16.c"])
+    def test_chord_on_one_top_pitch_keeps_longest_note(self, token):
+        mv = parse_kern(melody_file(["=1", token, "2.r"]))
+        assert mv.voice(Voice.VIOLIN1).events[0].duration == Fraction(1, 4)
+
     def test_grace_notes_dropped(self):
         mv = parse_kern(melody_file(["=1", "4c", "ccq", "4d", "2e"]))
         pcs = note_sequence(mv.voice(Voice.VIOLIN1), "pitch_class")
@@ -168,6 +173,11 @@ class TestErrors:
         with pytest.raises(MalformedKern):
             parse_kern(four_spine(["4c\t4c\t4c\t4c"], meter=meter))
 
+    @pytest.mark.parametrize("token", ["4%0c", "4%0r", "8%0.g", "4%0c 4e", "4c 4r 4%0r"])
+    def test_zero_duration_recip(self, token):
+        with pytest.raises(MalformedKern, match="zero duration"):
+            parse_kern(four_spine([f"{token}\t4c\t4c\t4c", "4c\t4c\t4c\t4c"]))
+
     def test_malformed_token(self):
         with pytest.raises(MalformedKern):
             parse_kern(melody_file(["=1", "4zz", "2.r"]))
@@ -190,6 +200,9 @@ class TestErrors:
             "\t".join(["=1"] * 4),
             "\t".join(["1r", "1r", "1r", "4d"]),
             "\t".join([".", ".", ".", "2.e"]),
+            "\t".join(["=2"] * 4),
+            "\t".join(["1r", "1r", "1r", "1f"]),
+            "\t".join(["=3"] * 4),
         ]
         with caplog.at_level(logging.WARNING):
             mv = parse_kern(four_spine(body))
