@@ -24,11 +24,11 @@ from .score import (
     onset_grid,
     parse_kern,
 )
-from .segments import SegmentConfig
 from .features import (
     DevelopmentThresholds,
     FeatureMatrix,
     FeatureName,
+    SegmentConfig,
     compute_development_thresholds,
     extract_all,
     feature_names,

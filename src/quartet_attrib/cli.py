@@ -33,14 +33,15 @@ from .evaluation import (
     write_stability_csv,
 )
 from .features import (
+    DEFAULT_SEGMENT_LENGTHS,
     FeatureMatrix,
+    SegmentConfig,
     build_development_pool,
     extract_all,
     THRESHOLD_READINGS,
 )
 from .glm import PriorConfig
 from .score import load_corpus, movement_to_json
-from .segments import DEFAULT_SEGMENT_LENGTHS, SegmentConfig
 
 logger = logging.getLogger(__name__)
 
@@ -110,11 +111,7 @@ def cmd_extract(args) -> int:
     config = SegmentConfig(lengths=lengths)
     out = _out_dir(args)
 
-    pool = build_development_pool(movements, config)
-    thresholds = pool.thresholds(reading=args.threshold_reading)
-    matrix = extract_all(
-        movements, config, thresholds=thresholds, threshold_reading=args.threshold_reading
-    )
+    matrix, _, thresholds = extract_all(movements, config, threshold_reading=args.threshold_reading)
     matrix.to_csv(out / "features.csv", out / "movement_meta.csv")
     _write_json(out / "thresholds.json", thresholds.to_json())
     if args.dump_movements:
@@ -152,7 +149,7 @@ def _matrix_from_args(args) -> FeatureMatrix:
             movements,
             SegmentConfig(lengths=lengths),
             threshold_reading=args.threshold_reading,
-        )
+        ).matrix
     raise SystemExit("error: provide --features/--meta or --corpus/--manifest")
 
 
@@ -199,8 +196,8 @@ def cmd_cv(args) -> int:
             raise SystemExit("error: --leakage-audit needs --corpus/--manifest")
         movements = _load_corpus_or_die(args)
         seg = SegmentConfig(_parse_lengths(args.m_lengths))
-        pool = build_development_pool(movements, seg)
         if args.features:
+            pool = build_development_pool(movements, seg)
             matrix = _matrix_from_args(args)
             if [r.source_path for r in matrix.rows] != [mv.meta.source_path for mv in movements]:
                 raise SystemExit(
@@ -208,11 +205,7 @@ def cmd_cv(args) -> int:
                     "parsed --manifest movements, in the same order"
                 )
         else:
-            matrix = extract_all(
-                movements,
-                seg,
-                thresholds=pool.thresholds(reading=args.threshold_reading),
-            )
+            matrix, pool, _ = extract_all(movements, seg, threshold_reading=args.threshold_reading)
     else:
         matrix = _matrix_from_args(args)
     result = run_cv(

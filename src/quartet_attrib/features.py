@@ -13,9 +13,10 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .score import (
     VOICE_ORDER,
     onset_grid,
 )
-from .segments import SegmentConfig, weighted_quantile
 
 CATEGORIES = ("basic", "interval", "exposition", "development", "recapitulation")
 TRACKS = ("pitch", "duration")
@@ -53,10 +53,32 @@ MINOR_THIRD_HIGH = Fraction(3, 5)
 DEV_QUANTILES = (0.70, 0.80, 0.90, 0.95)
 
 THRESHOLD_READINGS = ("prose", "literal")
+DEFAULT_SEGMENT_LENGTHS = (8, 10, 12, 14, 16, 18)
 
 
 class EmptyVoice(ValueError):
     """A voice contains no notes, so its summaries are undefined."""
+
+
+class LengthMismatch(ValueError):
+    """Two sequences that must align have different lengths."""
+
+
+class EmptyInput(ValueError):
+    """An aggregate was requested over an empty collection."""
+
+
+@dataclass(frozen=True)
+class SegmentConfig:
+    lengths: tuple[int, ...] = DEFAULT_SEGMENT_LENGTHS
+
+    def __post_init__(self):
+        if not self.lengths:
+            raise ValueError("at least one segment length is required")
+        if any(m < 2 for m in self.lengths):
+            raise ValueError("segment lengths must be >= 2")
+        if len(set(self.lengths)) != len(self.lengths):
+            raise ValueError("segment lengths must be distinct")
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +333,14 @@ class FeatureMatrix:
             columns = tuple(parse_label(lbl) for lbl in header[1:])
             rows: list[MovementMeta] = []
             data: list[list[float]] = []
+            seen: set[str] = set()
             for rec in reader:
                 path = rec[0]
                 if path not in metas:
                     raise ValueError(f"feature row {path!r} missing from metadata sidecar")
+                if path in seen:
+                    raise ValueError(f"feature CSV repeats the row {path!r}")
+                seen.add(path)
                 rows.append(metas[path])
                 data.append([float(x) if x != "" else float("nan") for x in rec[1:]])
         return cls(rows=tuple(rows), columns=columns, values=np.array(data, dtype=float))
@@ -347,16 +373,34 @@ class _VoiceData:
     # durations have equal numerators, which is all window matching needs
     dur_num: np.ndarray
     dur_den: int
+    # (kind, track, m) -> window matrix or window sds, each built once
+    memo: dict = field(default_factory=dict, repr=False)
 
     @property
     def m_notes(self) -> int:
         return len(self.pcs)
 
+    def windows(self, track: str, m: int) -> np.ndarray | None:
+        """The track's length-m windows; None when the voice is shorter."""
+        key = ("windows", track, m)
+        if key not in self.memo:
+            self.memo[key] = _track_windows(self, track, m)
+        return self.memo[key]
+
+    def window_sds(self, track: str, m: int) -> np.ndarray | None:
+        """Standard deviation of each of the track's length-m windows."""
+        key = ("sds", track, m)
+        if key not in self.memo:
+            wmat = self.windows(track, m)
+            den = 1 if track == "pitch" else self.dur_den
+            self.memo[key] = None if wmat is None else _exact_window_sd(wmat, den)
+        return self.memo[key]
+
 
 def _voice_data(movement: EncodedMovement) -> dict[str, _VoiceData]:
     """Per-voice arrays of the window features, from one pass over each
     voice's notes.  A feature family computes them itself when called on
-    its own; ``movement_features`` computes them once for all families."""
+    its own; ``extract_all`` shares them among the families and the pool."""
     out = {}
     for track in movement.voices:
         notes = [
@@ -626,7 +670,7 @@ def _overlap_features(
         for m in config.lengths:
             for track in TRACKS:
                 base = f"|{track}|{v}|m={m}"
-                wmat = _track_windows(vd, track, m)
+                wmat = vd.windows(track, m)
                 stats = None
                 if wmat is not None:
                     total = wmat.shape[0]
@@ -665,12 +709,36 @@ def recapitulation_features(
 # ---------------------------------------------------------------------------
 
 
-def _dev_window_sds(vd: _VoiceData, track: str, m: int) -> np.ndarray | None:
-    """Per-window standard deviations for the development feature family."""
-    wmat = _track_windows(vd, track, m)
-    if wmat is None:
-        return None
-    return _exact_window_sd(wmat, 1 if track == "pitch" else vd.dur_den)
+def weighted_quantile(values: Sequence, weights: Sequence, q):
+    """Lower weighted q-quantile(s).
+
+    Returns the smallest value v such that the normalized cumulative weight
+    of {values <= v} reaches q.  With equal weights on distinct values this
+    is the standard lower empirical quantile.  q is a scalar (a scalar is
+    returned) or a sequence (an array is returned, one value per quantile).
+    Weights are added in sorted order (a stable sort), and the total is the
+    last running sum, so every comparison is reproducible bit for bit.
+    """
+    if len(values) != len(weights):
+        raise LengthMismatch("values and weights lengths differ")
+    if len(values) == 0:
+        raise EmptyInput("weighted quantile of an empty collection")
+    qs = np.asarray(q, dtype=float)
+    if not np.all((0 < qs) & (qs < 1)):
+        raise ValueError("q must lie in (0, 1)")
+    values = np.asarray(values)
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    cum = np.cumsum(np.asarray(weights)[order])
+    total = cum[-1]
+    if not total > 0:
+        raise ValueError("total weight must be positive")
+    # the last index of each tie group, where the cumulative weight covers
+    # {values <= v}; of equal values (-0.0 and 0.0) the last in order is returned
+    last = np.flatnonzero(np.append(v[1:] != v[:-1], True))
+    reached = cum[last] / total
+    picks = [v[last[np.flatnonzero(reached >= x)[0]]] for x in qs.ravel()]
+    return picks[0] if qs.ndim == 0 else np.array(picks)
 
 
 @dataclass(frozen=True)
@@ -719,6 +787,12 @@ class DevelopmentSdPool:
     @property
     def n(self) -> int:
         return len(next(iter(self.sds.values())))
+
+    def add(self, data: dict[str, _VoiceData]) -> None:
+        """Append one movement's window sds, from its per-voice data."""
+        for (v, m, track), arrays in self.sds.items():
+            sds = data[v].window_sds(track, m)
+            arrays.append(sds if sds is not None else np.empty(0, dtype=float))
 
     def thresholds(self, rows=None, reading: str = "prose") -> DevelopmentThresholds:
         if reading not in THRESHOLD_READINGS:
@@ -784,22 +858,14 @@ def build_development_pool(
     config: SegmentConfig = SegmentConfig(),
     quantiles: tuple[float, ...] = DEV_QUANTILES,
 ) -> DevelopmentSdPool:
-    sds: dict = {
-        (v, m, track): []
-        for v in VOICE_LABELS
-        for m in config.lengths
-        for track in TRACKS
-    }
+    pool = DevelopmentSdPool(
+        lengths=tuple(config.lengths),
+        quantiles=tuple(quantiles),
+        sds={(v, m, track): [] for v in VOICE_LABELS for m in config.lengths for track in TRACKS},
+    )
     for movement in corpus:
-        data = _voice_data(movement)
-        for v in VOICE_LABELS:
-            for m in config.lengths:
-                for track in TRACKS:
-                    arr = _dev_window_sds(data[v], track, m)
-                    sds[(v, m, track)].append(
-                        arr if arr is not None else np.empty(0, dtype=float)
-                    )
-    return DevelopmentSdPool(lengths=tuple(config.lengths), quantiles=tuple(quantiles), sds=sds)
+        pool.add(_voice_data(movement))
+    return pool
 
 
 def compute_development_thresholds(
@@ -817,15 +883,15 @@ def compute_development_thresholds(
 
 def development_features(
     movement: EncodedMovement,
-    thresholds: DevelopmentThresholds,
     config: SegmentConfig = SegmentConfig(),
     data: dict[str, _VoiceData] | None = None,
 ) -> dict[str, float]:
     """Within-window variability features.
 
     Per voice, window length and track: the maximum window standard
-    deviation, its location (ties take the first occurrence) and counts of
-    windows at or above each quantile threshold.
+    deviation and its location (ties take the first occurrence).  The
+    counts of windows at or above each corpus-level threshold come from
+    ``DevelopmentSdPool.count_columns``.
     """
     feats: dict[str, float] = {}
     if data is None:
@@ -835,24 +901,14 @@ def development_features(
         for m in config.lengths:
             for track in TRACKS:
                 base = f"|{track}|{v}|m={m}"
-                sds = _dev_window_sds(vd, track, m)
+                sds = vd.window_sds(track, m)
                 if sds is None:
                     feats[f"development|max_sd{base}"] = float("nan")
                     feats[f"development|max_location{base}"] = float("nan")
-                    for q in thresholds.quantiles:
-                        feats[f"development|count_q{q:.2f}{base}"] = float("nan")
                     continue
-                total = len(sds)
                 pos = int(np.argmax(sds))  # first occurrence on ties
                 feats[f"development|max_sd{base}"] = float(sds[pos])
-                feats[f"development|max_location{base}"] = (pos + 1) / total
-                thr = thresholds.get(v, m, track)
-                for qi, q in enumerate(thresholds.quantiles):
-                    feats[f"development|count_q{q:.2f}{base}"] = (
-                        float((sds >= thr[qi]).sum())
-                        if not np.isnan(thr[qi])
-                        else float("nan")
-                    )
+                feats[f"development|max_location{base}"] = (pos + 1) / len(sds)
     return feats
 
 
@@ -861,58 +917,53 @@ def development_features(
 # ---------------------------------------------------------------------------
 
 
-def movement_features(
-    movement: EncodedMovement,
-    thresholds: DevelopmentThresholds,
-    config: SegmentConfig = SegmentConfig(),
-    signed_differences: bool = True,
-) -> dict[str, float]:
-    """All features of one movement, keyed by canonical label; the per-voice
-    data is built once and shared by the families."""
-    data = _voice_data(movement)
-    feats = basic_summary(movement, data)
-    feats.update(pairwise_interval_features(movement, signed_differences, data))
-    feats.update(minor_third_segment_features(movement, config, data))
-    feats.update(exposition_features(movement, config, data))
-    feats.update(development_features(movement, thresholds, config, data))
-    feats.update(recapitulation_features(movement, config, data))
-    return feats
+class Extraction(NamedTuple):
+    """The feature matrix, its development pool and its count thresholds."""
+
+    matrix: FeatureMatrix
+    pool: DevelopmentSdPool
+    thresholds: DevelopmentThresholds
 
 
 def extract_all(
     corpus,
     config: SegmentConfig = SegmentConfig(),
     *,
-    thresholds: DevelopmentThresholds | None = None,
     threshold_reading: str = "prose",
     signed_differences: bool = True,
     quantiles: tuple[float, ...] = DEV_QUANTILES,
-) -> FeatureMatrix:
-    """Assemble the corpus feature matrix.
+) -> Extraction:
+    """Assemble the corpus feature matrix in one pass over the movements.
 
-    A two-pass computation: development thresholds are pooled over the whole
-    corpus first, then every movement's features are evaluated against them.
+    Each movement's threshold-free features are computed and its window sds
+    pooled; the development counts are then taken at the pool's thresholds.
     """
     corpus = list(corpus)
     if not corpus:
         raise ValueError("corpus is empty")
     if any(m.meta is None for m in corpus):
         raise ValueError("every movement needs metadata for matrix assembly")
-    if thresholds is None:
-        thresholds = compute_development_thresholds(
-            corpus, config, quantiles, reading=threshold_reading
-        )
     names = feature_names(config, quantiles)
-    labels = [fn.label for fn in names]
-    values = np.empty((len(corpus), len(labels)))
+    pool = build_development_pool((), config, quantiles)
+    free = {fn.label: j for j, fn in enumerate(names)}  # the count columns are popped
+    counted = [free.pop(lbl) for lbl in pool.count_labels()]
+    values = np.empty((len(corpus), len(names)))
     for i, movement in enumerate(corpus):
-        feats = movement_features(movement, thresholds, config, signed_differences)
-        if set(feats) != set(labels):
+        data = _voice_data(movement)
+        feats = basic_summary(movement, data)
+        feats.update(pairwise_interval_features(movement, signed_differences, data))
+        feats.update(minor_third_segment_features(movement, config, data))
+        feats.update(exposition_features(movement, config, data))
+        feats.update(development_features(movement, config, data))
+        feats.update(recapitulation_features(movement, config, data))
+        if feats.keys() != free.keys():
             raise AssertionError("computed features do not match the registry")
-        values[i] = [feats[lbl] for lbl in labels]
-    return FeatureMatrix(
-        rows=tuple(m.meta for m in corpus), columns=names, values=values
-    )
+        values[i, list(free.values())] = [feats[lbl] for lbl in free]
+        pool.add(data)
+    thresholds = pool.thresholds(reading=threshold_reading)
+    values[:, counted] = pool.count_columns(thresholds)
+    matrix = FeatureMatrix(rows=tuple(m.meta for m in corpus), columns=names, values=values)
+    return Extraction(matrix, pool, thresholds)
 
 
 def near_zero_variance_filter(

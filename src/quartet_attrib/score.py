@@ -505,10 +505,6 @@ def read_manifest(manifest_path: str | Path) -> list[MovementMeta]:
     return metas
 
 
-def discover_kern_files(corpus_root: str | Path) -> list[Path]:
-    return sorted(Path(corpus_root).rglob("*.krn"))
-
-
 def load_corpus(
     corpus_root: str | Path,
     manifest_path: str | Path,

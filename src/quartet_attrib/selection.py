@@ -108,7 +108,6 @@ def icm_select(
     seed: int = 0,
     bic_form: str = "paper",
     trace: bool = False,
-    redraw_each_pass: bool = False,
 ) -> SelectionResult:
     """Random-order coordinate search for the lowest-BIC feature subset.
 
@@ -153,8 +152,6 @@ def icm_select(
         while quiet < 2:
             sweeps += 1
             changed = False
-            if redraw_each_pass and sweeps > 1:
-                order = rng.permutation(p)
             pos = 0
             while pos < p:
                 # at BIC inf any finite candidate wins, so the first is solved alone

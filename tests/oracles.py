@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from quartet_attrib import glm
-from quartet_attrib.segments import LengthMismatch
+from quartet_attrib.features import LengthMismatch
 from quartet_attrib.selection import (
     ACCEPT_TOL,
     SelectionResult,
@@ -385,7 +385,6 @@ def icm_select_oracle(
     seed=0,
     bic_form="paper",
     trace=False,
-    redraw_each_pass=False,
 ):
     """icm_select one candidate at a time, each a warm-started glm.fit."""
     X, labels = _as_array(matrix)
@@ -414,8 +413,6 @@ def icm_select_oracle(
         while quiet < 2:
             sweeps += 1
             changed = False
-            if redraw_each_pass and sweeps > 1:
-                order = rng.permutation(p)
             for j in order:
                 cand = selected | {j} if j not in selected else selected - {j}
                 key = tuple(sorted(cand))

@@ -30,22 +30,21 @@ from quartet_attrib.evaluation import (
     selection_stability,
 )
 from quartet_attrib.features import (
+    SegmentConfig,
+    build_development_pool,
     compute_development_thresholds,
-    development_features,
     exposition_features,
     extract_all,
     feature_names,
     minor_third_segment_features,
-    movement_features,
     near_zero_variance_filter,
     pairwise_interval_features,
     recapitulation_features,
 )
 from oracles import Segment, fraction_overlap, relative_transform, windows
 from quartet_attrib.score import Voice, load_corpus, note_sequence, parse_kern
-from quartet_attrib.segments import SegmentConfig
 from quartet_attrib.selection import icm_select
-from test_features import FLAT_THRESHOLDS
+from test_features import FLAT_THRESHOLDS, development_with_counts
 from test_selection import PRIOR, exhaustive_best, forward_stepwise
 
 
@@ -119,7 +118,7 @@ def test_criterion_2_feature_count_identities():
         if corpus is None:
             detail += f" {label}=unavailable"
             continue
-        matrix = extract_all(corpus)
+        matrix = extract_all(corpus).matrix
         kept = near_zero_variance_filter(matrix).p
         ok &= kept == target
         detail += f" {label}_retained={kept} (target {target})"
@@ -139,7 +138,7 @@ def test_criterion_3_oracle_equivalence_suite():
             (minor_third_segment_features(mv, config), oracles.minor3_oracle(mv, config.lengths)),
             (exposition_features(mv, config), oracles.exposition_oracle(mv, config.lengths)),
             (
-                development_features(mv, FLAT_THRESHOLDS, config),
+                development_with_counts(mv, FLAT_THRESHOLDS, config),
                 oracles.development_oracle(mv, FLAT_THRESHOLDS, config.lengths),
             ),
             (recapitulation_features(mv, config), oracles.recapitulation_oracle(mv, config.lengths)),
@@ -261,7 +260,7 @@ def test_criterion_6_invariant_suite():
         for i in range(4)
     ]
     moved = [synth.transpose_movement(m, 4) for m in corpus]
-    m1, m2 = extract_all(corpus, config), extract_all(moved, config)
+    m1, m2 = extract_all(corpus, config).matrix, extract_all(moved, config).matrix
     variant_cols = {
         j for j, fn in enumerate(m1.columns) if fn.descriptor in ("mean_pitch", "sd_pitch")
     }
@@ -336,10 +335,11 @@ def test_criterion_6_invariant_suite():
     notes.append(f"count_monotone_t={mono_t}")
 
     # development counts monotone in q
-    thresholds = compute_development_thresholds(corpus, small)
+    pool = build_development_pool(corpus, small)
+    thresholds = pool.thresholds()
     mono_q = True
-    for mv in corpus:
-        dev = development_features(mv, thresholds, small)
+    for row in pool.count_columns(thresholds):
+        dev = dict(zip(pool.count_labels(), row))
         for v in ("Violin1", "Viola"):
             for m in small.lengths:
                 for track in ("pitch", "duration"):
@@ -365,7 +365,7 @@ def test_criterion_6_invariant_suite():
             for i in range(8)
         ],
         small,
-    )
+    ).matrix
     cv_cfg = CVConfig(scheme=Scheme.LOO, seed=3, restarts=2, prior=glm.PriorConfig(0.6))
     r1 = run_cv(matrix, cv_cfg)
     r2 = run_cv(matrix, cv_cfg)
@@ -389,7 +389,7 @@ def test_criterion_7_paper_number_reproduction():
     details = []
     ok = True
 
-    m107 = extract_all(hm107)
+    m107 = extract_all(hm107).matrix
     r107 = run_cv(
         m107,
         CVConfig(
@@ -403,7 +403,7 @@ def test_criterion_7_paper_number_reproduction():
     ok &= 0.80 <= r107.accuracy <= 0.88
     details.append(f"HM107_loo={100 * r107.accuracy:.2f}% (target 84.11, band 80-88)")
 
-    m285 = extract_all(hm285)
+    m285 = extract_all(hm285).matrix
     cfg285 = CVConfig(
         scheme=Scheme.LOO,
         cutoff_policy=CutoffPolicy.TUNED,

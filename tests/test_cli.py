@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -400,12 +401,27 @@ class TestCvEntryPoints:
         csvs = ["--features", str(out / "features.csv"), "--meta", str(out / "movement_meta.csv")]
         return src, csvs, manifest
 
-    def test_cv_from_features_matches_cv_from_corpus(self, tmp_path):
+    @pytest.mark.parametrize("audit", [False, True], ids=["plain", "leakage-audit-loqo"])
+    def test_cv_from_features_matches_cv_from_corpus(self, tmp_path, audit):
         src, csvs, _ = self.corpus_and_csvs(tmp_path)
         a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["cv", *csvs, *self.MODEL, "--out", str(a)]) == 0
-        assert main(["cv", *src, *self.MODEL, "--out", str(b)]) == 0
+        # an audit reads the corpus for its pool either way
+        extra = ["--leakage-audit", "--scheme", "loqo"] if audit else []
+        from_csvs = [*src, *csvs] if audit else csvs
+        assert main(["cv", *extra, *from_csvs, *self.MODEL, "--out", str(a)]) == 0
+        assert main(["cv", *extra, *src, *self.MODEL, "--out", str(b)]) == 0
         assert (a / "cv_result.json").read_bytes() == (b / "cv_result.json").read_bytes()
+
+    def test_repeated_feature_rows_fail(self, tmp_path, capsys):
+        _, csvs, _ = self.corpus_and_csvs(tmp_path)
+        features = Path(csvs[1])
+        header, first, *rows = features.read_text().splitlines()
+        features.write_text("\n".join([header, first, *rows, first]) + "\n")
+        rc = main(["cv", *csvs, *self.MODEL, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(first.split(",")[0]) in err
+        assert not (tmp_path / "o" / "cv_result.json").exists()
 
     def test_leakage_audit_features_need_meta(self, tmp_path, capsys):
         src, csvs, _ = self.corpus_and_csvs(tmp_path)

@@ -379,12 +379,9 @@ class TestLeakageAudit:
             )
             for i in range(n)
         ]
-        from quartet_attrib.features import build_development_pool, extract_all
-        from quartet_attrib.segments import SegmentConfig
+        from quartet_attrib.features import SegmentConfig, extract_all
 
-        config = SegmentConfig(lengths=(8, 10))
-        pool = build_development_pool(movements, config)
-        matrix = extract_all(movements, config, thresholds=pool.thresholds())
+        matrix, pool, _ = extract_all(movements, SegmentConfig(lengths=(8, 10)))
         return matrix, pool
 
     def test_fold_thresholds_replace_count_columns(self):

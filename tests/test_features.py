@@ -6,9 +6,11 @@ import pytest
 
 import oracles
 import synth
+from quartet_attrib import features
 from quartet_attrib.features import (
     DevelopmentThresholds,
     FeatureMatrix,
+    SegmentConfig,
     basic_summary,
     build_development_pool,
     compute_development_thresholds,
@@ -17,14 +19,12 @@ from quartet_attrib.features import (
     extract_all,
     feature_names,
     minor_third_segment_features,
-    movement_features,
     near_zero_variance_filter,
     pairwise_interval_features,
     parse_label,
     recapitulation_features,
 )
 from quartet_attrib.score import Composer, parse_kern
-from quartet_attrib.segments import SegmentConfig
 
 CONFIG = SegmentConfig()
 SMALL = SegmentConfig(lengths=(8, 10))
@@ -39,6 +39,14 @@ FLAT_THRESHOLDS = DevelopmentThresholds(
         for track in ("pitch", "duration")
     },
 )
+
+
+def development_with_counts(mv, thresholds, config):
+    """A movement's development features with its count columns at the
+    given thresholds, taken from a one-movement pool."""
+    pool = build_development_pool([mv], config)
+    counts = dict(zip(pool.count_labels(), pool.count_columns(thresholds)[0]))
+    return {**development_features(mv, config), **counts}
 
 
 def close(a, b, tol=1e-12):
@@ -296,29 +304,30 @@ class TestRecapitulation:
 class TestDevelopment:
     def test_constant_track(self):
         mv = synth.movement_from_pitches([[50] * 12] * 4)
-        feats = development_features(mv, FLAT_THRESHOLDS, SegmentConfig(lengths=(8,)))
+        feats = development_with_counts(mv, FLAT_THRESHOLDS, SegmentConfig(lengths=(8,)))
         assert feats["development|max_sd|pitch|Violin1|m=8"] == 0.0
         assert feats["development|count_q0.70|pitch|Violin1|m=8"] == 0.0
 
     def test_single_segment_location_one(self):
         mv = synth.movement_from_pitches([[49, 51, 53, 54, 56, 58, 59, 61]] * 4)
-        feats = development_features(mv, FLAT_THRESHOLDS, SegmentConfig(lengths=(8,)))
+        feats = development_features(mv, SegmentConfig(lengths=(8,)))
         assert feats["development|max_location|pitch|Violin1|m=8"] == 1.0
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(18)
         for _ in range(15):
             mv = synth.random_movement(rng, n_notes=(40, 40))
-            got = development_features(mv, FLAT_THRESHOLDS, CONFIG)
+            got = development_with_counts(mv, FLAT_THRESHOLDS, CONFIG)
             want = oracles.development_oracle(mv, FLAT_THRESHOLDS, CONFIG.lengths)
             assert_dicts_close(got, want)
 
     def test_counts_monotone_in_quantile(self):
         rng = np.random.default_rng(19)
         movements = [synth.random_movement(rng, n_notes=(25, 45)) for _ in range(6)]
-        thresholds = compute_development_thresholds(movements, SMALL)
-        for mv in movements:
-            feats = development_features(mv, thresholds, SMALL)
+        pool = build_development_pool(movements, SMALL)
+        thresholds = pool.thresholds()
+        for row in pool.count_columns(thresholds):
+            feats = dict(zip(pool.count_labels(), row))
             for v in ("Violin1", "Cello"):
                 for m in SMALL.lengths:
                     for track in ("pitch", "duration"):
@@ -377,7 +386,7 @@ class TestHugeDurationDenominators:
             assert_dicts_close(expo, oracles.exposition_oracle(mv, lengths), tol=0.0)
             recap = recapitulation_features(mv, SMALL)
             assert_dicts_close(recap, oracles.recapitulation_oracle(mv, lengths), tol=0.0)
-            dev = development_features(mv, self.THRESHOLDS, SMALL)
+            dev = development_with_counts(mv, self.THRESHOLDS, SMALL)
             want = oracles.development_oracle(mv, self.THRESHOLDS, lengths)
             assert_dicts_close(dev, want, tol=0.0)
             overlaps += sum(
@@ -466,14 +475,14 @@ class TestExtractAll:
             synth.random_movement(rng, meta=synth.make_meta(path=f"m{i}.krn", quartet=f"q{i}"))
             for i in range(4)
         ]
-        matrix = extract_all(corpus, CONFIG)
+        matrix = extract_all(corpus, CONFIG).matrix
         assert matrix.values.shape == (4, 1182)
         assert matrix.labels == tuple(fn.label for fn in feature_names(CONFIG))
 
     def test_single_movement_corpus(self):
         rng = np.random.default_rng(24)
         corpus = [synth.random_movement(rng, meta=synth.make_meta())]
-        matrix = extract_all(corpus, SMALL)
+        matrix = extract_all(corpus, SMALL).matrix
         assert matrix.n == 1
 
     def test_permutation_invariance(self):
@@ -482,9 +491,9 @@ class TestExtractAll:
             synth.random_movement(rng, meta=synth.make_meta(path=f"m{i}.krn"))
             for i in range(5)
         ]
-        m1 = extract_all(corpus, SMALL)
+        m1 = extract_all(corpus, SMALL).matrix
         perm = [3, 1, 4, 0, 2]
-        m2 = extract_all([corpus[i] for i in perm], SMALL)
+        m2 = extract_all([corpus[i] for i in perm], SMALL).matrix
         for new_row, old_row in enumerate(perm):
             a, b = m2.values[new_row], m1.values[old_row]
             nan = np.isnan(a) & np.isnan(b)
@@ -500,8 +509,8 @@ class TestExtractAll:
         ]
         for shift in (3, 7):
             moved = [synth.transpose_movement(mv, shift) for mv in base]
-            m1 = extract_all(base, SMALL)
-            m2 = extract_all(moved, SMALL)
+            m1 = extract_all(base, SMALL).matrix
+            m2 = extract_all(moved, SMALL).matrix
             variant = {
                 j
                 for j, fn in enumerate(m1.columns)
@@ -519,15 +528,15 @@ class TestExtractAll:
         rng = np.random.default_rng(27)
         base = [synth.random_movement(rng, n_notes=(30, 30), meta=synth.make_meta())]
         moved = [synth.transpose_movement(base[0], 5)]
-        m1 = extract_all(base, SMALL)
-        m2 = extract_all(moved, SMALL)
+        m1 = extract_all(base, SMALL).matrix
+        m2 = extract_all(moved, SMALL).matrix
         j = m1.column_index("basic|mean_pitch|Violin1")
         assert m1.values[0, j] != m2.values[0, j]
 
     def test_locations_and_maxima_ranges(self):
         rng = np.random.default_rng(28)
         corpus = [synth.random_movement(rng, meta=synth.make_meta(path=f"{i}")) for i in range(5)]
-        matrix = extract_all(corpus, SMALL)
+        matrix = extract_all(corpus, SMALL).matrix
         for j, fn in enumerate(matrix.columns):
             col = matrix.values[:, j]
             col = col[~np.isnan(col)]
@@ -544,7 +553,7 @@ class TestMatrixIO:
             synth.random_movement(rng, meta=synth.make_meta(path=f"m{i}.krn", quartet=f"q{i}"))
             for i in range(3)
         ]
-        matrix = extract_all(corpus, SMALL)
+        matrix = extract_all(corpus, SMALL).matrix
         fp, mp = tmp_path / "f.csv", tmp_path / "m.csv"
         matrix.to_csv(fp, mp)
         back = FeatureMatrix.from_csv(fp, mp)
@@ -557,7 +566,7 @@ class TestMatrixIO:
     def test_select_rows_columns(self):
         rng = np.random.default_rng(30)
         corpus = [synth.random_movement(rng, meta=synth.make_meta(path=f"{i}")) for i in range(4)]
-        matrix = extract_all(corpus, SMALL)
+        matrix = extract_all(corpus, SMALL).matrix
         sub = matrix.select_rows([0, 2]).select_columns([5, 6, 7])
         assert sub.values.shape == (2, 3)
         assert sub.labels == matrix.labels[5:8]
@@ -621,16 +630,95 @@ class TestMaskingByLength:
     def test_short_movement_masked_for_long_segments(self):
         pitches = [[49, 51, 53, 54, 56]] * 4
         mv = synth.movement_from_pitches(pitches, meta=synth.make_meta())
-        matrix = extract_all([mv], CONFIG)
+        matrix = extract_all([mv], CONFIG).matrix
         j = matrix.column_index("development|max_sd|pitch|Violin1|m=8")
         assert math.isnan(matrix.values[0, j])
         j = matrix.column_index("basic|note_count|Violin1")
         assert matrix.values[0, j] == 5.0
 
 
+def _threshold_free_features(mv, config):
+    return {
+        **basic_summary(mv),
+        **pairwise_interval_features(mv),
+        **minor_third_segment_features(mv, config),
+        **exposition_features(mv, config),
+        **development_features(mv, config),
+        **recapitulation_features(mv, config),
+    }
+
+
 def test_movement_features_complete():
+    """The six families and the pool's count columns make up the registry,
+    each label exactly once."""
     rng = np.random.default_rng(31)
     mv = synth.random_movement(rng, meta=synth.make_meta())
-    thr = compute_development_thresholds([mv], CONFIG)
-    feats = movement_features(mv, thr, CONFIG)
-    assert set(feats) == {fn.label for fn in feature_names(CONFIG)}
+    free = _threshold_free_features(mv, CONFIG)
+    counts = build_development_pool([mv], CONFIG).count_labels()
+    assert not set(free) & set(counts) and len(set(counts)) == len(counts)
+    assert set(free) | set(counts) == {fn.label for fn in feature_names(CONFIG)}
+
+
+class TestOnePass:
+    def corpus(self, seed, n=4):
+        rng = np.random.default_rng(seed)
+        return [
+            synth.random_movement(
+                rng, n_notes=(5, 40), meta=synth.make_meta(path=f"p{i}.krn", quartet=f"q{i}")
+            )
+            for i in range(n)
+        ]
+
+    def test_voice_data_and_windows_built_once_per_movement(self, monkeypatch):
+        corpus = self.corpus(32)
+        calls = {"voice_data": 0, "windows": [], "sds": 0}
+        real_data, real_windows = features._voice_data, features._track_windows
+        real_sd = features._exact_window_sd
+
+        def voice_data(movement):
+            calls["voice_data"] += 1
+            return real_data(movement)
+
+        def track_windows(vd, track, m):
+            calls["windows"].append((calls["voice_data"], id(vd), track, m))
+            return real_windows(vd, track, m)
+
+        def window_sd(*args):
+            calls["sds"] += 1
+            return real_sd(*args)
+
+        monkeypatch.setattr(features, "_voice_data", voice_data)
+        monkeypatch.setattr(features, "_track_windows", track_windows)
+        monkeypatch.setattr(features, "_exact_window_sd", window_sd)
+        extract_all(corpus, SMALL)
+        assert calls["voice_data"] == len(corpus)
+        keys = len(corpus) * 4 * len(SMALL.lengths) * 2  # movements, voices, m, tracks
+        assert len(calls["windows"]) == len(set(calls["windows"])) == keys
+        long_enough = sum(
+            len(oracles.notes_of(mv, v)) >= m
+            for mv in corpus
+            for v in ("Violin1", "Violin2", "Viola", "Cello")
+            for m in SMALL.lengths
+        )
+        assert calls["sds"] == 2 * long_enough
+
+    @pytest.mark.parametrize("reading", ["prose", "literal"])
+    def test_matrix_is_the_families_plus_the_pool_counts(self, reading):
+        corpus = self.corpus(33, n=5)
+        matrix, pool, thresholds = extract_all(corpus, SMALL, threshold_reading=reading)
+        want_thr = compute_development_thresholds(corpus, SMALL, reading=reading)
+        assert repr(thresholds) == repr(want_thr) and pool.sds.keys() == want_thr.table.keys()
+        counted = build_development_pool(corpus, SMALL).count_columns(want_thr)
+        for i, mv in enumerate(corpus):
+            want = {
+                **_threshold_free_features(mv, SMALL),
+                **dict(zip(pool.count_labels(), counted[i])),
+            }
+            got = matrix.values[i]
+            expect = np.array([want[lbl] for lbl in matrix.labels])
+            assert np.array_equal(got, expect, equal_nan=True)
+            assert got.tobytes() == expect.tobytes()
+
+    def test_empty_pool_has_no_rows(self):
+        pool = build_development_pool([], SMALL)
+        assert pool.n == 0 and len(pool.sds) == 4 * len(SMALL.lengths) * 2

@@ -19,10 +19,9 @@ from quartet_attrib.evaluation import (
     run_cv,
     selection_stability,
 )
-from quartet_attrib.features import extract_all
+from quartet_attrib.features import SegmentConfig, extract_all
 from quartet_attrib.glm import PriorConfig
 from quartet_attrib.score import load_corpus
-from quartet_attrib.segments import SegmentConfig
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +31,7 @@ def styled_matrix(tmp_path_factory):
     movements, errors = load_corpus(root, manifest)
     assert errors == []
     assert len(movements) == 16
-    return extract_all(movements, SegmentConfig(lengths=(8,)))
+    return extract_all(movements, SegmentConfig(lengths=(8,))).matrix
 
 
 BASE = dict(restarts=2, prior=PriorConfig(scale_factor=0.6), seed=0)

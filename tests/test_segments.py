@@ -14,7 +14,7 @@ from oracles import (
     relative_transform,
     windows,
 )
-from quartet_attrib.segments import (
+from quartet_attrib.features import (
     EmptyInput,
     LengthMismatch,
     SegmentConfig,

@@ -164,12 +164,6 @@ class TestOptions:
         textbook = icm_select(X, y, prior=PRIOR, restarts=5, seed=8, bic_form="textbook")
         assert len(textbook.selected) >= len(paper.selected)
 
-    def test_redraw_each_pass_still_terminates(self):
-        rng = np.random.default_rng(16)
-        X, y = synth.logistic_toy(rng, n=50, p=6)
-        res = icm_select(X, y, prior=PRIOR, restarts=3, seed=9, redraw_each_pass=True)
-        assert res.passes >= 2
-
     def test_restart_validation(self):
         with pytest.raises(ValueError):
             icm_select(np.zeros((4, 2)), np.array([0.0, 1, 0, 1]), restarts=0)
@@ -211,7 +205,6 @@ def _oracle_cases():
             seed=case,
             bic_form=("paper", "textbook")[(case // 2) % 2],
             trace=case % 4 != 3,
-            redraw_each_pass=case % 3 == 1,
         )
         yield X, y, kwargs
 
