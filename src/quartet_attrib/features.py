@@ -943,6 +943,8 @@ def extract_all(
         raise ValueError("corpus is empty")
     if any(m.meta is None for m in corpus):
         raise ValueError("every movement needs metadata for matrix assembly")
+    if threshold_reading not in THRESHOLD_READINGS:
+        raise ValueError(f"reading must be one of {THRESHOLD_READINGS}")
     names = feature_names(config, quantiles)
     pool = build_development_pool((), config, quantiles)
     free = {fn.label: j for j, fn in enumerate(names)}  # the count columns are popped

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
@@ -166,8 +167,11 @@ def _token_pitch(sub: str, lineno: int) -> int:
 class _VoiceState:
     meter: tuple[int, int] | None = None  # bar length num/den in whole notes
     events: list[Event] = field(default_factory=list)
-    clock: Fraction = Fraction(0)  # cumulative bar fractions from movement start
-    bar_start: Fraction = Fraction(0)  # clock at the last barline
+    # The clock counts bar fractions from the movement start in units of
+    # 1/den; den grows by lcm as new duration denominators appear.
+    clock: int = 0
+    bar_start: int = 0  # clock at the last barline
+    den: int = 1
     tie: Event | None = None  # an open tie, as the event it will become
 
 
@@ -182,10 +186,14 @@ def _flush_tie(st: _VoiceState, src: str) -> None:
     st.events.append(tie)
 
 
-def _process_token(tok: str, st: _VoiceState, bar_index: int, lineno: int, src: str) -> bool:
-    """Consume one data token for one voice.  Returns True if time advanced."""
+def _read_token(tok: str, lineno: int) -> tuple | None:
+    """Read one data token as (pitch, pitch class, num, den, opens, closes,
+    cont, zero), or None for a grace note: the kept note or rest (pitch 0),
+    its duration num/den in whole notes, its tie marks, and whether any
+    sub-token has a zero duration.  The reading depends on the token text
+    alone; lineno only labels the errors."""
     if "q" in tok or "Q" in tok:
-        return False  # grace notes carry no duration; dropped
+        return None  # grace notes carry no duration; dropped
     subs = [s for s in tok.split(" ") if s]
     notes: list[tuple[int, tuple[int, int], str]] = []
     rest: tuple[tuple[int, int], str] | None = None
@@ -213,35 +221,53 @@ def _process_token(tok: str, st: _VoiceState, bar_index: int, lineno: int, src: 
         pitch = 0
     else:
         raise MalformedKern(f"line {lineno}: unparseable token {tok!r}")
+    return pitch, pitch_class_of(pitch), num, den, "[" in sub, "]" in sub, "_" in sub, zero
 
-    if st.meter is None:
+
+def _process_token(
+    tok: str, reading: tuple, st: _VoiceState, bar_index: int, lineno: int, src: str,
+    bar_fractions: dict[tuple, Fraction],
+) -> None:
+    """Advance one voice by one read token; bar_fractions holds each bar
+    fraction built so far in this parse, by (num, den, meter)."""
+    pitch, pc, num, den, opens, closes, cont, zero = reading
+    meter = st.meter
+    if meter is None:
         raise MissingMeter(f"line {lineno}: note before any time signature")
     if zero:
         raise MalformedKern(f"line {lineno}: zero duration in {tok!r}")
-    frac = Fraction(num * st.meter[1], den * st.meter[0])
-    onset = st.clock
-    st.clock = onset + frac
-    opens = "[" in sub
-    closes = "]" in sub
-    cont = "_" in sub
+    key = (num, den, meter)
+    frac = bar_fractions.get(key)
+    if frac is None:
+        frac = bar_fractions[key] = Fraction(num * meter[1], den * meter[0])
+    step = frac.denominator
+    if st.den % step:
+        grow = step // math.gcd(st.den, step)
+        st.den *= grow
+        st.clock *= grow
+        st.bar_start *= grow
+    onset = Fraction(st.clock, st.den)
+    st.clock += frac.numerator * (st.den // step)
 
     if st.tie is not None:
         if (cont or closes) and pitch == st.tie.absolute_pitch:
             st.tie = replace(st.tie, duration=st.tie.duration + frac)
             if closes:
                 _flush_tie(st, src)
-            return True
+            return
         logger.warning("%s: line %d: tie broken by a non-matching event", src, lineno)
         _flush_tie(st, src)
 
-    event = Event(pitch, pitch_class_of(pitch), frac, bar_index, onset)
+    event = Event(pitch, pc, frac, bar_index, onset)
     if opens and not closes:
         st.tie = event
     else:
         if (cont or closes) and not opens:
             logger.warning("%s: line %d: stray tie marker", src, lineno)
         st.events.append(event)
-    return True
+
+
+_MANIPULATORS = ("*-", "*^", "*v", "*x", "*+")
 
 
 def _apply_manipulators(tokens: list[str], cols: list[int | None]) -> list[int | None]:
@@ -276,6 +302,18 @@ def _apply_manipulators(tokens: list[str], cols: list[int | None]) -> list[int |
     return out
 
 
+def _voice_columns(
+    voices: list[_VoiceState], cols: list[int | None]
+) -> list[tuple[_VoiceState, int]]:
+    """Each voice, in spine order, with the column it reads: the leftmost
+    one of its kern spine."""
+    first: dict[int, int] = {}
+    for ci, spine in enumerate(cols):
+        if spine is not None and spine not in first:
+            first[spine] = ci
+    return [(voices[spine], first[spine]) for spine in sorted(first)]
+
+
 def parse_kern(file_content: str, meta: MovementMeta | None = None) -> EncodedMovement:
     """Parse a four-voice **kern score into an EncodedMovement.
 
@@ -283,7 +321,9 @@ def parse_kern(file_content: str, meta: MovementMeta | None = None) -> EncodedMo
     tied note groups are merged into single events, and every duration is
     stored as the exact fraction of a bar under the meter in force.  Spines
     other than the four **kern spines are ignored; when a kern spine splits,
-    only its leftmost sub-spine is read so the rhythm stays well-formed.
+    only its leftmost sub-spine is read so the rhythm stays well-formed.  A
+    meter on a line that also manipulates spines applies to the spines as
+    they stand before the manipulation.
 
     Raises MalformedKern, WrongVoiceCount or MissingMeter on structural
     problems.  Irregular bar sums are logged, not fatal.
@@ -291,6 +331,9 @@ def parse_kern(file_content: str, meta: MovementMeta | None = None) -> EncodedMo
     src = meta.source_path if meta is not None else "<string>"
     cols: list[int | None] | None = None
     voices: list[_VoiceState] = []
+    reads: list[tuple[_VoiceState, int]] = []
+    readings: dict[str, tuple | None] = {}  # each distinct data token, read once
+    bar_fractions: dict[tuple, Fraction] = {}
     bar_index = 0
     seen_any_event = False
     events_in_bar = 0
@@ -315,6 +358,7 @@ def parse_kern(file_content: str, meta: MovementMeta | None = None) -> EncodedMo
                 if nkern != 4:
                     raise WrongVoiceCount(f"expected 4 **kern spines, found {nkern}")
                 voices = [_VoiceState() for _ in range(4)]
+                reads = _voice_columns(voices, cols)
                 continue
             raise MalformedKern(f"line {lineno}: content before the **kern header")
 
@@ -324,11 +368,6 @@ def parse_kern(file_content: str, meta: MovementMeta | None = None) -> EncodedMo
             )
 
         if all(t.startswith("*") for t in tokens):
-            if any(t in ("*-", "*^", "*v", "*x", "*+") for t in tokens):
-                cols = _apply_manipulators(tokens, cols)
-                if not any(c is not None for c in cols):
-                    break  # all spines terminated
-                continue
             for tok, spine in zip(tokens, cols):
                 if spine is None:
                     continue
@@ -339,6 +378,11 @@ def parse_kern(file_content: str, meta: MovementMeta | None = None) -> EncodedMo
                         raise MalformedKern(f"line {lineno}: meter {tok!r} has a zero term")
                     # a bar of num/den meter lasts num/den whole notes
                     voices[spine].meter = (num, den)
+            if any(t in _MANIPULATORS for t in tokens):
+                cols = _apply_manipulators(tokens, cols)
+                if not any(c is not None for c in cols):
+                    break  # all spines terminated
+                reads = _voice_columns(voices, cols)
             continue
 
         if tokens[0].startswith("="):
@@ -350,13 +394,13 @@ def parse_kern(file_content: str, meta: MovementMeta | None = None) -> EncodedMo
                 continue  # consecutive barlines
             for spine, st in enumerate(voices):
                 length = st.clock - st.bar_start
-                if bar_index > 0 and length not in (0, 1):
+                if bar_index > 0 and length and length != st.den:
                     logger.warning(
                         "%s: bar %d of voice %d sums to %s, expected 1",
                         src,
                         bar_index,
                         spine,
-                        length,
+                        Fraction(length, st.den),
                     )
                 st.bar_start = st.clock
             bar_index += 1
@@ -364,20 +408,19 @@ def parse_kern(file_content: str, meta: MovementMeta | None = None) -> EncodedMo
             continue
 
         # data line: read each kern spine's leftmost active column
-        first_col: dict[int, int] = {}
-        for ci, spine in enumerate(cols):
-            if spine is not None and spine not in first_col:
-                first_col[spine] = ci
-        for spine in range(4):
-            ci = first_col.get(spine)
-            if ci is None:
-                continue
+        for st, ci in reads:
             tok = tokens[ci]
             if tok in (".", ""):
                 continue
-            if _process_token(tok, voices[spine], bar_index, lineno, src):
-                events_in_bar += 1
-                seen_any_event = True
+            try:
+                reading = readings[tok]
+            except KeyError:
+                reading = readings[tok] = _read_token(tok, lineno)
+            if reading is None:
+                continue  # grace note
+            _process_token(tok, reading, st, bar_index, lineno, src, bar_fractions)
+            events_in_bar += 1
+            seen_any_event = True
 
     if cols is None:
         raise MalformedKern("no **kern exclusive interpretation found")

@@ -4,10 +4,14 @@ Everything here recomputes feature definitions directly with plain loops,
 independently of the library's vectorized implementations, and runs BIC
 subset selection one candidate fit at a time.  The scalar segment
 primitives (windows, relative transform, overlap) state the paper's
-definitions one segment at a time.
+definitions one segment at a time, and the scalar **kern parser reads every
+token afresh on a Fraction clock.
 """
 
+import logging
 import math
+import re
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -15,6 +19,17 @@ import numpy as np
 
 from quartet_attrib import glm
 from quartet_attrib.features import LengthMismatch
+from quartet_attrib.score import (
+    VOICE_ORDER,
+    EncodedMovement,
+    Event,
+    MalformedKern,
+    MissingMeter,
+    Voice,
+    VoiceTrack,
+    WrongVoiceCount,
+    pitch_class_of,
+)
 from quartet_attrib.selection import (
     ACCEPT_TOL,
     SelectionResult,
@@ -469,3 +484,243 @@ def icm_select_oracle(
         restart_bics=tuple(restart_bics),
         trace=best_state["trace"],
     )
+
+
+# ---------------------------------------------------------------------------
+# Scalar **kern parser: every token read with its own regexes, every voice's
+# clock a running Fraction.  The library parser must give the same movement,
+# the same warnings and the same KernError as this one.
+# ---------------------------------------------------------------------------
+
+_oracle_log = logging.getLogger("quartet_attrib.score")
+
+_METER_RE = re.compile(r"^\*M(\d+)/(\d+)")
+_DUR_RE = re.compile(r"(\d+)(?:%(\d+))?(\.*)")
+_PITCH_RE = re.compile(r"([a-gA-G]+)(#+|-+|n)?")
+_PC_BASE = {"c": 0, "d": 2, "e": 4, "f": 5, "g": 7, "a": 9, "b": 11}
+_MANIPULATORS = ("*-", "*^", "*v", "*x", "*+")
+
+
+def _token_duration(sub):
+    m = _DUR_RE.search(sub)
+    if m is None:
+        return None
+    digits, denom, dots = m.group(1), m.group(2), m.group(3)
+    if set(digits) == {"0"}:
+        num, den = 2 ** len(digits), 1
+    else:
+        num, den = int(denom or 1), int(digits)
+    k = len(dots)
+    return num * (2 ** (k + 1) - 1), den * 2**k
+
+
+def _token_pitch(sub, lineno):
+    m = _PITCH_RE.search(sub)
+    if m is None:
+        raise MalformedKern(f"line {lineno}: no pitch in token {sub!r}")
+    letters, acc = m.group(1), m.group(2) or ""
+    if len(set(letters.lower())) != 1:
+        raise MalformedKern(f"line {lineno}: mixed pitch letters in {sub!r}")
+    letter = letters[0]
+    octave = 3 + len(letters) if letter.islower() else 4 - len(letters)
+    midi = 12 * (octave + 1) + _PC_BASE[letter.lower()]
+    if acc.startswith("#"):
+        midi += len(acc)
+    elif acc.startswith("-"):
+        midi -= len(acc)
+    absolute = midi - 11
+    if not 1 <= absolute <= 132:
+        raise MalformedKern(f"line {lineno}: pitch {sub!r} outside the 1..132 range")
+    return absolute
+
+
+@dataclass
+class _OracleVoice:
+    meter: tuple | None = None
+    events: list = field(default_factory=list)
+    clock: Fraction = Fraction(0)
+    bar_start: Fraction = Fraction(0)
+    tie: Event | None = None
+
+
+def _flush_tie(st, src):
+    tie, st.tie = st.tie, None
+    if tie.duration > 1:
+        _oracle_log.warning(
+            "%s: tied note of duration %s exceeds one bar (stored unclamped)", src, tie.duration
+        )
+    st.events.append(tie)
+
+
+def _process_token(tok, st, bar_index, lineno, src):
+    """Consume one data token for one voice.  Returns True if time advanced."""
+    if "q" in tok or "Q" in tok:
+        return False
+    notes, rest, zero = [], None, False
+    for sub in (s for s in tok.split(" ") if s):
+        dur = _token_duration(sub)
+        zero = zero or (dur is not None and not dur[0])
+        if "r" in sub:
+            if dur is None:
+                raise MalformedKern(f"line {lineno}: rest without duration in {tok!r}")
+            if rest is None:
+                rest = (dur, sub)
+            continue
+        if dur is None:
+            raise MalformedKern(f"line {lineno}: note without duration in {tok!r}")
+        notes.append((_token_pitch(sub, lineno), dur, sub))
+    if notes:
+        notes.sort(key=lambda n: (n[0], Fraction(*n[1]), n[2]))
+        pitch, (num, den), sub = notes[-1]
+    elif rest is not None:
+        (num, den), sub = rest
+        pitch = 0
+    else:
+        raise MalformedKern(f"line {lineno}: unparseable token {tok!r}")
+
+    if st.meter is None:
+        raise MissingMeter(f"line {lineno}: note before any time signature")
+    if zero:
+        raise MalformedKern(f"line {lineno}: zero duration in {tok!r}")
+    frac = Fraction(num * st.meter[1], den * st.meter[0])
+    onset = st.clock
+    st.clock = onset + frac
+    opens, closes, cont = "[" in sub, "]" in sub, "_" in sub
+
+    if st.tie is not None:
+        if (cont or closes) and pitch == st.tie.absolute_pitch:
+            st.tie = replace(st.tie, duration=st.tie.duration + frac)
+            if closes:
+                _flush_tie(st, src)
+            return True
+        _oracle_log.warning("%s: line %d: tie broken by a non-matching event", src, lineno)
+        _flush_tie(st, src)
+
+    event = Event(pitch, pitch_class_of(pitch), frac, bar_index, onset)
+    if opens and not closes:
+        st.tie = event
+    else:
+        if (cont or closes) and not opens:
+            _oracle_log.warning("%s: line %d: stray tie marker", src, lineno)
+        st.events.append(event)
+    return True
+
+
+def _apply_manipulators(tokens, cols):
+    out, i = [], 0
+    while i < len(tokens):
+        tok, spine = tokens[i], cols[i]
+        if tok == "*-":
+            i += 1
+        elif tok == "*^":
+            out.extend([spine, spine])
+            i += 1
+        elif tok == "*v":
+            j = i
+            while j < len(tokens) and tokens[j] == "*v" and cols[j] == spine:
+                j += 1
+            out.append(spine)
+            i = max(j, i + 1)
+        elif tok == "*x":
+            if i + 1 < len(tokens) and tokens[i + 1] == "*x":
+                out.extend([cols[i + 1], cols[i]])
+                i += 2
+            else:
+                out.append(spine)
+                i += 1
+        elif tok == "*+":
+            out.extend([spine, None])
+            i += 1
+        else:
+            out.append(spine)
+            i += 1
+    return out
+
+
+def parse_kern_oracle(file_content, meta=None):
+    """Reference for score.parse_kern, line by line and token by token."""
+    src = meta.source_path if meta is not None else "<string>"
+    cols, voices = None, []
+    bar_index, seen_any_event, events_in_bar = 0, False, 0
+
+    for lineno, line in enumerate(file_content.splitlines(), start=1):
+        if not line.strip() or line.startswith("!"):
+            continue
+        tokens = line.split("\t")
+        if cols is None:
+            if all(t.startswith("**") for t in tokens):
+                cols, nkern = [], 0
+                for t in tokens:
+                    if t == "**kern":
+                        cols.append(nkern)
+                        nkern += 1
+                    else:
+                        cols.append(None)
+                if nkern != 4:
+                    raise WrongVoiceCount(f"expected 4 **kern spines, found {nkern}")
+                voices = [_OracleVoice() for _ in range(4)]
+                continue
+            raise MalformedKern(f"line {lineno}: content before the **kern header")
+        if len(tokens) != len(cols):
+            raise MalformedKern(f"line {lineno}: expected {len(cols)} spines, got {len(tokens)}")
+
+        if all(t.startswith("*") for t in tokens):
+            # meters apply to the spines as they stand before this line's manipulators
+            for tok, spine in zip(tokens, cols):
+                if spine is None:
+                    continue
+                m = _METER_RE.match(tok)
+                if m:
+                    num, den = int(m.group(1)), int(m.group(2))
+                    if not num or not den:
+                        raise MalformedKern(f"line {lineno}: meter {tok!r} has a zero term")
+                    voices[spine].meter = (num, den)
+            if any(t in _MANIPULATORS for t in tokens):
+                cols = _apply_manipulators(tokens, cols)
+                if not any(c is not None for c in cols):
+                    break
+            continue
+
+        if tokens[0].startswith("="):
+            if not seen_any_event:
+                if bar_index == 0:
+                    bar_index = 1
+                continue
+            if events_in_bar == 0:
+                continue
+            for spine, st in enumerate(voices):
+                length = st.clock - st.bar_start
+                if bar_index > 0 and length not in (0, 1):
+                    _oracle_log.warning(
+                        "%s: bar %d of voice %d sums to %s, expected 1",
+                        src,
+                        bar_index,
+                        spine,
+                        length,
+                    )
+                st.bar_start = st.clock
+            bar_index += 1
+            events_in_bar = 0
+            continue
+
+        first_col = {}
+        for ci, spine in enumerate(cols):
+            if spine is not None and spine not in first_col:
+                first_col[spine] = ci
+        for spine in range(4):
+            ci = first_col.get(spine)
+            if ci is None or tokens[ci] in (".", ""):
+                continue
+            if _process_token(tokens[ci], voices[spine], bar_index, lineno, src):
+                events_in_bar += 1
+                seen_any_event = True
+
+    if cols is None:
+        raise MalformedKern("no **kern exclusive interpretation found")
+    for st in voices:
+        if st.tie is not None:
+            _oracle_log.warning("%s: unterminated tie at end of file", src)
+            _flush_tie(st, src)
+    by_voice = dict(zip((Voice.CELLO, Voice.VIOLA, Voice.VIOLIN2, Voice.VIOLIN1), voices))
+    tracks = tuple(VoiceTrack(voice=v, events=tuple(by_voice[v].events)) for v in VOICE_ORDER)
+    return EncodedMovement(meta=meta, voices=tracks)

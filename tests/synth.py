@@ -276,6 +276,37 @@ def bars_to_kern(per_voice_bars):
     return "\n".join(lines) + "\n"
 
 
+def tuplet_kern(rng, durations, rows=48, bar_rows=8, meter="4/4"):
+    """Kern text whose voices draw their durations (whole-note fractions,
+    tuplets included) from durations, with rests, held rows and tied
+    pairs; a barline follows every bar_rows rows, so most bars do not sum
+    to a full bar."""
+    lines = ["**kern\t**kern\t**kern\t**kern", "\t".join([f"*M{meter}"] * 4)]
+    tied = [None] * 4  # the pitch token each voice must close a tie on
+    for row in range(rows):
+        if row % bar_rows == 0:
+            lines.append("\t".join([f"={row // bar_rows + 1}"] * 4))
+        cells = []
+        for v in range(4):
+            d = Fraction(durations[int(rng.integers(len(durations)))])
+            recip = str(d.denominator) if d.numerator == 1 else f"{d.denominator}%{d.numerator}"
+            if tied[v] is not None:
+                cells.append(f"{recip}{tied[v]}]")
+                tied[v] = None
+            elif rng.random() < 0.15:
+                cells.append(".")
+            elif rng.random() < 0.1:
+                cells.append(f"{recip}r")
+            else:
+                pitch = kern_pitch_token(int(rng.integers(30 + 8 * v, 60 + 8 * v)))
+                opens = rng.random() < 0.1
+                tied[v] = pitch if opens else None
+                cells.append(f"{'[' if opens else ''}{recip}{pitch}")
+        lines.append("\t".join(cells))
+    lines.append("\t".join(["*-"] * 4))
+    return "\n".join(lines) + "\n"
+
+
 def _styled_bar(rng, style):
     """One 4/4 bar shaped by a composer style: direction bias and rhythm variety."""
     if style == "haydn":

@@ -719,6 +719,14 @@ class TestOnePass:
             assert np.array_equal(got, expect, equal_nan=True)
             assert got.tobytes() == expect.tobytes()
 
+    def test_unknown_reading_fails_before_any_movement(self, monkeypatch):
+        def voice_data(movement):
+            raise AssertionError("a movement was prepared before the reading was checked")
+
+        monkeypatch.setattr(features, "_voice_data", voice_data)
+        with pytest.raises(ValueError, match="reading must be one of"):
+            extract_all(self.corpus(34), SMALL, threshold_reading="verbatim")
+
     def test_empty_pool_has_no_rows(self):
         pool = build_development_pool([], SMALL)
         assert pool.n == 0 and len(pool.sds) == 4 * len(SMALL.lengths) * 2

@@ -1,8 +1,10 @@
-"""Fuzz test: a mutated **kern file either parses or raises KernError."""
+"""Fuzz tests: a mutated **kern file either parses or raises KernError, and
+the library parser agrees with the scalar oracle on it."""
 
 import pytest
 
 from quartet_attrib.score import KernError, parse_kern
+from test_score import parse_both
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -86,3 +88,16 @@ def test_mutated_kern_raises_only_kern_error(text):
         parse_kern(text)
     except KernError:
         pass
+
+
+@hypothesis.settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[hypothesis.HealthCheck.function_scoped_fixture],
+)
+@hypothesis.given(mutated())
+def test_mutated_kern_matches_oracle(caplog, text):
+    lib, oracle = parse_both(text, caplog)  # clears caplog for each parser
+    assert lib == oracle

@@ -1,11 +1,15 @@
 import logging
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import oracles
 import synth
+from quartet_attrib import score
 from quartet_attrib.score import (
     Composer,
+    KernError,
     MalformedKern,
     MissingMeter,
     MovementMeta,
@@ -225,6 +229,51 @@ class TestSpineStructure:
         mv = parse_kern(four_spine(body))
         assert note_sequence(mv.voice(Voice.VIOLIN1), "pitch_class") == [1, 3, 5, 6]
 
+    @staticmethod
+    def _meter_on_split(first_bar):
+        """Four kern spines and a dynamics spine that splits on the line
+        which sets every kern spine's meter to 3/4."""
+        lines = ["**kern\t**kern\t**kern\t**kern\t**dynam", *first_bar]
+        lines.append("\t".join(["*M3/4"] * 4 + ["*^"]))
+        lines += ["\t".join(["=2"] * 6), "\t".join(["2.C", "2.c", "2.e", "2.g", "f", "p"])]
+        lines += ["\t".join(["=3"] * 6), "\t".join(["*-"] * 6)]
+        return "\n".join(lines) + "\n"
+
+    def test_meter_on_manipulator_line_applies(self, caplog):
+        first_bar = [
+            "\t".join(["*M4/4"] * 4 + ["*"]),
+            "\t".join(["=1"] * 5),
+            "\t".join(["1C", "1c", "1e", "1g", "p"]),
+        ]
+        with caplog.at_level(logging.WARNING):
+            mv = parse_kern(self._meter_on_split(first_bar))
+        assert not any("sums to" in r.message for r in caplog.records)
+        for track in mv.voices:
+            assert [e.duration for e in track.events] == [1, 1]
+            assert [e.onset for e in track.events] == [0, 1]
+
+    def test_meter_on_manipulator_line_is_the_first_meter(self):
+        mv = parse_kern(self._meter_on_split([]))
+        for track in mv.voices:
+            assert [(e.duration, e.bar_index) for e in track.events] == [(1, 1)]
+
+    def test_meter_on_split_of_a_kern_spine(self):
+        # the splitting spine has no meter of its own on that line; it gets
+        # one on the next line, read by its leftmost sub-spine
+        body = [
+            "\t".join(["=1"] * 4),
+            "\t".join(["1C", "1c", "1e", "1g"]),
+            "*M3/4\t*M3/4\t*M3/4\t*^",
+            "*\t*\t*\t*M3/4\t*M3/4",
+            "\t".join(["=2"] * 5),
+            "\t".join(["2.C", "2.c", "2.e", "2.g", "2.b"]),
+            "\t".join(["=3"] * 5),
+            "*\t*\t*\t*v\t*v",
+        ]
+        mv = parse_kern(four_spine(body))
+        for track in mv.voices:
+            assert [e.duration for e in track.events] == [1, 1]
+
     def test_spine_order_maps_low_to_high(self):
         body = [
             "\t".join(["=1"] * 4),
@@ -424,3 +473,114 @@ class TestRealisticDecorations:
         # viola keeps its leftmost sub-spine through the nested split
         assert note_sequence(mv.voice(Voice.VIOLA), "pitch_class") == [12, 10, 8, 12]
         assert len(note_sequence(mv.voice(Voice.CELLO), "pitch_class")) == 4
+
+
+def parse_both(text, caplog, meta=None):
+    """(movement JSON or (KernError type, message), warnings) from the library
+    parser and from the scalar oracle, in that order."""
+    outcomes = []
+    for parse in (parse_kern, oracles.parse_kern_oracle):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            try:
+                got = movement_to_json(parse(text, meta=meta))
+            except KernError as exc:
+                got = (type(exc), str(exc))
+        outcomes.append((got, [(r.levelno, r.getMessage()) for r in caplog.records]))
+    return outcomes
+
+
+#: Malformed files, each failing a different check.
+MALFORMED = [
+    "**kern\t**kern\t**kern\n*M4/4\t*M4/4\t*M4/4\n4c\t4c\t4c\n*-\t*-\t*-\n",
+    "4c\t4c\t4c\t4c\n",
+    "",
+    "**kern\t**kern\t**kern\t**kern\n4c\t4c\t4c\t4c\n*-\t*-\t*-\t*-\n",
+    "**kern\t**kern\t**kern\t**kern\n*M4/4\t*M4/4\t*M4/4\t*M4/4\n4c\t4c\n",
+    four_spine(["4c\t4c\t4c\t4c"], meter="*M0/4"),
+    four_spine(["4%0c 4e\t4c\t4c\t4c"]),
+    four_spine(["4c\t4zz\t4c\t4c"]),
+    four_spine(["4c\t4c\tr\t4c"]),
+    four_spine(["4c\t4c\tcc\t4c"]),
+    four_spine(["4c\t4c\t4cd\t4c"]),
+    four_spine(["4c\t4c\t4cccccccc\t4c"]),
+    four_spine(["4c\t4c\t4c\t4c", "4c\t4c\t4q\t4%0c", "4c\t4c\t4c\t4zz"]),
+    # check order within a token: token errors, then the meter, then zero
+    "**kern\t**kern\t**kern\t**kern\n*\t*M4/4\t*M4/4\t*M4/4\n4zz\t4c\t4c\t4c\n",
+    "**kern\t**kern\t**kern\t**kern\n*\t*M4/4\t*M4/4\t*M4/4\n4%0c\t4c\t4c\t4c\n",
+    # a token already read for one voice meets a voice without a meter
+    "**kern\t**kern\t**kern\t**kern\n*M4/4\t*\t*M4/4\t*M4/4\n4c\t4c\t4c\t4c\n",
+]
+
+
+class TestMatchesOracle:
+    """The library parser against the scalar one in tests/oracles.py."""
+
+    def test_synth_sources(self, caplog, tmp_path):
+        rng = np.random.default_rng(5)
+        texts = [
+            synth.k157_excerpt_kern(),
+            synth.melody_kern([["4c", "4d", "[2e"], ["2e]", "4.f", "8g"], ["2.a"]], meter="3/4"),
+        ]
+        texts += [synth.styled_movement_kern(rng, style) for style in ("haydn", "mozart")]
+        for manifest in (
+            synth.write_tiny_corpus(tmp_path / "tiny", seed=3),
+            synth.write_styled_corpus(tmp_path / "styled", n_quartets=1),
+        ):
+            for meta in read_manifest(manifest):
+                text = (manifest.parent / meta.source_path).read_text(encoding="utf-8")
+                lib, oracle = parse_both(text, caplog, meta=meta)
+                assert lib == oracle and isinstance(lib[0], dict)
+        for text in texts:
+            lib, oracle = parse_both(text, caplog)
+            assert lib == oracle and isinstance(lib[0], dict)
+
+    def test_decorated_and_split_sources(self, caplog):
+        for rows in (
+            ["=1\t=1\t=1\t=1", "4G\t4b\t[4dd\t{4ccY", "=2\t=2\t=2\t=2", "2GG,\t2b'\t4dd]\t4cc#x}"],
+            ["=1\t=1\t=1\t=1", "4G\t4b\t4dd\t4gg", "*\t*^\t*\t*", "4G\t4a\t4g\t4dd\t4ff",
+             "*\t*v\t*v\t*\t*", "2.r\t2.r\t2.r\t2.r"],
+        ):
+            end = "\t".join(["*-"] * 4)
+            text = "\n".join([TestRealisticDecorations.HEADER, *rows, end]) + "\n"
+            lib, oracle = parse_both(text, caplog)
+            assert lib == oracle and isinstance(lib[0], dict)
+        lib, oracle = parse_both(TestSpineStructure._meter_on_split([]), caplog)
+        assert lib == oracle and isinstance(lib[0], dict)
+
+    @pytest.mark.parametrize(
+        "primes", [(3, 5, 7, 11, 13, 17, 19), (23, 29, 31, 37, 41, 43, 47)], ids=["to19", "to47"]
+    )
+    @pytest.mark.parametrize("meter", ["4/4", "3/8"])
+    def test_tuplets(self, caplog, primes, meter):
+        tuplets = tuple(Fraction(1, 4 * k) for k in (1, *primes))
+        for seed in range(3):
+            text = synth.tuplet_kern(np.random.default_rng(seed), tuplets, meter=meter)
+            lib, oracle = parse_both(text, caplog)
+            assert lib == oracle and isinstance(lib[0], dict)
+            assert any("sums to" in message for _, message in lib[1])
+
+    @pytest.mark.parametrize("text", MALFORMED)
+    def test_malformed(self, caplog, text):
+        lib, oracle = parse_both(text, caplog)
+        assert lib == oracle
+        assert issubclass(lib[0][0], KernError)
+
+
+def test_each_distinct_token_read_once_per_parse(monkeypatch):
+    read = score._read_token
+    calls = []
+
+    def counting(tok, lineno):
+        calls.append(tok)
+        return read(tok, lineno)
+
+    monkeypatch.setattr(score, "_read_token", counting)
+    text = synth.styled_movement_kern(np.random.default_rng(8), "haydn")
+    rows = [line.split("\t") for line in text.splitlines()]
+    data = [tok for row in rows if not row[0][0] in "*=!" for tok in row if tok != "."]
+    assert len(set(data)) < len(data)
+    parse_kern(text)
+    assert sorted(calls) == sorted(set(data))
+    parse_kern(text)  # a second call reads every token afresh
+    assert sorted(calls) == sorted(2 * list(set(data)))
