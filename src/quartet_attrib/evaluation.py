@@ -73,12 +73,16 @@ class CVConfig:
     n_jobs: int = 1
 
     def __post_init__(self):
+        if not self.grid:
+            raise ValueError("cutoff grid must not be empty")
         if list(self.grid) != sorted(set(self.grid)) or not (
             0 <= self.grid[0] and self.grid[-1] <= 1
         ):
             raise ValueError("cutoff grid must be strictly increasing within [0, 1]")
         if self.filter_mode not in ("per-fold", "global"):
             raise ValueError("filter_mode must be 'per-fold' or 'global'")
+        if self.restarts < 1:
+            raise ValueError("restarts must be at least 1")
 
     def to_json(self) -> dict:
         return {
@@ -189,14 +193,6 @@ class CVResult:
         for _, _, t, _, p, _ in self.iter_movements():
             out[t][p] += 1
         return out
-
-    def mean_probability(self, cls: int) -> float:
-        vals = [
-            prob
-            for _, _, t, prob, _, _ in self.iter_movements()
-            if t == cls and not math.isnan(prob)
-        ]
-        return float(np.mean(vals)) if vals else float("nan")
 
     def to_json(self) -> dict:
         return {
@@ -578,16 +574,12 @@ class FullModelReport:
         }
 
 
-def fit_full_model(
-    matrix: FeatureMatrix,
-    config: CVConfig,
-    hl_groups: range = range(20, 101),
-) -> FullModelReport:
+def fit_full_model(matrix: FeatureMatrix, config: CVConfig) -> FullModelReport:
     """Select and fit one model on all movements, with diagnostics.
 
     The bundle holds a coefficient table (estimates, standard errors, Wald
-    p-values) and a Hosmer-Lemeshow sweep over the requested group counts
-    (restricted to feasible ones: g <= n and g > d + 1).
+    p-values) and a Hosmer-Lemeshow sweep over the group counts 20..100
+    that are feasible (g <= n and g > d + 1).
     """
     y = np.array([int(meta.composer) for meta in matrix.rows])
     scoped = near_zero_variance_filter(_scope_matrix(matrix, config.feature_scope))
@@ -624,8 +616,8 @@ def fit_full_model(
     cols = [scoped.column_index(lbl) for lbl in result.selected]
     probs = glm.predict_prob(model, scoped.values[:, cols])
     hosmer: list[tuple[int, float, float]] = []
-    for g in hl_groups:
-        if g < 3 or g > matrix.n or g <= model.d + 1:
+    for g in range(20, 101):
+        if g > matrix.n or g <= model.d + 1:
             continue
         res = glm.hosmer_lemeshow(probs, y, g)
         hosmer.append((g, res.statistic, res.p_value))

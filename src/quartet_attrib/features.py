@@ -93,7 +93,6 @@ class FeatureName:
     voice: str | None = None  # voice name or "VoiceA-VoiceB" pair
     track: str | None = None
     segment_length: int | None = None
-    threshold: float | None = None
 
     @property
     def label(self) -> str:
@@ -108,16 +107,6 @@ class FeatureName:
 
     def __str__(self) -> str:
         return self.label
-
-
-def _threshold_of(descriptor: str) -> float | None:
-    if descriptor.startswith("count_t") or descriptor.startswith("count_q"):
-        return float(descriptor[7:])
-    if descriptor == "minor3_count_zero":
-        return 0.0
-    if descriptor == "minor3_count_high":
-        return float(MINOR_THIRD_HIGH)
-    return None
 
 
 def parse_label(label: str) -> FeatureName:
@@ -140,7 +129,6 @@ def parse_label(label: str) -> FeatureName:
         voice=voice,
         track=track,
         segment_length=segment_length,
-        threshold=_threshold_of(descriptor),
     )
 
 
@@ -159,13 +147,11 @@ _MINOR3_DESCRIPTORS = (
 
 
 @lru_cache(maxsize=8)
-def _feature_names_cached(lengths: tuple[int, ...], quantiles: tuple[float, ...]):
+def _feature_names_cached(lengths: tuple[int, ...]):
     names: list[FeatureName] = []
 
     def add(category, descriptor, **kw):
-        names.append(
-            FeatureName(category, descriptor, threshold=_threshold_of(descriptor), **kw)
-        )
+        names.append(FeatureName(category, descriptor, **kw))
 
     for v in VOICE_LABELS:
         for desc in _BASIC_DESCRIPTORS:
@@ -197,7 +183,7 @@ def _feature_names_cached(lengths: tuple[int, ...], quantiles: tuple[float, ...]
     overlap_descs = ["max_overlap", "max_location"] + [
         f"count_t{float(t):g}" for t in OVERLAP_THRESHOLDS
     ]
-    dev_descs = ["max_sd", "max_location"] + [f"count_q{q:.2f}" for q in quantiles]
+    dev_descs = ["max_sd", "max_location"] + [f"count_q{q:.2f}" for q in DEV_QUANTILES]
     for category, descs in (
         ("exposition", overlap_descs),
         ("development", dev_descs),
@@ -215,11 +201,9 @@ def _feature_names_cached(lengths: tuple[int, ...], quantiles: tuple[float, ...]
     return tuple(names)
 
 
-def feature_names(
-    config: SegmentConfig = SegmentConfig(), quantiles: tuple[float, ...] = DEV_QUANTILES
-) -> tuple[FeatureName, ...]:
+def feature_names(config: SegmentConfig = SegmentConfig()) -> tuple[FeatureName, ...]:
     """The full ordered feature registry for one segment configuration."""
-    return _feature_names_cached(tuple(config.lengths), tuple(quantiles))
+    return _feature_names_cached(tuple(config.lengths))
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +228,10 @@ class FeatureMatrix:
                 f"value shape {self.values.shape} does not match "
                 f"{len(self.rows)} rows x {len(self.columns)} columns"
             )
-        labels = self.labels
-        if len(set(labels)) != len(labels):
+        # columns are never reassigned, so labels and their index are built once
+        self.labels = tuple(c.label for c in self.columns)
+        self._label_index = {lbl: j for j, lbl in enumerate(self.labels)}
+        if len(self._label_index) != len(self.labels):
             raise ValueError("duplicated feature names")
 
     @property
@@ -256,17 +242,9 @@ class FeatureMatrix:
     def p(self) -> int:
         return len(self.columns)
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(c.label for c in self.columns)
-
     def column_index(self, label: str) -> int:
-        by_label = getattr(self, "_label_index", None)
-        if by_label is None:
-            by_label = {lbl: j for j, lbl in enumerate(self.labels)}
-            object.__setattr__(self, "_label_index", by_label)
         try:
-            return by_label[label]
+            return self._label_index[label]
         except KeyError:
             raise KeyError(f"no feature column {label!r}") from None
 
@@ -853,14 +831,10 @@ class DevelopmentSdPool:
         return out
 
 
-def build_development_pool(
-    corpus,
-    config: SegmentConfig = SegmentConfig(),
-    quantiles: tuple[float, ...] = DEV_QUANTILES,
-) -> DevelopmentSdPool:
+def build_development_pool(corpus, config: SegmentConfig = SegmentConfig()) -> DevelopmentSdPool:
     pool = DevelopmentSdPool(
         lengths=tuple(config.lengths),
-        quantiles=tuple(quantiles),
+        quantiles=DEV_QUANTILES,
         sds={(v, m, track): [] for v in VOICE_LABELS for m in config.lengths for track in TRACKS},
     )
     for movement in corpus:
@@ -871,14 +845,13 @@ def build_development_pool(
 def compute_development_thresholds(
     corpus,
     config: SegmentConfig = SegmentConfig(),
-    quantiles: tuple[float, ...] = DEV_QUANTILES,
     reading: str = "prose",
 ) -> DevelopmentThresholds:
     """Pool window standard deviations over the whole corpus and take the
     weighted quantiles that become the development count thresholds."""
     if not corpus:
         raise ValueError("corpus is empty")
-    return build_development_pool(corpus, config, quantiles).thresholds(reading=reading)
+    return build_development_pool(corpus, config).thresholds(reading=reading)
 
 
 def development_features(
@@ -931,7 +904,6 @@ def extract_all(
     *,
     threshold_reading: str = "prose",
     signed_differences: bool = True,
-    quantiles: tuple[float, ...] = DEV_QUANTILES,
 ) -> Extraction:
     """Assemble the corpus feature matrix in one pass over the movements.
 
@@ -945,8 +917,8 @@ def extract_all(
         raise ValueError("every movement needs metadata for matrix assembly")
     if threshold_reading not in THRESHOLD_READINGS:
         raise ValueError(f"reading must be one of {THRESHOLD_READINGS}")
-    names = feature_names(config, quantiles)
-    pool = build_development_pool((), config, quantiles)
+    names = feature_names(config)
+    pool = build_development_pool((), config)
     free = {fn.label: j for j, fn in enumerate(names)}  # the count columns are popped
     counted = [free.pop(lbl) for lbl in pool.count_labels()]
     values = np.empty((len(corpus), len(names)))
@@ -968,14 +940,12 @@ def extract_all(
     return Extraction(matrix, pool, thresholds)
 
 
-def near_zero_variance_filter(
-    matrix: FeatureMatrix, freq_cut: float = 95.0 / 5.0, unique_cut: float = 10.0
-) -> FeatureMatrix:
+def near_zero_variance_filter(matrix: FeatureMatrix) -> FeatureMatrix:
     """Drop columns with (near-)zero variability and columns with missing values.
 
-    A column is near-zero-variance when the frequency ratio of its most
-    common to second most common value reaches freq_cut and the percentage
-    of unique values is below unique_cut, or when it is constant.
+    A column is near-zero-variance when it is constant, or when its most
+    common value is at least 95/5 = 19 times as frequent as its second most
+    common and fewer than 10% of its values are distinct.
     """
     if matrix.n < 2:
         raise ValueError("variance filtering needs at least two rows")
@@ -990,7 +960,7 @@ def near_zero_variance_filter(
         (_, c1), (_, c2) = counts.most_common(2)
         freq_ratio = c1 / c2
         pct_unique = 100.0 * len(counts) / matrix.n
-        if freq_ratio >= freq_cut and pct_unique < unique_cut:
+        if freq_ratio >= 95.0 / 5.0 and pct_unique < 10.0:
             continue
         keep.append(j)
     return matrix.select_columns(keep)

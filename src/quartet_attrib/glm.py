@@ -53,7 +53,6 @@ class FittedModel:
     iterations: int
     prior: PriorConfig
     prior_scales: np.ndarray = field(repr=False, default=None)
-    objective_path: tuple[float, ...] = field(repr=False, default=())
     degenerate: bool = False
 
     def to_json(self) -> dict:
@@ -124,8 +123,6 @@ class Modes(NamedTuple):
     converged: np.ndarray
     iterations: np.ndarray
     singular: np.ndarray  # a Newton system had to be jittered
-    objectives: np.ndarray  # (rounds + 1) x K, the objective after each round
-    steps: np.ndarray  # accepted steps; member k's path is objectives[: steps[k] + 1, k]
 
 
 #: Line-search step sizes, in the blocks solved together: 2^-h for h < 60.
@@ -202,7 +199,6 @@ def posterior_modes(
     y: np.ndarray,
     scales: np.ndarray,
     start: np.ndarray,
-    tol: float = 1e-8,
     max_iter: int = 200,
 ) -> Modes:
     """Posterior modes of K Cauchy-prior logits that share y, solved together.
@@ -212,7 +208,9 @@ def posterior_modes(
     step on the exact Hessian when it is positive definite, else on the EM
     surrogate, each with up to 60 step halvings until the penalized
     objective does not decrease.  A member stops when no step is found,
-    when it converges, or after max_iter iterations.
+    when it converges (no coefficient moves by 1e-8 or more in a full step,
+    or at a flat objective or a gradient below 1e-8), or after max_iter
+    iterations.
 
     Each member's result is bit-identical to solving it alone, in a stack
     of one with the same memory layout (see ``design_stack``): every product
@@ -226,9 +224,7 @@ def posterior_modes(
     obj = ll - _log_priors(beta, scales)
     converged = np.zeros(K, dtype=bool)
     iterations = np.zeros(K, dtype=int)
-    steps = np.zeros(K, dtype=int)
     singular = np.zeros(K, dtype=bool)
-    objectives = [obj.copy()]
     live = np.arange(K)
 
     for it in range(1, max_iter + 1):
@@ -297,9 +293,7 @@ def posterior_modes(
         grad_small = np.max(np.abs(grad[idx]), axis=1) < 1e-8
         stalled = new_o == o[idx]  # objective flat at float resolution
         beta[members], eta[members], ll[members], obj[members] = new_b, new_e, new_ll, new_o
-        steps[members] += 1
-        objectives.append(obj.copy())
-        done = (change < tol) & ((alpha == 1.0) | grad_small | stalled)
+        done = (change < 1e-8) & ((alpha == 1.0) | grad_small | stalled)
         converged[members[done]] = True
         live = members[~done]
 
@@ -309,8 +303,6 @@ def posterior_modes(
         converged=converged,
         iterations=iterations,
         singular=singular,
-        objectives=np.array(objectives),
-        steps=steps,
     )
 
 
@@ -320,7 +312,6 @@ def fit(
     prior: PriorConfig = PriorConfig(),
     feature_names: Sequence[str] | None = None,
     start: np.ndarray | None = None,
-    tol: float = 1e-8,
     max_iter: int = 200,
 ) -> FittedModel:
     """Posterior mode of Cauchy-prior logistic regression.
@@ -347,7 +338,7 @@ def fit(
         if beta.shape != (d + 1,):
             raise ValueError("start must have length d + 1")
 
-    modes = posterior_modes(stack, y, scales[None], beta[None], tol=tol, max_iter=max_iter)
+    modes = posterior_modes(stack, y, scales[None], beta[None], max_iter=max_iter)
     Xt = stack[0]
     beta = modes.beta[0]
     converged = bool(modes.converged[0])
@@ -380,7 +371,6 @@ def fit(
         iterations=iterations,
         prior=prior,
         prior_scales=scales,
-        objective_path=tuple(float(v) for v in modes.objectives[: modes.steps[0] + 1, 0]),
         degenerate=degenerate,
     )
 

@@ -321,9 +321,10 @@ def parse_kern(file_content: str, meta: MovementMeta | None = None) -> EncodedMo
     tied note groups are merged into single events, and every duration is
     stored as the exact fraction of a bar under the meter in force.  Spines
     other than the four **kern spines are ignored; when a kern spine splits,
-    only its leftmost sub-spine is read so the rhythm stays well-formed.  A
-    meter on a line that also manipulates spines applies to the spines as
-    they stand before the manipulation.
+    only its leftmost sub-spine is read so the rhythm stays well-formed, and
+    that sub-spine alone sets the voice's meter.  A meter on a line that
+    also manipulates spines applies to the spines as they stand before the
+    manipulation.
 
     Raises MalformedKern, WrongVoiceCount or MissingMeter on structural
     problems.  Irregular bar sums are logged, not fatal.
@@ -368,16 +369,15 @@ def parse_kern(file_content: str, meta: MovementMeta | None = None) -> EncodedMo
             )
 
         if all(t.startswith("*") for t in tokens):
-            for tok, spine in zip(tokens, cols):
-                if spine is None:
-                    continue
-                m = _METER_RE.match(tok)
+            # a voice's meter comes from the column it reads, like its notes
+            for st, ci in reads:
+                m = _METER_RE.match(tokens[ci])
                 if m:
                     num, den = int(m.group(1)), int(m.group(2))
                     if not num or not den:
-                        raise MalformedKern(f"line {lineno}: meter {tok!r} has a zero term")
+                        raise MalformedKern(f"line {lineno}: meter {tokens[ci]!r} has a zero term")
                     # a bar of num/den meter lasts num/den whole notes
-                    voices[spine].meter = (num, den)
+                    st.meter = (num, den)
             if any(t in _MANIPULATORS for t in tokens):
                 cols = _apply_manipulators(tokens, cols)
                 if not any(c is not None for c in cols):

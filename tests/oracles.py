@@ -383,6 +383,30 @@ def weighted_quantile_loop_oracle(values, weights, q):
     return pairs[-1][0]
 
 
+def objective_path(solve, iterations):
+    """The penalized objective (log-likelihood minus log prior) of one
+    Cauchy-prior solve after each of its first `iterations` iterations.
+    solve(k) re-solves with max_iter=k, which runs exactly the first k
+    iterations of a longer solve, and returns (beta, log-likelihood, prior
+    scales), intercept first."""
+    path = []
+    for k in range(iterations + 1):
+        beta, ll, scales = solve(k)
+        path.append(float(ll - np.log1p((beta / scales) ** 2).sum()))
+    return tuple(path)
+
+
+def fit_objective_path(X, y, prior=glm.PriorConfig(), start=None, max_iter=200):
+    """``objective_path`` of glm.fit(X, y, prior, start=start, max_iter=max_iter)."""
+
+    def solve(k):
+        model = glm.fit(X, y, prior, start=start, max_iter=k)
+        beta = np.concatenate(([model.intercept], model.coef))
+        return beta, model.log_likelihood, model.prior_scales
+
+    return objective_path(solve, glm.fit(X, y, prior, start=start, max_iter=max_iter).iterations)
+
+
 def _fit_subset(X, y, labels, cols, prior, warm):
     names = tuple(labels[j] for j in cols)
     start = None
@@ -663,12 +687,16 @@ def parse_kern_oracle(file_content, meta=None):
             raise MalformedKern(f"line {lineno}: content before the **kern header")
         if len(tokens) != len(cols):
             raise MalformedKern(f"line {lineno}: expected {len(cols)} spines, got {len(tokens)}")
+        # each voice reads the leftmost column of its kern spine, for notes and meters
+        first_col = {}
+        for ci, spine in enumerate(cols):
+            if spine is not None and spine not in first_col:
+                first_col[spine] = ci
 
         if all(t.startswith("*") for t in tokens):
             # meters apply to the spines as they stand before this line's manipulators
-            for tok, spine in zip(tokens, cols):
-                if spine is None:
-                    continue
+            for spine, ci in sorted(first_col.items()):
+                tok = tokens[ci]
                 m = _METER_RE.match(tok)
                 if m:
                     num, den = int(m.group(1)), int(m.group(2))
@@ -703,10 +731,6 @@ def parse_kern_oracle(file_content, meta=None):
             events_in_bar = 0
             continue
 
-        first_col = {}
-        for ci, spine in enumerate(cols):
-            if spine is not None and spine not in first_col:
-                first_col[spine] = ci
         for spine in range(4):
             ci = first_col.get(spine)
             if ci is None or tokens[ci] in (".", ""):

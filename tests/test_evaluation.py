@@ -329,7 +329,7 @@ class TestFullModel:
         rng = np.random.default_rng(34)
         matrix = toy_matrix(rng, n=60, p=4)
         config = CVConfig(seed=9, restarts=3, prior=PriorConfig(scale_factor=0.6))
-        report = fit_full_model(matrix, config, hl_groups=range(20, 101))
+        report = fit_full_model(matrix, config)
         gs = [g for g, _, _ in report.hosmer]
         assert gs and max(gs) <= 60 and min(gs) >= 20
         assert not math.isnan(report.hosmer_median_p)
@@ -362,6 +362,10 @@ def test_cv_config_validation():
         CVConfig(grid=(0.5, 0.2))
     with pytest.raises(ValueError):
         CVConfig(filter_mode="sometimes")
+    with pytest.raises(ValueError, match="grid must not be empty"):
+        CVConfig(grid=())
+    with pytest.raises(ValueError, match="restarts"):
+        CVConfig(restarts=0)
 
 
 class TestLeakageAudit:

@@ -88,12 +88,6 @@ class TestRegistry:
             assert back.track == fn.track
             assert back.segment_length == fn.segment_length
 
-    def test_threshold_fields(self):
-        fn = parse_label("development|count_q0.80|pitch|Viola|m=14")
-        assert fn.threshold == 0.80
-        fn = parse_label("exposition|count_t0.9|duration|Cello|m=8")
-        assert fn.threshold == 0.9
-
 
 class TestBasicSummary:
     def test_k157_mean_duration(self):

@@ -274,6 +274,25 @@ class TestSpineStructure:
         for track in mv.voices:
             assert [e.duration for e in track.events] == [1, 1]
 
+    @staticmethod
+    def _meters_differ_across_a_split():
+        """Violin 1 splits and its sub-spines then get different meters."""
+        body = [
+            "*\t*\t*\t*^",
+            "*\t*\t*\t*M4/4\t*M3/4",
+            "\t".join(["=1"] * 5),
+            "\t".join(["1C", "1c", "1e", "1g", "2.b"]),
+            "\t".join(["=2"] * 5),
+            "*\t*\t*\t*v\t*v",
+        ]
+        return four_spine(body)
+
+    def test_split_spine_meter_comes_from_the_read_sub_spine(self, caplog):
+        with caplog.at_level(logging.WARNING):
+            mv = parse_kern(self._meters_differ_across_a_split())
+        assert not any("sums to" in r.message for r in caplog.records)
+        assert [e.duration for e in mv.voice(Voice.VIOLIN1).events] == [1]
+
     def test_spine_order_maps_low_to_high(self):
         body = [
             "\t".join(["=1"] * 4),
@@ -545,8 +564,12 @@ class TestMatchesOracle:
             text = "\n".join([TestRealisticDecorations.HEADER, *rows, end]) + "\n"
             lib, oracle = parse_both(text, caplog)
             assert lib == oracle and isinstance(lib[0], dict)
-        lib, oracle = parse_both(TestSpineStructure._meter_on_split([]), caplog)
-        assert lib == oracle and isinstance(lib[0], dict)
+        for text in (
+            TestSpineStructure._meter_on_split([]),
+            TestSpineStructure._meters_differ_across_a_split(),
+        ):
+            lib, oracle = parse_both(text, caplog)
+            assert lib == oracle and isinstance(lib[0], dict)
 
     @pytest.mark.parametrize(
         "primes", [(3, 5, 7, 11, 13, 17, 19), (23, 29, 31, 37, 41, 43, 47)], ids=["to19", "to47"]
