@@ -20,7 +20,6 @@ from .score import (
     VoiceTrack,
     WrongVoiceCount,
     load_corpus,
-    note_sequence,
     onset_grid,
     parse_kern,
 )
@@ -29,7 +28,6 @@ from .features import (
     FeatureMatrix,
     FeatureName,
     SegmentConfig,
-    compute_development_thresholds,
     extract_all,
     feature_names,
     near_zero_variance_filter,
@@ -74,7 +72,6 @@ __all__ = [
     "WrongVoiceCount",
     "bic",
     "compare_runs",
-    "compute_development_thresholds",
     "extract_all",
     "feature_names",
     "fit",
@@ -83,7 +80,6 @@ __all__ = [
     "icm_select",
     "load_corpus",
     "near_zero_variance_filter",
-    "note_sequence",
     "onset_grid",
     "parse_kern",
     "predict_prob",

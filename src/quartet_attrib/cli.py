@@ -40,7 +40,7 @@ from .features import (
     extract_all,
     THRESHOLD_READINGS,
 )
-from .glm import PriorConfig
+from .glm import BIC_FORMS, PriorConfig
 from .score import load_corpus, movement_to_json
 
 logger = logging.getLogger(__name__)
@@ -101,17 +101,30 @@ def _load_corpus_or_die(args):
     return movements
 
 
-def _run_config(command: str, extra: dict) -> dict:
-    return {"command": command, "version": __version__, **extra}
+def _extract(args):
+    """The parsed corpus and its extraction: matrix, pool and thresholds."""
+    movements = _load_corpus_or_die(args)
+    seg = SegmentConfig(args.m_lengths)
+    return movements, extract_all(movements, seg, threshold_reading=args.threshold_reading)
+
+
+def _run_config(command: str, args, extra: dict) -> dict:
+    """What produced the run: the command, its corpus arguments and ``extra``."""
+    return {
+        "command": command,
+        "version": __version__,
+        "corpus": args.corpus,
+        "manifest": args.manifest,
+        "m_lengths": list(args.m_lengths),
+        "threshold_reading": args.threshold_reading,
+        "skip_bad": args.skip_bad,
+        **extra,
+    }
 
 
 def cmd_extract(args) -> int:
-    movements = _load_corpus_or_die(args)
-    lengths = _parse_lengths(args.m_lengths)
-    config = SegmentConfig(lengths=lengths)
+    movements, (matrix, _, thresholds) = _extract(args)
     out = _out_dir(args)
-
-    matrix, _, thresholds = extract_all(movements, config, threshold_reading=args.threshold_reading)
     matrix.to_csv(out / "features.csv", out / "movement_meta.csv")
     _write_json(out / "thresholds.json", thresholds.to_json())
     if args.dump_movements:
@@ -120,19 +133,7 @@ def cmd_extract(args) -> int:
         for i, mv in enumerate(movements):
             name = Path(mv.meta.source_path).name or f"movement{i}"
             _write_json(dump_dir / f"{name}.json", movement_to_json(mv))
-    _write_json(
-        out / "run_config.json",
-        _run_config(
-            "extract",
-            {
-                "corpus": str(args.corpus),
-                "manifest": str(args.manifest),
-                "m_lengths": list(lengths),
-                "threshold_reading": args.threshold_reading,
-                "skip_bad": args.skip_bad,
-            },
-        ),
-    )
+    _write_json(out / "run_config.json", _run_config("extract", args, {}))
     print(f"extracted {matrix.n} movements x {matrix.p} features -> {out / 'features.csv'}")
     return 0
 
@@ -143,13 +144,7 @@ def _matrix_from_args(args) -> FeatureMatrix:
             raise SystemExit("error: --meta is required with --features")
         return FeatureMatrix.from_csv(args.features, args.meta)
     if args.corpus and args.manifest:
-        movements = _load_corpus_or_die(args)
-        lengths = _parse_lengths(args.m_lengths)
-        return extract_all(
-            movements,
-            SegmentConfig(lengths=lengths),
-            threshold_reading=args.threshold_reading,
-        ).matrix
+        return _extract(args)[1].matrix
     raise SystemExit("error: provide --features/--meta or --corpus/--manifest")
 
 
@@ -191,21 +186,20 @@ def _print_cv_summary(result: CVResult) -> None:
 def cmd_cv(args) -> int:
     config = _cv_config(args)
     pool = None
-    if config.leakage_audit:
-        if not (args.corpus and args.manifest):
-            raise SystemExit("error: --leakage-audit needs --corpus/--manifest")
+    if config.leakage_audit and not (args.corpus and args.manifest):
+        raise SystemExit("error: --leakage-audit needs --corpus/--manifest")
+    if config.leakage_audit and args.features:
+        # the pool alone: the matrix comes from the CSV
         movements = _load_corpus_or_die(args)
-        seg = SegmentConfig(_parse_lengths(args.m_lengths))
-        if args.features:
-            pool = build_development_pool(movements, seg)
-            matrix = _matrix_from_args(args)
-            if [r.source_path for r in matrix.rows] != [mv.meta.source_path for mv in movements]:
-                raise SystemExit(
-                    "error: --leakage-audit needs the --features rows to be the "
-                    "parsed --manifest movements, in the same order"
-                )
-        else:
-            matrix, pool, _ = extract_all(movements, seg, threshold_reading=args.threshold_reading)
+        pool = build_development_pool(movements, SegmentConfig(args.m_lengths))
+        matrix = _matrix_from_args(args)
+        if [r.source_path for r in matrix.rows] != [mv.meta.source_path for mv in movements]:
+            raise SystemExit(
+                "error: --leakage-audit needs the --features rows to be the "
+                "parsed --manifest movements, in the same order"
+            )
+    elif config.leakage_audit:
+        _, (matrix, pool, _) = _extract(args)
     else:
         matrix = _matrix_from_args(args)
     result = run_cv(
@@ -216,10 +210,8 @@ def cmd_cv(args) -> int:
     write_fold_csv(result, out / "folds.csv")
     write_probability_csv(result, out / "probabilities.csv")
     write_stability_csv(selection_stability(result), out / "stability.csv")
-    _write_json(
-        out / "run_config.json",
-        _run_config("cv", {"cv": config.to_json(), "features": str(args.features or "")}),
-    )
+    run = {"cv": config.to_json(), "features": args.features, "meta": args.meta}
+    _write_json(out / "run_config.json", _run_config("cv", args, run))
     _print_cv_summary(result)
     return 0
 
@@ -260,10 +252,8 @@ def cmd_fit(args) -> int:
     _write_json(out / "model.json", payload)
     text = render_report(payload)
     (out / "report.txt").write_text(text, encoding="utf-8")
-    _write_json(
-        out / "run_config.json",
-        _run_config("fit", {"cv": config.to_json(), "features": str(args.features or "")}),
-    )
+    run = {"cv": config.to_json(), "features": args.features, "meta": args.meta}
+    _write_json(out / "run_config.json", _run_config("fit", args, run))
     print(text, end="")
     return 0
 
@@ -303,14 +293,20 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _add_corpus_args(p: argparse.ArgumentParser, required: bool) -> None:
+    g = p.add_argument_group("corpus")
+    g.add_argument("--corpus", required=required, help="corpus root with **kern files")
+    g.add_argument("--manifest", required=required, help="corpus manifest CSV")
+    # parsed here, so that a bad value stops the command before it writes anything
+    g.add_argument("--m-lengths", type=_parse_lengths, default=DEFAULT_SEGMENT_LENGTHS)
+    g.add_argument("--threshold-reading", choices=THRESHOLD_READINGS, default="prose")
+    g.add_argument("--skip-bad", action="store_true", help="skip unparseable movements")
+
+
 def _add_matrix_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--features", help="feature CSV produced by extract")
     p.add_argument("--meta", help="movement metadata CSV produced by extract")
-    p.add_argument("--corpus", help="corpus root with **kern files")
-    p.add_argument("--manifest", help="corpus manifest CSV")
-    p.add_argument("--m-lengths", default=",".join(str(m) for m in DEFAULT_SEGMENT_LENGTHS))
-    p.add_argument("--threshold-reading", choices=THRESHOLD_READINGS, default="prose")
-    p.add_argument("--skip-bad", action="store_true", help="skip unparseable movements")
+    _add_corpus_args(p, required=False)
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
@@ -320,7 +316,7 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help=f"RNG seed (falls back to ${SEED_ENV}, then 0)")
     p.add_argument("--scope", choices=[s.value for s in FeatureScope])
     p.add_argument("--cutoff", choices=[c.value for c in CutoffPolicy])
-    p.add_argument("--bic", choices=["paper", "textbook"], default="paper")
+    p.add_argument("--bic", choices=list(BIC_FORMS), default="paper")
     p.add_argument("--filter", choices=["global", "per-fold"])
     p.add_argument("--leakage-audit", action="store_true",
                    help="recompute development thresholds per training fold")
@@ -336,11 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extract", help="parse a corpus and write the feature matrix")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--m-lengths", default=",".join(str(m) for m in DEFAULT_SEGMENT_LENGTHS))
-    p.add_argument("--threshold-reading", choices=THRESHOLD_READINGS, default="prose")
-    p.add_argument("--skip-bad", action="store_true")
+    _add_corpus_args(p, required=True)
     p.add_argument("--dump-movements", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_extract)

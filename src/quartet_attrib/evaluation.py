@@ -83,6 +83,8 @@ class CVConfig:
             raise ValueError("filter_mode must be 'per-fold' or 'global'")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
+        if self.bic_form not in glm.BIC_FORMS:
+            raise ValueError(f"bic_form must be one of {tuple(glm.BIC_FORMS)}")
 
     def to_json(self) -> dict:
         return {
@@ -303,14 +305,16 @@ def _run_fold(matrix, y, config, pool, reading, fold, fold_index) -> FoldRecord:
     test_paths = {matrix.rows[i].source_path for i in test_idx}
     if train_paths & test_paths:
         raise AssertionError(f"fold {fold.fold_id}: train/test rows overlap")
+    shared = dict(
+        fold_id=fold.fold_id,
+        indices=tuple(test_idx),
+        left_out=tuple(matrix.rows[i].source_path for i in test_idx),
+        true_classes=tuple(int(y[i]) for i in test_idx),
+    )
 
     try:
         fm = matrix
         if config.leakage_audit:
-            if pool is None:
-                raise ConfigurationError(
-                    "leakage_audit requires the development sd pool"
-                )
             fm = _apply_fold_thresholds(fm, pool, train_idx, reading)
         if config.filter_mode == "per-fold":
             train_fm = near_zero_variance_filter(fm.select_rows(train_idx))
@@ -340,10 +344,7 @@ def _run_fold(matrix, y, config, pool, reading, fold, fold_index) -> FoldRecord:
         probs = glm.predict_prob(model, test_X)
         predicted = (probs > cutoff).astype(int)
         return FoldRecord(
-            fold_id=fold.fold_id,
-            indices=tuple(test_idx),
-            left_out=tuple(matrix.rows[i].source_path for i in test_idx),
-            true_classes=tuple(int(y[i]) for i in test_idx),
+            **shared,
             probabilities=tuple(float(p) for p in probs),
             cutoff=float(cutoff),
             predicted=tuple(int(p) for p in predicted),
@@ -352,13 +353,10 @@ def _run_fold(matrix, y, config, pool, reading, fold, fold_index) -> FoldRecord:
     except (ValueError, ArithmeticError) as exc:  # numerical or data failure: misclassified
         logger.warning("fold %s failed: %s: %s", fold.fold_id, type(exc).__name__, exc)
         return FoldRecord(
-            fold_id=fold.fold_id,
-            indices=tuple(test_idx),
-            left_out=tuple(matrix.rows[i].source_path for i in test_idx),
-            true_classes=tuple(int(y[i]) for i in test_idx),
+            **shared,
             probabilities=tuple(float("nan") for _ in test_idx),
             cutoff=float("nan"),
-            predicted=tuple(1 - int(y[i]) for i in test_idx),
+            predicted=tuple(1 - t for t in shared["true_classes"]),
             selected=(),
             failed=True,
             error=f"{type(exc).__name__}: {exc}",
@@ -392,8 +390,11 @@ def run_cv(
     inside each training fold; "global" filters once up front.  A fold
     that fails with a numerical or data error (ValueError or
     ArithmeticError) is recorded as misclassified; any other exception is
-    a programming error and propagates.
+    a programming error and propagates.  A leakage audit without its
+    development pool raises ``ConfigurationError`` before any fold.
     """
+    if config.leakage_audit and development_pool is None:
+        raise ConfigurationError("leakage_audit requires the development sd pool")
     y = np.array([int(meta.composer) for meta in matrix.rows])
     scoped = _scope_matrix(matrix, config.feature_scope)
     if config.filter_mode == "global":

@@ -377,8 +377,7 @@ class _VoiceData:
 
 def _voice_data(movement: EncodedMovement) -> dict[str, _VoiceData]:
     """Per-voice arrays of the window features, from one pass over each
-    voice's notes.  A feature family computes them itself when called on
-    its own; ``extract_all`` shares them among the families and the pool."""
+    voice's notes; the feature families and the pool read only these."""
     out = {}
     for track in movement.voices:
         notes = [
@@ -439,13 +438,9 @@ def _sd(x) -> float:
 # ---------------------------------------------------------------------------
 
 
-def basic_summary(
-    movement: EncodedMovement, data: dict[str, _VoiceData] | None = None
-) -> dict[str, float]:
+def basic_summary(movement: EncodedMovement, data: dict[str, _VoiceData]) -> dict[str, float]:
     """Per-voice note counts and duration/pitch summaries plus the two
-    all-four-voices simultaneity proportions."""
-    if data is None:
-        data = _voice_data(movement)
+    all-four-voices simultaneity proportions (from the movement's onsets)."""
     feats: dict[str, float] = {}
     for v in VOICE_LABELS:
         vd = data[v]
@@ -477,11 +472,7 @@ def basic_summary(
 # ---------------------------------------------------------------------------
 
 
-def pairwise_interval_features(
-    movement: EncodedMovement,
-    signed_differences: bool = True,
-    data: dict[str, _VoiceData] | None = None,
-) -> dict[str, float]:
+def pairwise_interval_features(data: dict[str, _VoiceData]) -> dict[str, float]:
     """Consecutive-note interval features on the full 1..132 pitch scale.
 
     Per voice: the 12 interval-class proportions, 3 sign proportions,
@@ -491,8 +482,6 @@ def pairwise_interval_features(
     """
     feats: dict[str, float] = {}
     stats: dict[str, dict | None] = {}
-    if data is None:
-        data = _voice_data(movement)
     for v in VOICE_LABELS:
         vd = data[v]
         if vd.m_notes < 2:
@@ -508,17 +497,13 @@ def pairwise_interval_features(
             continue
         steps = np.diff(vd.abs_pitch)
         dur_steps = np.diff(vd.dur_float)
-        if not signed_differences:
-            steps_stat, dur_stat = np.abs(steps), np.abs(dur_steps)
-        else:
-            steps_stat, dur_stat = steps, dur_steps
         classes = np.abs(steps) % 12
         class_props = np.bincount(classes, minlength=12) / len(classes)
         mode_props = np.zeros(4)
         for c in range(12):
             mode_props[MODE_OF_CLASS[c]] += class_props[c]
-        sem_mean = float(np.mean(steps_stat))
-        sem_sd = _sd(steps_stat)
+        sem_mean = float(np.mean(steps))
+        sem_sd = _sd(steps)
         for c in range(12):
             feats[f"interval|class_{c}|{v}"] = float(class_props[c])
         feats[f"interval|sign_ascending|{v}"] = float(np.mean(steps > 0))
@@ -528,8 +513,8 @@ def pairwise_interval_features(
             feats[f"interval|mode_{mode}|{v}"] = float(mode_props[mi])
         feats[f"interval|mean_semitone|{v}"] = sem_mean
         feats[f"interval|sd_semitone|{v}"] = sem_sd
-        feats[f"interval|mean_duration_diff|{v}"] = float(np.mean(dur_stat))
-        feats[f"interval|sd_duration_diff|{v}"] = _sd(dur_stat)
+        feats[f"interval|mean_duration_diff|{v}"] = float(np.mean(dur_steps))
+        feats[f"interval|sd_duration_diff|{v}"] = _sd(dur_steps)
         stats[v] = {"class_props": class_props, "sem_mean": sem_mean, "sem_sd": sem_sd}
 
     for a, b in VOICE_PAIRS:
@@ -551,9 +536,7 @@ def pairwise_interval_features(
 
 
 def minor_third_segment_features(
-    movement: EncodedMovement,
-    config: SegmentConfig = SegmentConfig(),
-    data: dict[str, _VoiceData] | None = None,
+    data: dict[str, _VoiceData], config: SegmentConfig = SegmentConfig()
 ) -> dict[str, float]:
     """Summary statistics of per-segment minor-third proportions.
 
@@ -562,8 +545,6 @@ def minor_third_segment_features(
     statistics plus counts of all-zero and high-proportion segments.
     """
     feats: dict[str, float] = {}
-    if data is None:
-        data = _voice_data(movement)
     for v in VOICE_LABELS:
         ap = data[v].abs_pitch
         for m in config.lengths:
@@ -631,16 +612,10 @@ _OVERLAP_DESCS = ("max_overlap", "max_location", "count_t0.7", "count_t0.9", "co
 
 
 def _overlap_features(
-    category: str,
-    movement: EncodedMovement,
-    config: SegmentConfig,
-    data: dict[str, _VoiceData] | None,
-    first_half: bool,
+    category: str, data: dict[str, _VoiceData], config: SegmentConfig, first_half: bool
 ) -> dict[str, float]:
     """Overlap of each voice's opening segment against its later segments:
     those starting at or before ceil(M/2) with ``first_half``, else all."""
-    if data is None:
-        data = _voice_data(movement)
     feats: dict[str, float] = {}
     for v in VOICE_LABELS:
         vd = data[v]
@@ -661,25 +636,21 @@ def _overlap_features(
 
 
 def exposition_features(
-    movement: EncodedMovement,
-    config: SegmentConfig = SegmentConfig(),
-    data: dict[str, _VoiceData] | None = None,
+    data: dict[str, _VoiceData], config: SegmentConfig = SegmentConfig()
 ) -> dict[str, float]:
     """Overlap of the opening segment against segments in the first half.
 
     The first half covers segments starting at or before ceil(M/2); a voice
     needs at least two segments there, otherwise its cells are masked.
     """
-    return _overlap_features("exposition", movement, config, data, first_half=True)
+    return _overlap_features("exposition", data, config, first_half=True)
 
 
 def recapitulation_features(
-    movement: EncodedMovement,
-    config: SegmentConfig = SegmentConfig(),
-    data: dict[str, _VoiceData] | None = None,
+    data: dict[str, _VoiceData], config: SegmentConfig = SegmentConfig()
 ) -> dict[str, float]:
     """Overlap of the opening segment against all subsequent segments."""
-    return _overlap_features("recapitulation", movement, config, data, first_half=False)
+    return _overlap_features("recapitulation", data, config, first_half=False)
 
 
 # ---------------------------------------------------------------------------
@@ -842,22 +813,8 @@ def build_development_pool(corpus, config: SegmentConfig = SegmentConfig()) -> D
     return pool
 
 
-def compute_development_thresholds(
-    corpus,
-    config: SegmentConfig = SegmentConfig(),
-    reading: str = "prose",
-) -> DevelopmentThresholds:
-    """Pool window standard deviations over the whole corpus and take the
-    weighted quantiles that become the development count thresholds."""
-    if not corpus:
-        raise ValueError("corpus is empty")
-    return build_development_pool(corpus, config).thresholds(reading=reading)
-
-
 def development_features(
-    movement: EncodedMovement,
-    config: SegmentConfig = SegmentConfig(),
-    data: dict[str, _VoiceData] | None = None,
+    data: dict[str, _VoiceData], config: SegmentConfig = SegmentConfig()
 ) -> dict[str, float]:
     """Within-window variability features.
 
@@ -867,8 +824,6 @@ def development_features(
     ``DevelopmentSdPool.count_columns``.
     """
     feats: dict[str, float] = {}
-    if data is None:
-        data = _voice_data(movement)
     for v in VOICE_LABELS:
         vd = data[v]
         for m in config.lengths:
@@ -903,7 +858,6 @@ def extract_all(
     config: SegmentConfig = SegmentConfig(),
     *,
     threshold_reading: str = "prose",
-    signed_differences: bool = True,
 ) -> Extraction:
     """Assemble the corpus feature matrix in one pass over the movements.
 
@@ -925,11 +879,11 @@ def extract_all(
     for i, movement in enumerate(corpus):
         data = _voice_data(movement)
         feats = basic_summary(movement, data)
-        feats.update(pairwise_interval_features(movement, signed_differences, data))
-        feats.update(minor_third_segment_features(movement, config, data))
-        feats.update(exposition_features(movement, config, data))
-        feats.update(development_features(movement, config, data))
-        feats.update(recapitulation_features(movement, config, data))
+        feats.update(pairwise_interval_features(data))
+        feats.update(minor_third_segment_features(data, config))
+        feats.update(exposition_features(data, config))
+        feats.update(development_features(data, config))
+        feats.update(recapitulation_features(data, config))
         if feats.keys() != free.keys():
             raise AssertionError("computed features do not match the registry")
         values[i, list(free.values())] = [feats[lbl] for lbl in free]

@@ -397,24 +397,21 @@ def predict_prob(model: FittedModel, X, feature_names: Sequence[str] | None = No
     return float(p[0]) if single else p
 
 
-def bic(model: FittedModel, form: str = "paper") -> float:
-    """Model-selection criterion: -2 L + c (d + 1) log n.
+#: The BIC forms by their dimension penalty c: "paper" doubles it (the form
+#: this pipeline selects with), "textbook" is the standard c = 1.
+BIC_FORMS = {"paper": 2.0, "textbook": 1.0}
 
-    form="paper" uses c = 2 (the doubled dimension penalty this pipeline
-    selects with); form="textbook" uses the standard c = 1.
-    """
+
+def bic(model: FittedModel, form: str = "paper") -> float:
+    """Model-selection criterion: -2 L + c (d + 1) log n, c from ``BIC_FORMS``."""
     return bic_value(model.log_likelihood, model.d, model.n, form)
 
 
 def bic_value(log_likelihood, d: int, n: int, form: str = "paper"):
     """``bic`` from a log-likelihood (a float or an array of them)."""
-    if form == "paper":
-        c = 2.0
-    elif form == "textbook":
-        c = 1.0
-    else:
-        raise ValueError("form must be 'paper' or 'textbook'")
-    return -2.0 * log_likelihood + c * (d + 1) * math.log(n)
+    if form not in BIC_FORMS:
+        raise ValueError(f"form must be one of {tuple(BIC_FORMS)}")
+    return -2.0 * log_likelihood + BIC_FORMS[form] * (d + 1) * math.log(n)
 
 
 def wald_pvalues(model: FittedModel) -> np.ndarray:

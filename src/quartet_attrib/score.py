@@ -441,24 +441,6 @@ def parse_kern(file_content: str, meta: MovementMeta | None = None) -> EncodedMo
 # Track views and corpus loading
 # ---------------------------------------------------------------------------
 
-NOTE_REPS = ("pitch_class", "absolute_pitch", "duration")
-
-
-def note_sequence(track: VoiceTrack, rep: str):
-    """Feature-facing view of a voice with rests removed.
-
-    rep is one of "pitch_class", "absolute_pitch" or "duration".  The
-    returned length is the movement-voice note count M.
-    """
-    if rep not in NOTE_REPS:
-        raise ValueError(f"rep must be one of {NOTE_REPS}, got {rep!r}")
-    notes = [e for e in track.events if not e.is_rest]
-    if rep == "pitch_class":
-        return [e.pitch_class for e in notes]
-    if rep == "absolute_pitch":
-        return [e.absolute_pitch for e in notes]
-    return [e.duration for e in notes]
-
 
 def onset_grid(movement: EncodedMovement) -> dict[Voice, list[tuple[Fraction, bool]]]:
     """Per-voice (onset_time, is_rest) pairs, rests included.

@@ -73,13 +73,6 @@ class SelectionResult:
         return out
 
 
-def selection_trace(result: SelectionResult) -> tuple[TraceEntry, ...]:
-    """Accepted-move log of the winning restart (run icm_select with trace=True)."""
-    if result.trace is None:
-        raise ValueError("selection was run without tracing enabled")
-    return result.trace
-
-
 def replay_trace(trace: Sequence[TraceEntry]) -> tuple[str, ...]:
     """Reapply a restart's accepted moves; returns the final selected set."""
     current: list[str] = []
@@ -112,8 +105,9 @@ def icm_select(
     """Random-order coordinate search for the lowest-BIC feature subset.
 
     matrix is a FeatureMatrix (already variance-filtered) or a plain 2-D
-    array.  Candidate fits are warm-started from the current model; the
-    winning subset is refit cold so the reported BIC is recomputable.
+    array.  Candidate fits are warm-started from the current model; each
+    restart's final subset is solved cold, so its BIC is recomputable, and
+    the winning subset alone gets the reporting ``glm.fit``.
     An empty selection (intercept-only model) is a legal outcome.
 
     The moves of a sweep are tried in chunks of ``CHUNK``: the candidates of
@@ -134,8 +128,8 @@ def icm_select(
     design, sds = glm.design_rows(X)
     scales, _ = glm.prior_scales(sds, prior)
 
-    best_key: tuple[float, int] | None = None
-    best_state: dict | None = None
+    # (bic, restart, columns, sweeps, trace) of the best restart so far
+    best: tuple | None = None
     restart_bics: list[float] = []
 
     for k in range(restarts):
@@ -191,35 +185,26 @@ def icm_select(
                     pos += len(chunk)
             quiet = 0 if changed else quiet + 1
 
-        # cold refit so the reported BIC is reproducible from the subset alone
+        # a cold solve, so the restart's BIC is reproducible from its subset alone
         final_cols = tuple(sorted(selected))
-        final_model = glm.fit(
-            X[:, final_cols], y, prior=prior, feature_names=tuple(labels[j] for j in final_cols)
-        )
-        final_bic = glm.bic(final_model, form=bic_form)
+        ((final_bic, _),) = _fit_subsets([final_cols], design, y, scales, np.zeros(p + 1), bic_form)
         restart_bics.append(final_bic)
-        key = (final_bic, k)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_state = {
-                "cols": final_cols,
-                "model": final_model,
-                "bic": final_bic,
-                "restart": k,
-                "passes": sweeps,
-                "trace": tuple(entries) if trace else None,
-            }
+        state = (final_bic, k, final_cols, sweeps, tuple(entries) if trace else None)
+        if best is None or state[:2] < best[:2]:
+            best = state
 
-    assert best_state is not None
+    assert best is not None
+    bic, restart, cols, passes, winner_trace = best
+    names = tuple(labels[j] for j in cols)
     return SelectionResult(
-        selected=tuple(labels[j] for j in best_state["cols"]),
-        bic=best_state["bic"],
-        restart_index=best_state["restart"],
+        selected=names,
+        bic=bic,
+        restart_index=restart,
         orderings_seed=seed,
-        passes=best_state["passes"],
-        model=best_state["model"],
+        passes=passes,
+        model=glm.fit(X[:, cols], y, prior=prior, feature_names=names),
         restart_bics=tuple(restart_bics),
-        trace=best_state["trace"],
+        trace=winner_trace,
     )
 
 

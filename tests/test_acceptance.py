@@ -32,7 +32,6 @@ from quartet_attrib.evaluation import (
 from quartet_attrib.features import (
     SegmentConfig,
     build_development_pool,
-    compute_development_thresholds,
     exposition_features,
     extract_all,
     feature_names,
@@ -42,9 +41,9 @@ from quartet_attrib.features import (
     recapitulation_features,
 )
 from oracles import Segment, fraction_overlap, relative_transform, windows
-from quartet_attrib.score import Voice, load_corpus, note_sequence, parse_kern
+from quartet_attrib.score import load_corpus, parse_kern
 from quartet_attrib.selection import icm_select
-from test_features import FLAT_THRESHOLDS, development_with_counts
+from test_features import FLAT_THRESHOLDS, development_with_counts, voice_data
 from test_selection import PRIOR, exhaustive_best, forward_stepwise
 
 
@@ -87,9 +86,9 @@ def _load_named_corpus(env_name):
 def test_criterion_1_k157_golden():
     crit = Criterion(1, budget_seconds=1.0)
     mv = parse_kern(synth.k157_excerpt_kern())
-    v1 = mv.voice(Voice.VIOLIN1)
-    pcs = note_sequence(v1, "pitch_class")
-    durs = note_sequence(v1, "duration")
+    v1 = oracles.notes_of(mv, "Violin1")
+    pcs = [e.pitch_class for e in v1]
+    durs = [e.duration for e in v1]
     ok = pcs[:8] == [1, 3, 5, 5, 5, 3, 6, 5]
     ok &= [float(d) for d in durs[:4]] == [0.375, 0.125, 0.25, 0.25]
     ok &= len(pcs) == 20
@@ -133,15 +132,16 @@ def test_criterion_3_oracle_equivalence_suite():
     worst = 0.0
     for _ in range(100):
         mv = synth.random_movement(rng, n_notes=(10, 60))
+        data = voice_data(mv)
         pairs = [
-            (pairwise_interval_features(mv), oracles.pairwise_oracle(mv)),
-            (minor_third_segment_features(mv, config), oracles.minor3_oracle(mv, config.lengths)),
-            (exposition_features(mv, config), oracles.exposition_oracle(mv, config.lengths)),
+            (pairwise_interval_features(data), oracles.pairwise_oracle(mv)),
+            (minor_third_segment_features(data, config), oracles.minor3_oracle(mv, config.lengths)),
+            (exposition_features(data, config), oracles.exposition_oracle(mv, config.lengths)),
             (
                 development_with_counts(mv, FLAT_THRESHOLDS, config),
                 oracles.development_oracle(mv, FLAT_THRESHOLDS, config.lengths),
             ),
-            (recapitulation_features(mv, config), oracles.recapitulation_oracle(mv, config.lengths)),
+            (recapitulation_features(data, config), oracles.recapitulation_oracle(mv, config.lengths)),
         ]
         for got, want in pairs:
             for key, expect in want.items():
@@ -279,7 +279,7 @@ def test_criterion_6_invariant_suite():
     # proportion simplexes, location ranges, count dominance and monotonicity
     simplex_ok = ranges_ok = dominance_ok = True
     for mv in corpus:
-        feats = pairwise_interval_features(mv)
+        feats = pairwise_interval_features(voice_data(mv))
         for v in ("Violin1", "Violin2", "Viola", "Cello"):
             simplex_ok &= abs(math.fsum(feats[f"interval|class_{c}|{v}"] for c in range(12)) - 1) < 1e-12
             simplex_ok &= (
@@ -302,8 +302,8 @@ def test_criterion_6_invariant_suite():
                 )
                 < 1e-12
             )
-        expo = exposition_features(mv, config)
-        recap = recapitulation_features(mv, config)
+        expo = exposition_features(voice_data(mv), config)
+        recap = recapitulation_features(voice_data(mv), config)
         for key, val in expo.items():
             if math.isnan(val):
                 continue
@@ -322,7 +322,7 @@ def test_criterion_6_invariant_suite():
     # overlap-count monotone in t is structural: counts at 0.7 >= 0.9 >= 1
     mono_t = True
     for mv in corpus:
-        recap = recapitulation_features(mv, config)
+        recap = recapitulation_features(voice_data(mv), config)
         for v in ("Violin1", "Cello"):
             for m in config.lengths:
                 for track in ("pitch", "duration"):
@@ -447,7 +447,7 @@ def test_criterion_8_threshold_reproduction():
     targets = {("Viola", 14, "pitch", 0.80): 4.244, ("Cello", 8, "pitch", 0.70): 4.024}
     readings = {}
     for reading in ("prose", "literal"):
-        thr = compute_development_thresholds(hm285, reading=reading)
+        thr = build_development_pool(hm285).thresholds(reading=reading)
         vals = {}
         for (voice, m, track, q), want in targets.items():
             qi = thr.quantiles.index(q)

@@ -448,3 +448,26 @@ class TestCvEntryPoints:
         assert rc == 1
         assert "same order" in capsys.readouterr().err
         assert not (tmp_path / "o" / "cv_result.json").exists()
+
+    def test_run_config_records_the_corpus_arguments(self, tmp_path):
+        src, csvs, _ = self.corpus_and_csvs(tmp_path)
+        corpus_args = [*src, "--threshold-reading", "literal", "--skip-bad"]
+        want = {"corpus": src[1], "manifest": src[3], "m_lengths": [8],
+                "threshold_reading": "literal", "skip_bad": True}
+        runs = {"extract": ([], None), "cv": (self.MODEL, None),
+                "fit": ([*self.MODEL, *csvs], (csvs[1], csvs[3]))}
+        for command, (extra, inputs) in runs.items():
+            out = tmp_path / command
+            assert main([command, *corpus_args, *extra, "--out", str(out)]) == 0
+            cfg = json.loads((out / "run_config.json").read_text())
+            assert cfg["command"] == command
+            assert {key: cfg[key] for key in want} == want
+            if command != "extract":
+                assert (cfg["features"], cfg["meta"]) == (inputs or (None, None))
+
+    def test_bad_lengths_stop_the_command_before_any_output(self, tmp_path):
+        _, csvs, _ = self.corpus_and_csvs(tmp_path)
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit):
+            main(["cv", *csvs, *self.MODEL, "--m-lengths", "8,x", "--out", str(out)])
+        assert not out.exists()

@@ -366,6 +366,8 @@ def test_cv_config_validation():
         CVConfig(grid=())
     with pytest.raises(ValueError, match="restarts"):
         CVConfig(restarts=0)
+    with pytest.raises(ValueError, match="bic_form must be one of"):
+        CVConfig(bic_form="aic")
 
 
 class TestLeakageAudit:
@@ -434,8 +436,8 @@ class TestLeakageAudit:
         matrix, _ = self._corpus_matrix(rng)
         config = CVConfig(scheme=Scheme.LOO, seed=1, restarts=2,
                           prior=PriorConfig(scale_factor=0.6), leakage_audit=True)
-        result = run_cv(matrix, config, development_pool=None)
-        assert all(f.failed for f in result.folds)  # recorded, never aborts
+        with pytest.raises(ConfigurationError, match="development sd pool"):
+            run_cv(matrix, config, development_pool=None)
 
 
 class TestTunedCutoffEdge:

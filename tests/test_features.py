@@ -13,7 +13,6 @@ from quartet_attrib.features import (
     SegmentConfig,
     basic_summary,
     build_development_pool,
-    compute_development_thresholds,
     development_features,
     exposition_features,
     extract_all,
@@ -41,12 +40,17 @@ FLAT_THRESHOLDS = DevelopmentThresholds(
 )
 
 
+def voice_data(mv):
+    """A movement's shared per-voice data, which every feature family reads."""
+    return features._voice_data(mv)
+
+
 def development_with_counts(mv, thresholds, config):
     """A movement's development features with its count columns at the
     given thresholds, taken from a one-movement pool."""
     pool = build_development_pool([mv], config)
     counts = dict(zip(pool.count_labels(), pool.count_columns(thresholds)[0]))
-    return {**development_features(mv, config), **counts}
+    return {**development_features(voice_data(mv), config), **counts}
 
 
 def close(a, b, tol=1e-12):
@@ -96,17 +100,17 @@ class TestBasicSummary:
             [[49, 51, 53, 53]] * 4,
             [[Fraction(3, 8), Fraction(1, 8), Fraction(1, 4), Fraction(1, 4)]] * 4,
         )
-        feats = basic_summary(mv)
+        feats = basic_summary(mv, voice_data(mv))
         assert feats["basic|mean_duration|Violin1"] == 0.25
         assert feats["basic|note_count|Cello"] == 4.0
 
     def test_constant_durations_zero_sd(self):
         mv = synth.movement_from_pitches([[49, 53, 56, 61]] * 4)
-        assert basic_summary(mv)["basic|sd_duration|Viola"] == 0.0
+        assert basic_summary(mv, voice_data(mv))["basic|sd_duration|Viola"] == 0.0
 
     def test_identical_onset_patterns(self):
         mv = synth.movement_from_pitches([[49, 51, 53, 54]] * 4)
-        feats = basic_summary(mv)
+        feats = basic_summary(mv, voice_data(mv))
         assert feats["basic|simultaneous_notes"] == 1.0
         assert feats["basic|simultaneous_rests"] == 0.0
 
@@ -119,7 +123,7 @@ class TestBasicSummary:
         ]
         pitches = [[49, 51], [53], [56], [61]]
         mv = synth.movement_from_pitches(pitches, durs)
-        feats = basic_summary(mv)
+        feats = basic_summary(mv, voice_data(mv))
         # onset 0 shared by all; onset 1/4 only in Violin 1
         assert feats["basic|simultaneous_notes"] == 0.5
 
@@ -127,18 +131,18 @@ class TestBasicSummary:
         rng = np.random.default_rng(10)
         for _ in range(20):
             mv = synth.random_movement(rng)
-            assert_dicts_close(basic_summary(mv), oracles.basic_summary_oracle(mv))
+            assert_dicts_close(basic_summary(mv, voice_data(mv)), oracles.basic_summary_oracle(mv))
 
     def test_empty_voice_raises(self):
         mv = synth.movement_from_pitches([[49, 51], [0, 0], [49, 51], [49, 51]])
         with pytest.raises(Exception):
-            basic_summary(mv)
+            basic_summary(mv, voice_data(mv))
 
 
 class TestPairwiseIntervals:
     def test_constant_pitch_voice(self):
         mv = synth.movement_from_pitches([[50] * 6] * 4)
-        feats = pairwise_interval_features(mv)
+        feats = pairwise_interval_features(voice_data(mv))
         assert feats["interval|sign_constant|Violin1"] == 1.0
         assert feats["interval|sign_ascending|Violin1"] == 0.0
         assert feats["interval|class_0|Violin1"] == 1.0
@@ -148,7 +152,7 @@ class TestPairwiseIntervals:
         # D E F F F E G F: class counts from consecutive pairs
         seq = [51, 53, 54, 54, 54, 53, 56, 54]
         mv = synth.movement_from_pitches([seq] * 4)
-        feats = pairwise_interval_features(mv)
+        feats = pairwise_interval_features(voice_data(mv))
         # pairs: +2 +1 0 0 -1 +3 -2 -> classes 2,1,0,0,1,3,2
         assert feats["interval|class_0|Viola"] == pytest.approx(2 / 7)
         assert feats["interval|class_1|Viola"] == pytest.approx(2 / 7)
@@ -160,7 +164,7 @@ class TestPairwiseIntervals:
     def test_simplex_sums(self):
         rng = np.random.default_rng(11)
         mv = synth.random_movement(rng, n_notes=(30, 30), rest_prob=0)
-        feats = pairwise_interval_features(mv)
+        feats = pairwise_interval_features(voice_data(mv))
         for v in ("Violin1", "Violin2", "Viola", "Cello"):
             assert math.fsum(feats[f"interval|class_{c}|{v}"] for c in range(12)) == pytest.approx(1, abs=1e-12)
             assert math.fsum(
@@ -174,21 +178,16 @@ class TestPairwiseIntervals:
         rng = np.random.default_rng(12)
         for _ in range(20):
             mv = synth.random_movement(rng)
-            assert_dicts_close(pairwise_interval_features(mv), oracles.pairwise_oracle(mv))
+            got = pairwise_interval_features(voice_data(mv))
+            assert_dicts_close(got, oracles.pairwise_oracle(mv))
 
     def test_short_voice_masked(self):
         mv = synth.movement_from_pitches([[50, 52], [50], [50, 52], [50, 52]])
-        feats = pairwise_interval_features(mv)
+        feats = pairwise_interval_features(voice_data(mv))
         assert math.isnan(feats["interval|class_0|Violin2"])
         assert math.isnan(feats["interval|pair_mean_semitone|Violin1-Violin2"])
         assert not math.isnan(feats["interval|class_0|Violin1"])
 
-    def test_absolute_difference_flag(self):
-        mv = synth.movement_from_pitches([[50, 55, 48, 60]] * 4)
-        signed = pairwise_interval_features(mv, signed_differences=True)
-        unsigned = pairwise_interval_features(mv, signed_differences=False)
-        assert signed["interval|mean_semitone|Violin1"] == pytest.approx((5 - 7 + 12) / 3)
-        assert unsigned["interval|mean_semitone|Violin1"] == pytest.approx((5 + 7 + 12) / 3)
 
 
 class TestMinorThird:
@@ -196,13 +195,13 @@ class TestMinorThird:
         # D E F F F E G F relative to D: 4 of 7 intervals are 3 semitones
         seq = [51, 53, 54, 54, 54, 53, 56, 54]
         mv = synth.movement_from_pitches([seq] * 4)
-        feats = minor_third_segment_features(mv, SegmentConfig(lengths=(8,)))
+        feats = minor_third_segment_features(voice_data(mv), SegmentConfig(lengths=(8,)))
         assert feats["interval|minor3_mean|Violin1|m=8"] == pytest.approx(4 / 7)
         assert feats["interval|minor3_max|Violin1|m=8"] == pytest.approx(4 / 7)
 
     def test_constant_segment_zero(self):
         mv = synth.movement_from_pitches([[50] * 10] * 4)
-        feats = minor_third_segment_features(mv, SegmentConfig(lengths=(8,)))
+        feats = minor_third_segment_features(voice_data(mv), SegmentConfig(lengths=(8,)))
         assert feats["interval|minor3_max|Cello|m=8"] == 0.0
         assert feats["interval|minor3_count_zero|Cello|m=8"] == 3.0
 
@@ -210,13 +209,13 @@ class TestMinorThird:
         rng = np.random.default_rng(13)
         for _ in range(15):
             mv = synth.random_movement(rng)
-            got = minor_third_segment_features(mv, CONFIG)
+            got = minor_third_segment_features(voice_data(mv), CONFIG)
             want = oracles.minor3_oracle(mv, CONFIG.lengths)
             assert_dicts_close(got, want)
 
     def test_short_voice_masked(self):
         mv = synth.movement_from_pitches([[50, 51, 52, 53, 54]] * 4)
-        feats = minor_third_segment_features(mv, SegmentConfig(lengths=(8,)))
+        feats = minor_third_segment_features(voice_data(mv), SegmentConfig(lengths=(8,)))
         assert math.isnan(feats["interval|minor3_mean|Violin1|m=8"])
 
 
@@ -225,7 +224,7 @@ class TestExposition:
         motif = [49, 52, 54, 51, 56, 58, 50, 53]
         voice = motif + motif + [70 + i for i in range(16)]
         mv = synth.movement_from_pitches([voice] * 4)
-        feats = exposition_features(mv, SegmentConfig(lengths=(8,)))
+        feats = exposition_features(voice_data(mv), SegmentConfig(lengths=(8,)))
         assert feats["exposition|max_overlap|pitch|Violin1|m=8"] == 1.0
         assert feats["exposition|count_t1|pitch|Violin1|m=8"] >= 1.0
 
@@ -236,7 +235,7 @@ class TestExposition:
         filler = [int(90 + rng.integers(0, 12)) for _ in range(24)]
         voice = motif * 3 + filler
         mv = synth.movement_from_pitches([voice] * 4)
-        feats = exposition_features(mv, SegmentConfig(lengths=(8,)))
+        feats = exposition_features(voice_data(mv), SegmentConfig(lengths=(8,)))
         count = feats["exposition|count_t1|pitch|Violin1|m=8"]
         want = oracles.exposition_oracle(mv, (8,))["exposition|count_t1|pitch|Violin1|m=8"]
         assert count == want == 2.0
@@ -245,13 +244,13 @@ class TestExposition:
         rng = np.random.default_rng(15)
         for _ in range(15):
             mv = synth.random_movement(rng)
-            got = exposition_features(mv, CONFIG)
+            got = exposition_features(voice_data(mv), CONFIG)
             want = oracles.exposition_oracle(mv, CONFIG.lengths)
             assert_dicts_close(got, want)
 
     def test_too_few_first_half_segments_masked(self):
         mv = synth.movement_from_pitches([[49 + i for i in range(8)]] * 4)
-        feats = exposition_features(mv, SegmentConfig(lengths=(8,)))
+        feats = exposition_features(voice_data(mv), SegmentConfig(lengths=(8,)))
         assert math.isnan(feats["exposition|max_overlap|pitch|Violin1|m=8"])
 
 
@@ -261,7 +260,7 @@ class TestRecapitulation:
         middle = [70 + (i * 5) % 13 for i in range(20)]
         voice = motif + middle + motif
         mv = synth.movement_from_pitches([voice] * 4)
-        feats = recapitulation_features(mv, SegmentConfig(lengths=(8,)))
+        feats = recapitulation_features(voice_data(mv), SegmentConfig(lengths=(8,)))
         assert feats["recapitulation|max_overlap|pitch|Violin1|m=8"] == 1.0
         assert feats["recapitulation|max_location|pitch|Violin1|m=8"] == 1.0
 
@@ -271,7 +270,7 @@ class TestRecapitulation:
         durs = a_durs + b_durs + a_durs
         pitches = [50 + (i % 7) for i in range(60)]
         mv = synth.movement_from_pitches([pitches] * 4, [durs] * 4)
-        feats = recapitulation_features(mv, SegmentConfig(lengths=(8,)))
+        feats = recapitulation_features(voice_data(mv), SegmentConfig(lengths=(8,)))
         assert feats["recapitulation|max_overlap|duration|Violin1|m=8"] == 1.0
         assert feats["recapitulation|max_location|duration|Violin1|m=8"] > 2 / 3
 
@@ -279,7 +278,7 @@ class TestRecapitulation:
         rng = np.random.default_rng(16)
         for _ in range(15):
             mv = synth.random_movement(rng)
-            got = recapitulation_features(mv, CONFIG)
+            got = recapitulation_features(voice_data(mv), CONFIG)
             want = oracles.recapitulation_oracle(mv, CONFIG.lengths)
             assert_dicts_close(got, want)
 
@@ -287,8 +286,8 @@ class TestRecapitulation:
         rng = np.random.default_rng(17)
         for _ in range(10):
             mv = synth.random_movement(rng)
-            expo = exposition_features(mv, CONFIG)
-            recap = recapitulation_features(mv, CONFIG)
+            expo = exposition_features(voice_data(mv), CONFIG)
+            recap = recapitulation_features(voice_data(mv), CONFIG)
             for key, val in expo.items():
                 if "count_t" not in key or math.isnan(val):
                     continue
@@ -304,7 +303,7 @@ class TestDevelopment:
 
     def test_single_segment_location_one(self):
         mv = synth.movement_from_pitches([[49, 51, 53, 54, 56, 58, 59, 61]] * 4)
-        feats = development_features(mv, SegmentConfig(lengths=(8,)))
+        feats = development_features(voice_data(mv), SegmentConfig(lengths=(8,)))
         assert feats["development|max_location|pitch|Violin1|m=8"] == 1.0
 
     def test_matches_oracle(self):
@@ -376,9 +375,9 @@ class TestHugeDurationDenominators:
             durs = [e.duration for e in oracles.notes_of(mv, "Violin1")]
             den = math.lcm(*(d.denominator for d in durs))
             assert len(durs) * den > 2**26
-            expo = exposition_features(mv, SMALL)
+            expo = exposition_features(voice_data(mv), SMALL)
             assert_dicts_close(expo, oracles.exposition_oracle(mv, lengths), tol=0.0)
-            recap = recapitulation_features(mv, SMALL)
+            recap = recapitulation_features(voice_data(mv), SMALL)
             assert_dicts_close(recap, oracles.recapitulation_oracle(mv, lengths), tol=0.0)
             dev = development_with_counts(mv, self.THRESHOLDS, SMALL)
             want = oracles.development_oracle(mv, self.THRESHOLDS, lengths)
@@ -392,7 +391,7 @@ class TestHugeDurationDenominators:
 class TestDevelopmentThresholds:
     def test_constant_corpus_zero_thresholds(self):
         mv = synth.movement_from_pitches([[50] * 12] * 4)
-        thr = compute_development_thresholds([mv], SegmentConfig(lengths=(8,)))
+        thr = build_development_pool([mv], SegmentConfig(lengths=(8,))).thresholds()
         assert thr.get("Violin1", 8, "pitch") == (0.0, 0.0, 0.0, 0.0)
 
     def test_two_movement_hand_oracle(self):
@@ -401,7 +400,7 @@ class TestDevelopmentThresholds:
         b = [49, 49, 50, 50, 49, 49, 50, 50]
         mva = synth.movement_from_pitches([a] * 4)
         mvb = synth.movement_from_pitches([b] * 4)
-        thr = compute_development_thresholds([mva, mvb], SegmentConfig(lengths=(8,)))
+        thr = build_development_pool([mva, mvb], SegmentConfig(lengths=(8,))).thresholds()
         sds = []
         wts = []
         for seq, weight in ((a, 0.5), (b, 1.0)):
@@ -438,7 +437,7 @@ class TestDevelopmentThresholds:
     def test_non_decreasing_in_quantile(self):
         rng = np.random.default_rng(20)
         movements = [synth.random_movement(rng) for _ in range(5)]
-        thr = compute_development_thresholds(movements, SMALL)
+        thr = build_development_pool(movements, SMALL).thresholds()
         for vals in thr.table.values():
             clean = [v for v in vals if not math.isnan(v)]
             assert clean == sorted(clean)
@@ -446,15 +445,15 @@ class TestDevelopmentThresholds:
     def test_literal_reading_differs_and_scales_down(self):
         rng = np.random.default_rng(21)
         movements = [synth.random_movement(rng, n_notes=(30, 50)) for _ in range(4)]
-        prose = compute_development_thresholds(movements, SMALL, reading="prose")
-        literal = compute_development_thresholds(movements, SMALL, reading="literal")
+        prose = build_development_pool(movements, SMALL).thresholds(reading="prose")
+        literal = build_development_pool(movements, SMALL).thresholds(reading="literal")
         key = ("Violin1", 8, "pitch")
         assert literal.table[key][0] < prose.table[key][0]
 
     def test_json_round_trip(self):
         rng = np.random.default_rng(22)
         movements = [synth.random_movement(rng) for _ in range(3)]
-        thr = compute_development_thresholds(movements, SMALL)
+        thr = build_development_pool(movements, SMALL).thresholds()
         back = DevelopmentThresholds.from_json(thr.to_json())
         assert back.quantiles == thr.quantiles
         for key, vals in thr.table.items():
@@ -632,13 +631,14 @@ class TestMaskingByLength:
 
 
 def _threshold_free_features(mv, config):
+    data = voice_data(mv)
     return {
-        **basic_summary(mv),
-        **pairwise_interval_features(mv),
-        **minor_third_segment_features(mv, config),
-        **exposition_features(mv, config),
-        **development_features(mv, config),
-        **recapitulation_features(mv, config),
+        **basic_summary(mv, data),
+        **pairwise_interval_features(data),
+        **minor_third_segment_features(data, config),
+        **exposition_features(data, config),
+        **development_features(data, config),
+        **recapitulation_features(data, config),
     }
 
 
@@ -700,7 +700,7 @@ class TestOnePass:
     def test_matrix_is_the_families_plus_the_pool_counts(self, reading):
         corpus = self.corpus(33, n=5)
         matrix, pool, thresholds = extract_all(corpus, SMALL, threshold_reading=reading)
-        want_thr = compute_development_thresholds(corpus, SMALL, reading=reading)
+        want_thr = build_development_pool(corpus, SMALL).thresholds(reading=reading)
         assert repr(thresholds) == repr(want_thr) and pool.sds.keys() == want_thr.table.keys()
         counted = build_development_pool(corpus, SMALL).count_columns(want_thr)
         for i, mv in enumerate(corpus):

@@ -17,12 +17,16 @@ from quartet_attrib.score import (
     WrongVoiceCount,
     load_corpus,
     movement_to_json,
-    note_sequence,
     onset_grid,
     parse_kern,
     pitch_class_of,
     read_manifest,
 )
+
+
+def notes(mv, voice, attr):
+    """One attribute of each of a voice's notes, rests removed."""
+    return [getattr(e, attr) for e in oracles.notes_of(mv, voice.value)]
 
 
 def four_spine(body_lines, meter="*M4/4"):
@@ -47,17 +51,16 @@ def melody_file(tokens, meter="*M4/4"):
 class TestK157Golden:
     def test_pitch_and_duration_tracks(self):
         mv = parse_kern(synth.k157_excerpt_kern())
-        v1 = mv.voice(Voice.VIOLIN1)
-        assert note_sequence(v1, "pitch_class") == synth.K157_PITCH_CLASSES
-        assert [float(d) for d in note_sequence(v1, "duration")] == synth.K157_DURATIONS
-        assert len(note_sequence(v1, "pitch_class")) == 20
+        assert notes(mv, Voice.VIOLIN1, "pitch_class") == synth.K157_PITCH_CLASSES
+        assert [float(d) for d in notes(mv, Voice.VIOLIN1, "duration")] == synth.K157_DURATIONS
+        assert len(notes(mv, Voice.VIOLIN1, "pitch_class")) == 20
 
     def test_rest_voices_hold_whole_bar_rests(self):
         mv = parse_kern(synth.k157_excerpt_kern())
         cello = mv.voice(Voice.CELLO)
         assert all(e.is_rest for e in cello.events)
         assert all(e.duration == 1 for e in cello.events)
-        assert note_sequence(cello, "pitch_class") == []
+        assert notes(mv, Voice.CELLO, "pitch_class") == []
 
     def test_deterministic(self):
         content = synth.k157_excerpt_kern()
@@ -100,7 +103,7 @@ class TestTokenHandling:
 
     def test_grace_notes_dropped(self):
         mv = parse_kern(melody_file(["=1", "4c", "ccq", "4d", "2e"]))
-        pcs = note_sequence(mv.voice(Voice.VIOLIN1), "pitch_class")
+        pcs = notes(mv, Voice.VIOLIN1, "pitch_class")
         assert pcs == [1, 3, 5]
 
     def test_tie_merged_within_bar(self):
@@ -130,7 +133,7 @@ class TestTokenHandling:
 
     def test_dotted_and_tuplet_durations(self):
         mv = parse_kern(melody_file(["=1", "2.c", "12d", "12e", "12f"]))
-        durs = note_sequence(mv.voice(Voice.VIOLIN1), "duration")
+        durs = notes(mv, Voice.VIOLIN1, "duration")
         assert durs == [Fraction(3, 4), Fraction(1, 12), Fraction(1, 12), Fraction(1, 12)]
 
     def test_meter_change_rescales_durations(self):
@@ -144,7 +147,7 @@ class TestTokenHandling:
         body.append("\t".join([".", ".", ".", "2f"]))
         content = four_spine(body)
         mv = parse_kern(content)
-        durs = note_sequence(mv.voice(Voice.VIOLIN1), "duration")
+        durs = notes(mv, Voice.VIOLIN1, "duration")
         # a quarter note is 1/4 of a 4/4 bar but 1/3 of a 3/4 bar
         assert durs == [Fraction(1, 4), Fraction(3, 4), Fraction(1, 3), Fraction(2, 3)]
 
@@ -165,7 +168,7 @@ class TestErrors:
             "*-\t*-\t*-\t*-\t*-",
         ]
         mv = parse_kern("\n".join(lines) + "\n")
-        assert note_sequence(mv.voice(Voice.VIOLIN1), "pitch_class") == [1, 3]
+        assert notes(mv, Voice.VIOLIN1, "pitch_class") == [1, 3]
 
     def test_missing_meter(self):
         content = "**kern\t**kern\t**kern\t**kern\n4c\t4c\t4c\t4c\n*-\t*-\t*-\t*-\n"
@@ -227,7 +230,7 @@ class TestSpineStructure:
             "\t".join([".", ".", ".", "4f"]),
         ]
         mv = parse_kern(four_spine(body))
-        assert note_sequence(mv.voice(Voice.VIOLIN1), "pitch_class") == [1, 3, 5, 6]
+        assert notes(mv, Voice.VIOLIN1, "pitch_class") == [1, 3, 5, 6]
 
     @staticmethod
     def _meter_on_split(first_bar):
@@ -301,21 +304,16 @@ class TestSpineStructure:
         ]
         mv = parse_kern(four_spine(body))
         # leftmost spine is the lowest voice: C3, E4, C5, E5 low to high
-        assert note_sequence(mv.voice(Voice.CELLO), "absolute_pitch") == [37]
-        assert note_sequence(mv.voice(Voice.VIOLA), "absolute_pitch") == [53]
-        assert note_sequence(mv.voice(Voice.VIOLIN2), "absolute_pitch") == [61]
-        assert note_sequence(mv.voice(Voice.VIOLIN1), "absolute_pitch") == [65]
+        assert notes(mv, Voice.CELLO, "absolute_pitch") == [37]
+        assert notes(mv, Voice.VIOLA, "absolute_pitch") == [53]
+        assert notes(mv, Voice.VIOLIN2, "absolute_pitch") == [61]
+        assert notes(mv, Voice.VIOLIN1, "absolute_pitch") == [65]
 
 
 class TestTrackViews:
     def test_rest_removal(self):
         mv = parse_kern(melody_file(["=1", "4c", "4r", "4d", "4r"]))
-        assert note_sequence(mv.voice(Voice.VIOLIN1), "pitch_class") == [1, 3]
-
-    def test_rep_validation(self):
-        mv = parse_kern(synth.k157_excerpt_kern())
-        with pytest.raises(ValueError):
-            note_sequence(mv.voice(Voice.VIOLIN1), "pitches")
+        assert notes(mv, Voice.VIOLIN1, "pitch_class") == [1, 3]
 
     def test_pitch_class_consistency(self):
         mv = parse_kern(synth.k157_excerpt_kern())
@@ -328,8 +326,8 @@ class TestTrackViews:
 
     def test_no_zero_in_pitch_sequences(self):
         mv = parse_kern(melody_file(["=1", "4c", "4r", "4d", "4r"]))
-        for track in mv.voices:
-            assert 0 not in note_sequence(track, "pitch_class")
+        for voice in Voice:
+            assert 0 not in notes(mv, voice, "pitch_class")
 
     def test_onset_grid_cumulative(self):
         mv = parse_kern(melody_file(["=1", "4c", "4d", "2e"]))
@@ -441,12 +439,12 @@ class TestRealisticDecorations:
         mv = self._parse(rows)
         v1 = mv.voice(Voice.VIOLIN1)
         # pitches survive decorations; tie on dd merges across the barline
-        assert note_sequence(mv.voice(Voice.VIOLIN2), "pitch_class")[:3] == [3, 5, 6]
-        durs = note_sequence(mv.voice(Voice.VIOLIN2), "duration")
+        assert notes(mv, Voice.VIOLIN2, "pitch_class")[:3] == [3, 5, 6]
+        durs = notes(mv, Voice.VIOLIN2, "duration")
         assert durs[0] == Fraction(1, 8)
         tied = [e for e in mv.voice(Voice.VIOLIN2).events if e.duration == Fraction(1, 2)]
         assert tied, "tie across barline merged to a half-note duration"
-        assert len(note_sequence(mv.voice(Voice.CELLO), "pitch_class")) == 5
+        assert len(notes(mv, Voice.CELLO, "pitch_class")) == 5
         assert v1.events[0].absolute_pitch > mv.voice(Voice.CELLO).events[0].absolute_pitch
 
     def test_grace_and_groupetto_dropped(self):
@@ -459,7 +457,7 @@ class TestRealisticDecorations:
             "2G\t2b\t2dd\t2ee",
         ]
         mv = self._parse(rows)
-        assert note_sequence(mv.voice(Voice.VIOLIN1), "pitch_class") == [8, 6, 5]
+        assert notes(mv, Voice.VIOLIN1, "pitch_class") == [8, 6, 5]
 
     def test_key_signature_not_misread_as_meter(self):
         # *k[f#] precedes *M4/4; a note before *M would still be an error
@@ -490,8 +488,8 @@ class TestRealisticDecorations:
         ]
         mv = self._parse(rows)
         # viola keeps its leftmost sub-spine through the nested split
-        assert note_sequence(mv.voice(Voice.VIOLA), "pitch_class") == [12, 10, 8, 12]
-        assert len(note_sequence(mv.voice(Voice.CELLO), "pitch_class")) == 4
+        assert notes(mv, Voice.VIOLA, "pitch_class") == [12, 10, 8, 12]
+        assert len(notes(mv, Voice.CELLO, "pitch_class")) == 4
 
 
 def parse_both(text, caplog, meta=None):

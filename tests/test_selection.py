@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import synth
-from quartet_attrib import glm
+from quartet_attrib import glm, selection
 from quartet_attrib.selection import icm_select, replay_trace
 
 
@@ -169,18 +169,6 @@ class TestOptions:
             icm_select(np.zeros((4, 2)), np.array([0.0, 1, 0, 1]), restarts=0)
 
 
-def test_selection_trace_surface():
-    from quartet_attrib.selection import selection_trace
-
-    rng = np.random.default_rng(17)
-    X, y = synth.logistic_toy(rng, n=50, p=5)
-    traced = icm_select(X, y, prior=PRIOR, restarts=2, seed=1, trace=True)
-    assert selection_trace(traced) == traced.trace
-    untraced = icm_select(X, y, prior=PRIOR, restarts=2, seed=1)
-    with pytest.raises(ValueError):
-        selection_trace(untraced)
-
-
 def _oracle_cases():
     """Seeded matrices for the oracle comparison: a separating column, a
     constant column, duplicated columns, a column with a missing value,
@@ -245,26 +233,40 @@ def test_first_move_of_each_restart_costs_one_fit(monkeypatch):
     so its first candidate is solved alone instead of in a full chunk."""
     rng = np.random.default_rng(19)
     X, y = synth.logistic_toy(rng, n=50, p=40)
-    calls = []  # stack sizes of posterior_modes, None for a cold refit
-    real_modes, real_fit = glm.posterior_modes, glm.fit
+    calls = []  # (subsets solved together, started cold) per solver call
+    real_fit_subsets = selection._fit_subsets
 
-    def modes(Xt, *args, **kwargs):
-        calls.append(Xt.shape[0])
-        return real_modes(Xt, *args, **kwargs)
+    def fit_subsets(subsets, design, y, scales, warm, bic_form):
+        calls.append((len(subsets), not warm.any()))
+        return real_fit_subsets(subsets, design, y, scales, warm, bic_form)
 
-    def fit(*args, **kwargs):
-        calls.append(None)
-        n_calls = len(calls)
-        model = real_fit(*args, **kwargs)
-        del calls[n_calls:]  # the refit's own stack of one
-        return model
-
-    monkeypatch.setattr(glm, "posterior_modes", modes)
-    monkeypatch.setattr(glm, "fit", fit)
+    monkeypatch.setattr(selection, "_fit_subsets", fit_subsets)
     restarts = 3
     icm_select(X, y, prior=PRIOR, restarts=restarts, seed=4)
-    firsts = [calls[0]] + [calls[i + 1] for i, c in enumerate(calls[:-1]) if c is None]
-    assert calls.count(None) == restarts and calls[-1] is None
-    assert firsts == [1] * restarts
+    # the cold solves alternate: a restart's first move, then its final subset
+    cold = [i for i, (_, is_cold) in enumerate(calls) if is_cold]
+    assert len(cold) == 2 * restarts and cold[0] == 0 and cold[-1] == len(calls) - 1
+    assert [calls[i][0] for i in cold] == [1] * (2 * restarts)
     # later moves are still solved in chunks
-    assert max(c for c in calls if c is not None) > 1
+    assert max(size for size, _ in calls) > 1
+
+
+@pytest.mark.parametrize("bic_form", ["paper", "textbook"])
+def test_one_reporting_fit_per_selection(monkeypatch, bic_form):
+    """Every restart's BIC comes from the stacked solver; only the winning
+    subset gets a glm.fit, whose BIC is the reported one bit for bit."""
+    rng = np.random.default_rng(20)
+    X, y = synth.logistic_toy(rng, n=50, p=12)
+    fits = []
+    real_fit = glm.fit
+
+    def fit(*args, **kwargs):
+        fits.append(args)
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(glm, "fit", fit)
+    res = icm_select(X, y, prior=PRIOR, restarts=4, seed=2, bic_form=bic_form)
+    assert len(fits) == 1
+    assert res.model.feature_names == res.selected
+    assert res.bic.hex() == glm.bic(res.model, form=bic_form).hex()
+    assert res.bic == res.restart_bics[res.restart_index] == min(res.restart_bics)
