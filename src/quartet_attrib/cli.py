@@ -191,7 +191,9 @@ def cmd_cv(args) -> int:
     if config.leakage_audit and args.features:
         # the pool alone: the matrix comes from the CSV
         movements = _load_corpus_or_die(args)
-        pool = build_development_pool(movements, SegmentConfig(args.m_lengths))
+        pool = build_development_pool(
+            movements, SegmentConfig(args.m_lengths), args.threshold_reading
+        )
         matrix = _matrix_from_args(args)
         if [r.source_path for r in matrix.rows] != [mv.meta.source_path for mv in movements]:
             raise SystemExit(
@@ -202,9 +204,7 @@ def cmd_cv(args) -> int:
         _, (matrix, pool, _) = _extract(args)
     else:
         matrix = _matrix_from_args(args)
-    result = run_cv(
-        matrix, config, development_pool=pool, threshold_reading=args.threshold_reading
-    )
+    result = run_cv(matrix, config, development_pool=pool)
     out = _out_dir(args)
     _write_json(out / "cv_result.json", result.to_json())
     write_fold_csv(result, out / "folds.csv")

@@ -11,8 +11,9 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -87,20 +88,15 @@ class CVConfig:
             raise ValueError(f"bic_form must be one of {tuple(glm.BIC_FORMS)}")
 
     def to_json(self) -> dict:
+        """Every field but ``n_jobs``, each enum as its value.
+
+        ``n_jobs`` is left out because it does not change the results:
+        runs with ``--jobs 1`` and ``--jobs N`` write the same bytes.
+        """
         return {
-            "scheme": self.scheme.value,
-            "cutoff_policy": self.cutoff_policy.value,
-            "feature_scope": self.feature_scope.value,
-            "grid": list(self.grid),
-            "prior": {
-                "scale_factor": self.prior.scale_factor,
-                "intercept_scale": self.prior.intercept_scale,
-            },
-            "seed": self.seed,
-            "restarts": self.restarts,
-            "filter_mode": self.filter_mode,
-            "bic_form": self.bic_form,
-            "leakage_audit": self.leakage_audit,
+            k: v.value if isinstance(v, Enum) else v
+            for k, v in asdict(self).items()
+            if k != "n_jobs"
         }
 
 
@@ -208,37 +204,17 @@ class CVResult:
                 "haydn": self.class_accuracy(1),
             },
             "confusion": self.confusion,
-            "folds": [
-                {
-                    "fold_id": f.fold_id,
-                    "indices": list(f.indices),
-                    "left_out": list(f.left_out),
-                    "true_classes": list(f.true_classes),
-                    "probabilities": list(f.probabilities),
-                    "cutoff": f.cutoff,
-                    "predicted": list(f.predicted),
-                    "selected": list(f.selected),
-                    "failed": f.failed,
-                    "error": f.error,
-                }
-                for f in self.folds
-            ],
+            "folds": [asdict(f) for f in self.folds],
         }
 
     @classmethod
     def from_json(cls, payload: dict) -> "CVResult":
+        """Read ``to_json`` output.  A fold's keys that are not FoldRecord
+        fields are ignored, and missing ``failed``/``error`` take their defaults."""
+        names = {f.name for f in fields(FoldRecord)}
         folds = tuple(
             FoldRecord(
-                fold_id=f["fold_id"],
-                indices=tuple(f["indices"]),
-                left_out=tuple(f["left_out"]),
-                true_classes=tuple(f["true_classes"]),
-                probabilities=tuple(float(p) for p in f["probabilities"]),
-                cutoff=float(f["cutoff"]),
-                predicted=tuple(f["predicted"]),
-                selected=tuple(f["selected"]),
-                failed=f.get("failed", False),
-                error=f.get("error", ""),
+                **{k: tuple(v) if isinstance(v, list) else v for k, v in f.items() if k in names}
             )
             for f in payload["folds"]
         )
@@ -282,10 +258,9 @@ def _apply_fold_thresholds(
     matrix: FeatureMatrix,
     pool: DevelopmentSdPool,
     train_idx: Sequence[int],
-    reading: str = "prose",
 ) -> FeatureMatrix:
     """Replace development count columns with training-fold thresholds."""
-    thresholds = pool.thresholds(rows=train_idx, reading=reading)
+    thresholds = pool.thresholds(rows=train_idx)
     block = pool.count_columns(thresholds)
     labels = pool.count_labels()
     values = matrix.values.copy()
@@ -297,7 +272,7 @@ def _apply_fold_thresholds(
     return FeatureMatrix(rows=matrix.rows, columns=matrix.columns, values=values)
 
 
-def _run_fold(matrix, y, config, pool, reading, fold, fold_index) -> FoldRecord:
+def _run_fold(matrix, y, config, pool, fold, fold_index) -> FoldRecord:
     held_out = set(fold.indices)
     train_idx = [i for i in range(matrix.n) if i not in held_out]
     test_idx = list(fold.indices)
@@ -315,13 +290,10 @@ def _run_fold(matrix, y, config, pool, reading, fold, fold_index) -> FoldRecord:
     try:
         fm = matrix
         if config.leakage_audit:
-            fm = _apply_fold_thresholds(fm, pool, train_idx, reading)
+            fm = _apply_fold_thresholds(fm, pool, train_idx)
+        train_fm = fm.select_rows(train_idx)
         if config.filter_mode == "per-fold":
-            train_fm = near_zero_variance_filter(fm.select_rows(train_idx))
-            kept = [fm.column_index(lbl) for lbl in train_fm.labels]
-        else:
-            train_fm = fm.select_rows(train_idx)
-            kept = list(range(fm.p))
+            train_fm = near_zero_variance_filter(train_fm)
         y_train = y[train_idx]
         result = selection.icm_select(
             train_fm,
@@ -332,10 +304,9 @@ def _run_fold(matrix, y, config, pool, reading, fold, fold_index) -> FoldRecord:
             bic_form=config.bic_form,
         )
         model = result.model
-        sel_cols_local = [train_fm.column_index(lbl) for lbl in result.selected]
-        train_X = train_fm.values[:, sel_cols_local]
-        sel_cols_global = [kept[j] for j in sel_cols_local]
-        test_X = fm.values[np.ix_(test_idx, sel_cols_global)]
+        cols = [fm.column_index(lbl) for lbl in result.selected]
+        train_X = fm.values[np.ix_(train_idx, cols)]
+        test_X = fm.values[np.ix_(test_idx, cols)]
 
         if config.cutoff_policy == CutoffPolicy.TUNED:
             cutoff = tune_cutoff(glm.predict_prob(model, train_X), y_train, config.grid)
@@ -380,7 +351,6 @@ def run_cv(
     matrix: FeatureMatrix,
     config: CVConfig,
     development_pool: DevelopmentSdPool | None = None,
-    threshold_reading: str = "prose",
 ) -> CVResult:
     """Cross-validate the full selection-plus-fit pipeline.
 
@@ -390,8 +360,10 @@ def run_cv(
     inside each training fold; "global" filters once up front.  A fold
     that fails with a numerical or data error (ValueError or
     ArithmeticError) is recorded as misclassified; any other exception is
-    a programming error and propagates.  A leakage audit without its
-    development pool raises ``ConfigurationError`` before any fold.
+    a programming error and propagates.  A leakage audit recomputes the
+    development counts on each training fold, with the thresholds read as
+    the pool was built to read them; without its pool it raises
+    ``ConfigurationError`` before any fold.
     """
     if config.leakage_audit and development_pool is None:
         raise ConfigurationError("leakage_audit requires the development sd pool")
@@ -400,7 +372,7 @@ def run_cv(
     if config.filter_mode == "global":
         scoped = near_zero_variance_filter(scoped)
     folds = _make_folds(scoped, config.scheme)
-    shared = (scoped, y, config, development_pool, threshold_reading)
+    shared = (scoped, y, config, development_pool)
     tasks = [(fold, fi) for fi, fold in enumerate(folds)]
     if config.n_jobs > 1:
         # the matrix and the pool go to each worker once, not with every fold
@@ -479,6 +451,10 @@ class AgreementReport:
         }
 
 
+def _side(a, b) -> str:
+    return "less" if a < b else "equal" if a == b else "greater"
+
+
 def compare_runs(a: CVResult, b: CVResult) -> AgreementReport:
     """Per-movement agreement between two runs on the same movements.
 
@@ -496,49 +472,34 @@ def compare_runs(a: CVResult, b: CVResult) -> AgreementReport:
     def pct(count: int, total: int) -> float:
         return 100.0 * count / total if total else float("nan")
 
-    buckets = {"prob_less": 0, "prob_equal": 0, "prob_greater": 0}
-    cls = {"less": 0, "equal": 0, "greater": 0}
-    per_comp: dict[str, dict[str, int]] = {
-        "mozart": {"n": 0, "prob_equal": 0, "class_equal": 0},
-        "haydn": {"n": 0, "prob_equal": 0, "class_equal": 0},
-    }
+    prob, cls = Counter(), Counter()  # less / equal / greater
+    per_comp = Counter()  # (composer, "n" / "prob_equal" / "class_equal")
     for path in paths:
         true, pa, ca = rows_a[path]
         _, pb, cb = rows_b[path]
-        ra, rb = round(pa, 2), round(pb, 2)
-        if not (math.isnan(pa) or math.isnan(pb)):
-            if ra < rb:
-                buckets["prob_less"] += 1
-            elif ra == rb:
-                buckets["prob_equal"] += 1
-            else:
-                buckets["prob_greater"] += 1
-        if ca < cb:
-            cls["less"] += 1
-        elif ca == cb:
-            cls["equal"] += 1
-        else:
-            cls["greater"] += 1
         comp = "haydn" if true == 1 else "mozart"
-        per_comp[comp]["n"] += 1
-        if not (math.isnan(pa) or math.isnan(pb)) and ra == rb:
-            per_comp[comp]["prob_equal"] += 1
-        if ca == cb:
-            per_comp[comp]["class_equal"] += 1
+        per_comp[comp, "n"] += 1
+        if not (math.isnan(pa) or math.isnan(pb)):
+            side = _side(round(pa, 2), round(pb, 2))
+            prob[side] += 1
+            per_comp[comp, "prob_equal"] += side == "equal"
+        side = _side(ca, cb)
+        cls[side] += 1
+        per_comp[comp, "class_equal"] += side == "equal"
 
     by_composer = {
         comp: {
-            "n": d["n"],
-            "prob_equal_pct": pct(d["prob_equal"], d["n"]),
-            "class_equal_pct": pct(d["class_equal"], d["n"]),
+            "n": per_comp[comp, "n"],
+            "prob_equal_pct": pct(per_comp[comp, "prob_equal"], per_comp[comp, "n"]),
+            "class_equal_pct": pct(per_comp[comp, "class_equal"], per_comp[comp, "n"]),
         }
-        for comp, d in per_comp.items()
+        for comp in ("mozart", "haydn")
     }
     return AgreementReport(
         n=n,
-        prob_less_pct=pct(buckets["prob_less"], n),
-        prob_equal_pct=pct(buckets["prob_equal"], n),
-        prob_greater_pct=pct(buckets["prob_greater"], n),
+        prob_less_pct=pct(prob["less"], n),
+        prob_equal_pct=pct(prob["equal"], n),
+        prob_greater_pct=pct(prob["greater"], n),
         class_less_pct=pct(cls["less"], n),
         class_equal_pct=pct(cls["equal"], n),
         class_greater_pct=pct(cls["greater"], n),

@@ -47,6 +47,10 @@ MODE_OF_CLASS = (0, 1, 2, 1, 2, 0, 3, 0, 1, 2, 1, 2)
 
 #: Overlap-count thresholds for exposition and recapitulation features.
 OVERLAP_THRESHOLDS = (Fraction(7, 10), Fraction(9, 10), Fraction(1))
+#: Their descriptors: the best overlap, its location and one count per threshold.
+OVERLAP_DESCS = (
+    "max_overlap", "max_location", *(f"count_t{float(t):g}" for t in OVERLAP_THRESHOLDS)
+)
 #: Cut for the "high proportion of minor thirds" segment count.
 MINOR_THIRD_HIGH = Fraction(3, 5)
 #: Quantiles defining the development standard-deviation thresholds.
@@ -180,14 +184,11 @@ def _feature_names_cached(lengths: tuple[int, ...]):
             for desc in _MINOR3_DESCRIPTORS:
                 add("interval", desc, voice=v, segment_length=m)
 
-    overlap_descs = ["max_overlap", "max_location"] + [
-        f"count_t{float(t):g}" for t in OVERLAP_THRESHOLDS
-    ]
     dev_descs = ["max_sd", "max_location"] + [f"count_q{q:.2f}" for q in DEV_QUANTILES]
     for category, descs in (
-        ("exposition", overlap_descs),
+        ("exposition", OVERLAP_DESCS),
         ("development", dev_descs),
-        ("recapitulation", overlap_descs),
+        ("recapitulation", OVERLAP_DESCS),
     ):
         for v in VOICE_LABELS:
             for m in lengths:
@@ -585,8 +586,9 @@ def _track_windows(vd: _VoiceData, track: str, m: int) -> np.ndarray | None:
     return _sliding(seq, m)
 
 
-def _overlap_stats(wmat: np.ndarray, last_start: int) -> dict[str, float] | None:
-    """Overlap of the opening window against windows starting at 2..last_start.
+def _overlap_stats(wmat: np.ndarray, last_start: int) -> tuple[float, ...] | None:
+    """Overlap of the opening window against windows starting at 2..last_start,
+    one value per OVERLAP_DESCS entry.
 
     Ties on the maximum take the later segment.  Counts compare the exact
     match fraction against the OVERLAP_THRESHOLDS.
@@ -597,18 +599,10 @@ def _overlap_stats(wmat: np.ndarray, last_start: int) -> dict[str, float] | None
     matches = (wmat[1:last_start] == wmat[0]).sum(axis=1)
     best = int(matches.max())
     pos = int(np.nonzero(matches == best)[0][-1])
-    out = {
-        "max_overlap": best / m,
-        "max_location": (pos + 2) / total,
-    }
-    for t in OVERLAP_THRESHOLDS:
-        out[f"count_t{float(t):g}"] = float(
-            (matches * t.denominator >= t.numerator * m).sum()
-        )
-    return out
-
-
-_OVERLAP_DESCS = ("max_overlap", "max_location", "count_t0.7", "count_t0.9", "count_t1")
+    counts = (
+        float((matches * t.denominator >= t.numerator * m).sum()) for t in OVERLAP_THRESHOLDS
+    )
+    return (best / m, (pos + 2) / total, *counts)
 
 
 def _overlap_features(
@@ -617,6 +611,7 @@ def _overlap_features(
     """Overlap of each voice's opening segment against its later segments:
     those starting at or before ceil(M/2) with ``first_half``, else all."""
     feats: dict[str, float] = {}
+    masked = (float("nan"),) * len(OVERLAP_DESCS)
     for v in VOICE_LABELS:
         vd = data[v]
         half = (vd.m_notes + 1) // 2
@@ -628,10 +623,8 @@ def _overlap_features(
                 if wmat is not None:
                     total = wmat.shape[0]
                     stats = _overlap_stats(wmat, min(half, total) if first_half else total)
-                for desc in _OVERLAP_DESCS:
-                    feats[f"{category}|{desc}{base}"] = (
-                        stats[desc] if stats is not None else float("nan")
-                    )
+                for desc, value in zip(OVERLAP_DESCS, stats or masked):
+                    feats[f"{category}|{desc}{base}"] = value
     return feats
 
 
@@ -732,6 +725,11 @@ class DevelopmentSdPool:
     lengths: tuple[int, ...]
     quantiles: tuple[float, ...]
     sds: dict  # (voice, m, track) -> list of per-movement float arrays
+    reading: str  # how thresholds() reads the pooled sds: "prose" or "literal"
+
+    def __post_init__(self):
+        if self.reading not in THRESHOLD_READINGS:
+            raise ValueError(f"reading must be one of {THRESHOLD_READINGS}")
 
     @property
     def n(self) -> int:
@@ -743,9 +741,9 @@ class DevelopmentSdPool:
             sds = data[v].window_sds(track, m)
             arrays.append(sds if sds is not None else np.empty(0, dtype=float))
 
-    def thresholds(self, rows=None, reading: str = "prose") -> DevelopmentThresholds:
-        if reading not in THRESHOLD_READINGS:
-            raise ValueError(f"reading must be one of {THRESHOLD_READINGS}")
+    def thresholds(self, rows=None) -> DevelopmentThresholds:
+        """Thresholds from the pooled sds of ``rows`` (all rows by default),
+        read as the pool's ``reading``."""
         if rows is None:
             rows = range(self.n)
         rows = list(rows)
@@ -762,7 +760,7 @@ class DevelopmentSdPool:
                 continue
             v = np.concatenate(vals)
             w = np.concatenate(wts)
-            if reading == "prose":
+            if self.reading == "prose":
                 # weighted quantile of the raw sd values, weights 1/(M_i - m + 1)
                 table[key] = tuple(
                     float(x) for x in weighted_quantile(v, w, self.quantiles)
@@ -802,11 +800,14 @@ class DevelopmentSdPool:
         return out
 
 
-def build_development_pool(corpus, config: SegmentConfig = SegmentConfig()) -> DevelopmentSdPool:
+def build_development_pool(
+    corpus, config: SegmentConfig = SegmentConfig(), reading: str = "prose"
+) -> DevelopmentSdPool:
     pool = DevelopmentSdPool(
         lengths=tuple(config.lengths),
         quantiles=DEV_QUANTILES,
         sds={(v, m, track): [] for v in VOICE_LABELS for m in config.lengths for track in TRACKS},
+        reading=reading,
     )
     for movement in corpus:
         pool.add(_voice_data(movement))
@@ -869,10 +870,8 @@ def extract_all(
         raise ValueError("corpus is empty")
     if any(m.meta is None for m in corpus):
         raise ValueError("every movement needs metadata for matrix assembly")
-    if threshold_reading not in THRESHOLD_READINGS:
-        raise ValueError(f"reading must be one of {THRESHOLD_READINGS}")
+    pool = build_development_pool((), config, threshold_reading)  # checks the reading
     names = feature_names(config)
-    pool = build_development_pool((), config)
     free = {fn.label: j for j, fn in enumerate(names)}  # the count columns are popped
     counted = [free.pop(lbl) for lbl in pool.count_labels()]
     values = np.empty((len(corpus), len(names)))
@@ -888,7 +887,7 @@ def extract_all(
             raise AssertionError("computed features do not match the registry")
         values[i, list(free.values())] = [feats[lbl] for lbl in free]
         pool.add(data)
-    thresholds = pool.thresholds(reading=threshold_reading)
+    thresholds = pool.thresholds()
     values[:, counted] = pool.count_columns(thresholds)
     matrix = FeatureMatrix(rows=tuple(m.meta for m in corpus), columns=names, values=values)
     return Extraction(matrix, pool, thresholds)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -56,40 +56,10 @@ class FittedModel:
     degenerate: bool = False
 
     def to_json(self) -> dict:
+        """The fields, each array as a list."""
         return {
-            "feature_names": list(self.feature_names),
-            "intercept": self.intercept,
-            "coef": [float(b) for b in self.coef],
-            "standard_errors": [float(s) for s in self.standard_errors],
-            "log_likelihood": self.log_likelihood,
-            "n": self.n,
-            "d": self.d,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "prior": {
-                "scale_factor": self.prior.scale_factor,
-                "intercept_scale": self.prior.intercept_scale,
-            },
-            "prior_scales": [float(s) for s in self.prior_scales],
-            "degenerate": self.degenerate,
+            k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in asdict(self).items()
         }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "FittedModel":
-        return cls(
-            feature_names=tuple(payload["feature_names"]),
-            intercept=float(payload["intercept"]),
-            coef=np.array(payload["coef"], dtype=float),
-            standard_errors=np.array(payload["standard_errors"], dtype=float),
-            log_likelihood=float(payload["log_likelihood"]),
-            n=int(payload["n"]),
-            d=int(payload["d"]),
-            converged=bool(payload["converged"]),
-            iterations=int(payload["iterations"]),
-            prior=PriorConfig(**payload["prior"]),
-            prior_scales=np.array(payload["prior_scales"], dtype=float),
-            degenerate=bool(payload.get("degenerate", False)),
-        )
 
 
 def check_data(X, y) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,7 @@ wins.  Results are deterministic given (matrix, y, prior, restarts, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -49,27 +49,10 @@ class SelectionResult:
     trace: tuple[TraceEntry, ...] | None = None
 
     def to_json(self) -> dict:
-        out = {
-            "selected": list(self.selected),
-            "bic": self.bic,
-            "restart_index": self.restart_index,
-            "orderings_seed": self.orderings_seed,
-            "passes": self.passes,
-            "restart_bics": list(self.restart_bics),
-            "model": self.model.to_json(),
-        }
-        if self.trace is not None:
-            out["trace"] = [
-                {
-                    "restart": t.restart,
-                    "sweep": t.sweep,
-                    "feature": t.feature,
-                    "action": t.action,
-                    "bic_before": t.bic_before,
-                    "bic_after": t.bic_after,
-                }
-                for t in self.trace
-            ]
+        """The fields, ``model`` as its own JSON; no ``trace`` when it is None."""
+        out = {**asdict(self), "model": self.model.to_json()}
+        if self.trace is None:
+            del out["trace"]
         return out
 
 

@@ -9,8 +9,6 @@ from quartet_attrib.score import (
     EncodedMovement,
     Event,
     MovementMeta,
-    MovementMeta as Meta,
-    Voice,
     VOICE_ORDER,
     VoiceTrack,
     pitch_class_of,

@@ -6,7 +6,6 @@ variables QUARTET_ATTRIB_HM285 / QUARTET_ATTRIB_HM107 at directories that
 contain the **kern files plus a manifest.csv, otherwise those tests skip.
 """
 
-import itertools
 import json
 import math
 import os
@@ -27,7 +26,6 @@ from quartet_attrib.evaluation import (
     Scheme,
     fit_full_model,
     run_cv,
-    selection_stability,
 )
 from quartet_attrib.features import (
     SegmentConfig,
@@ -447,7 +445,7 @@ def test_criterion_8_threshold_reproduction():
     targets = {("Viola", 14, "pitch", 0.80): 4.244, ("Cello", 8, "pitch", 0.70): 4.024}
     readings = {}
     for reading in ("prose", "literal"):
-        thr = build_development_pool(hm285).thresholds(reading=reading)
+        thr = build_development_pool(hm285, reading=reading).thresholds()
         vals = {}
         for (voice, m, track, q), want in targets.items():
             qi = thr.quantiles.index(q)

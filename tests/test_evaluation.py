@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,7 +8,6 @@ import pytest
 import synth
 from quartet_attrib import selection as selection_mod
 from quartet_attrib.evaluation import (
-    AgreementReport,
     CVConfig,
     CVResult,
     ConfigurationError,
@@ -124,8 +124,6 @@ class TestRunCV:
             for m in matrix.rows
         )
         # blank out quartet ids
-        import dataclasses
-
         rows = tuple(dataclasses.replace(m, quartet_id="") for m in rows)
         bad = FeatureMatrix(rows=rows, columns=matrix.columns, values=matrix.values)
         with pytest.raises(ConfigurationError):
@@ -194,8 +192,6 @@ class TestRunCV:
         rng = np.random.default_rng(29)
         matrix = toy_matrix(rng, n=12, p=3)
         flipped_rows = []
-        import dataclasses
-
         for m in matrix.rows:
             flipped_rows.append(dataclasses.replace(m, composer=Composer(1 - int(m.composer))))
         flipped = FeatureMatrix(rows=tuple(flipped_rows), columns=matrix.columns, values=matrix.values)
@@ -223,8 +219,6 @@ class TestRunCV:
         rng = np.random.default_rng(31)
         matrix = toy_matrix(rng, n=8, p=3)
         base = CVConfig(scheme=Scheme.LOO, seed=6, **FAST)
-        import dataclasses
-
         par = dataclasses.replace(base, n_jobs=2)
         a = run_cv(matrix, base)
         b = run_cv(matrix, par)
@@ -260,9 +254,14 @@ class TestAggregates:
 
     def test_json_round_trip(self):
         r = self._result()
-        back = CVResult.from_json(r.to_json())
+        payload = json.loads(json.dumps(r.to_json()))
+        back = CVResult.from_json(payload)
         assert back.folds == r.folds
         assert back.accuracy == r.accuracy
+        old, extended = payload["folds"]
+        del old["failed"], old["error"]  # written before folds could fail
+        extended["fits"] = 12  # a key that is not a FoldRecord field
+        assert CVResult.from_json(payload).folds == r.folds
 
     def test_stability_counts(self):
         r = self._result()
@@ -357,6 +356,32 @@ class TestCsvWriters:
         assert len(probs) == 7
 
 
+def test_json_keys_are_the_dataclass_fields():
+    def names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    rng = np.random.default_rng(46)
+    matrix = toy_matrix(rng, n=8, p=3)
+    config = CVConfig(scheme=Scheme.LOQO, cutoff_policy=CutoffPolicy.TUNED, n_jobs=2, **FAST)
+    payload = config.to_json()
+    assert payload.keys() == names(CVConfig) - {"n_jobs"}
+    assert [type(payload[k]) for k in ("scheme", "cutoff_policy", "feature_scope")] == [str] * 3
+    assert payload["scheme"] == "loqo" and payload["cutoff_policy"] == "tuned"
+    result = run_cv(matrix, dataclasses.replace(config, n_jobs=1))
+    assert all(f.keys() == names(FoldRecord) for f in result.to_json()["folds"])
+
+    y = np.array([int(meta.composer) for meta in matrix.rows])
+    untraced = selection_mod.icm_select(matrix, y, restarts=1).to_json()
+    assert untraced.keys() == names(selection_mod.SelectionResult) - {"trace"}
+    traced = selection_mod.icm_select(matrix, y, restarts=1, trace=True)
+    payload = traced.to_json()
+    assert payload.keys() == names(selection_mod.SelectionResult)
+    assert payload["model"] == traced.model.to_json()
+    assert traced.trace and all(
+        t.keys() == names(selection_mod.TraceEntry) for t in payload["trace"]
+    )
+
+
 def test_cv_config_validation():
     with pytest.raises(ValueError):
         CVConfig(grid=(0.5, 0.2))
@@ -371,7 +396,7 @@ def test_cv_config_validation():
 
 
 class TestLeakageAudit:
-    def _corpus_matrix(self, rng, n=8):
+    def _corpus_matrix(self, rng, n=8, reading="prose"):
         movements = [
             synth.random_movement(
                 rng,
@@ -387,8 +412,18 @@ class TestLeakageAudit:
         ]
         from quartet_attrib.features import SegmentConfig, extract_all
 
-        matrix, pool, _ = extract_all(movements, SegmentConfig(lengths=(8, 10)))
+        matrix, pool, _ = extract_all(
+            movements, SegmentConfig(lengths=(8, 10)), threshold_reading=reading
+        )
         return matrix, pool
+
+    @pytest.mark.parametrize("reading", ["prose", "literal"])
+    def test_all_rows_reproduce_the_extraction(self, reading):
+        from quartet_attrib.evaluation import _apply_fold_thresholds
+
+        matrix, pool = self._corpus_matrix(np.random.default_rng(45), reading=reading)
+        adjusted = _apply_fold_thresholds(matrix, pool, range(matrix.n))
+        assert np.array_equal(adjusted.values, matrix.values, equal_nan=True)
 
     def test_fold_thresholds_replace_count_columns(self):
         rng = np.random.default_rng(40)
@@ -424,8 +459,6 @@ class TestLeakageAudit:
         matrix, pool = self._corpus_matrix(rng)
         config = CVConfig(scheme=Scheme.LOO, seed=1, restarts=2,
                           prior=PriorConfig(scale_factor=0.6), leakage_audit=True)
-        import dataclasses
-
         a = run_cv(matrix, config, development_pool=pool)
         b = run_cv(matrix, dataclasses.replace(config, n_jobs=2), development_pool=pool)
         assert not any(f.failed for f in a.folds)

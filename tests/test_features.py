@@ -23,7 +23,6 @@ from quartet_attrib.features import (
     parse_label,
     recapitulation_features,
 )
-from quartet_attrib.score import Composer, parse_kern
 
 CONFIG = SegmentConfig()
 SMALL = SegmentConfig(lengths=(8, 10))
@@ -445,8 +444,8 @@ class TestDevelopmentThresholds:
     def test_literal_reading_differs_and_scales_down(self):
         rng = np.random.default_rng(21)
         movements = [synth.random_movement(rng, n_notes=(30, 50)) for _ in range(4)]
-        prose = build_development_pool(movements, SMALL).thresholds(reading="prose")
-        literal = build_development_pool(movements, SMALL).thresholds(reading="literal")
+        prose = build_development_pool(movements, SMALL, "prose").thresholds()
+        literal = build_development_pool(movements, SMALL, "literal").thresholds()
         key = ("Violin1", 8, "pitch")
         assert literal.table[key][0] < prose.table[key][0]
 
@@ -700,9 +699,10 @@ class TestOnePass:
     def test_matrix_is_the_families_plus_the_pool_counts(self, reading):
         corpus = self.corpus(33, n=5)
         matrix, pool, thresholds = extract_all(corpus, SMALL, threshold_reading=reading)
-        want_thr = build_development_pool(corpus, SMALL).thresholds(reading=reading)
+        want_pool = build_development_pool(corpus, SMALL, reading)
+        want_thr = want_pool.thresholds()
         assert repr(thresholds) == repr(want_thr) and pool.sds.keys() == want_thr.table.keys()
-        counted = build_development_pool(corpus, SMALL).count_columns(want_thr)
+        counted = want_pool.count_columns(want_thr)
         for i, mv in enumerate(corpus):
             want = {
                 **_threshold_free_features(mv, SMALL),
@@ -713,6 +713,12 @@ class TestOnePass:
             assert np.array_equal(got, expect, equal_nan=True)
             assert got.tobytes() == expect.tobytes()
 
+    def test_pool_keeps_the_extraction_reading(self):
+        corpus = self.corpus(35, n=5)
+        _, pool, thresholds = extract_all(corpus, SMALL, threshold_reading="literal")
+        assert repr(pool.thresholds()) == repr(thresholds)
+        assert pool.reading == "literal"
+
     def test_unknown_reading_fails_before_any_movement(self, monkeypatch):
         def voice_data(movement):
             raise AssertionError("a movement was prepared before the reading was checked")
@@ -720,6 +726,8 @@ class TestOnePass:
         monkeypatch.setattr(features, "_voice_data", voice_data)
         with pytest.raises(ValueError, match="reading must be one of"):
             extract_all(self.corpus(34), SMALL, threshold_reading="verbatim")
+        with pytest.raises(ValueError, match="reading must be one of"):
+            build_development_pool([], SMALL, "verbatim")
 
     def test_empty_pool_has_no_rows(self):
         pool = build_development_pool([], SMALL)

@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import json
 import math
 
 import numpy as np
@@ -135,15 +137,18 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(np.zeros((3, 1)), np.array([0.0, 1.0]))
 
-    def test_json_round_trip(self):
+    def test_json_is_the_fields(self):
         rng = np.random.default_rng(6)
         X, y = synth.logistic_toy(rng, n=40, p=2)
         model = fit(X, y, feature_names=("a", "b"))
-        back = FittedModel.from_json(model.to_json())
-        assert back.feature_names == model.feature_names
-        assert back.intercept == model.intercept
-        assert np.array_equal(back.coef, model.coef)
-        assert back.log_likelihood == model.log_likelihood
+        payload = json.loads(json.dumps(model.to_json()))
+        assert payload.keys() == {f.name for f in dataclasses.fields(FittedModel)}
+        for name in ("coef", "standard_errors", "prior_scales"):
+            assert np.array(payload[name]).tobytes() == getattr(model, name).tobytes()
+        assert payload["feature_names"] == ["a", "b"]
+        assert payload["intercept"] == model.intercept
+        assert payload["log_likelihood"] == model.log_likelihood
+        assert payload["prior"] == dataclasses.asdict(model.prior)
 
     def test_memory_layout_does_not_change_the_bits(self):
         rng = np.random.default_rng(7)

@@ -6,7 +6,6 @@ steps and varied rhythm.  The complete pipeline (kern text -> parsing ->
 features -> per-fold selection -> CV) must recover that signal.
 """
 
-import numpy as np
 import pytest
 
 import synth
