@@ -189,12 +189,13 @@ def cmd_cv(args) -> int:
     if config.leakage_audit and not (args.corpus and args.manifest):
         raise SystemExit("error: --leakage-audit needs --corpus/--manifest")
     if config.leakage_audit and args.features:
-        # the pool alone: the matrix comes from the CSV
+        # the pool alone: the matrix comes from the CSV, read first so that
+        # a wrong CSV argument stops the command before the corpus is parsed
+        matrix = _matrix_from_args(args)
         movements = _load_corpus_or_die(args)
         pool = build_development_pool(
             movements, SegmentConfig(args.m_lengths), args.threshold_reading
         )
-        matrix = _matrix_from_args(args)
         if [r.source_path for r in matrix.rows] != [mv.meta.source_path for mv in movements]:
             raise SystemExit(
                 "error: --leakage-audit needs the --features rows to be the "

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -701,67 +701,41 @@ class DevelopmentThresholds:
             }
         return {"quantiles": [f"{q:.2f}" for q in self.quantiles], "thresholds": out}
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "DevelopmentThresholds":
-        quantiles = tuple(float(q) for q in payload["quantiles"])
-        table = {}
-        for track, by_m in payload["thresholds"].items():
-            for m, by_voice in by_m.items():
-                for voice, by_q in by_voice.items():
-                    table[(voice, int(m), track)] = tuple(
-                        float(by_q[f"{q:.2f}"]) for q in quantiles
-                    )
-        return cls(quantiles=quantiles, table=table)
 
-
-@dataclass
+@dataclass(frozen=True)
 class DevelopmentSdPool:
-    """Per-movement window standard deviations, pooled for threshold setting.
+    """Every movement's window standard deviations, pooled per
+    (voice, segment length, track) key for threshold setting.
 
-    Rows align with the corpus used to build the pool; this is what allows
-    recomputing thresholds on training folds only (leakage-audit mode).
+    Each key keeps its pooled sds in one stable sorted order, the row of
+    each sd and each row's window count.  Rows align with the corpus used
+    to build the pool, so thresholds can be recomputed on training folds
+    only (leakage-audit mode) by masking the held-out rows.
     """
 
     lengths: tuple[int, ...]
     quantiles: tuple[float, ...]
-    sds: dict  # (voice, m, track) -> list of per-movement float arrays
     reading: str  # how thresholds() reads the pooled sds: "prose" or "literal"
-
-    def __post_init__(self):
-        if self.reading not in THRESHOLD_READINGS:
-            raise ValueError(f"reading must be one of {THRESHOLD_READINGS}")
-
-    @property
-    def n(self) -> int:
-        return len(next(iter(self.sds.values())))
-
-    def add(self, data: dict[str, _VoiceData]) -> None:
-        """Append one movement's window sds, from its per-voice data."""
-        for (v, m, track), arrays in self.sds.items():
-            sds = data[v].window_sds(track, m)
-            arrays.append(sds if sds is not None else np.empty(0, dtype=float))
+    n: int  # pooled movements
+    sds: dict  # key -> every row's sds, sorted (stable: ties by row, then window)
+    rows: dict  # key -> the int32 row of each sd
+    sizes: dict  # key -> each row's window count
 
     def thresholds(self, rows=None) -> DevelopmentThresholds:
         """Thresholds from the pooled sds of ``rows`` (all rows by default),
         read as the pool's ``reading``."""
-        if rows is None:
-            rows = range(self.n)
-        rows = list(rows)
+        keep = np.ones(self.n, dtype=bool) if rows is None else np.isin(np.arange(self.n), rows)
         table = {}
-        for key, arrays in self.sds.items():
-            vals, wts = [], []
-            for i in rows:
-                a = arrays[i]
-                if a.size:
-                    vals.append(a)
-                    wts.append(np.full(a.size, 1.0 / a.size))
-            if not vals:
+        for key, sds in self.sds.items():
+            kept = keep[self.rows[key]]
+            v = sds[kept]
+            if not v.size:
                 table[key] = tuple(float("nan") for _ in self.quantiles)
                 continue
-            v = np.concatenate(vals)
-            w = np.concatenate(wts)
+            # each window weighs 1/(M_i - m + 1); the restricted stable order
+            # adds the weights in the order a sort of the kept rows would
+            w = 1.0 / self.sizes[key][self.rows[key][kept]]
             if self.reading == "prose":
-                # weighted quantile of the raw sd values, weights 1/(M_i - m + 1)
                 table[key] = tuple(
                     float(x) for x in weighted_quantile(v, w, self.quantiles)
                 )
@@ -773,45 +747,67 @@ class DevelopmentSdPool:
         return DevelopmentThresholds(quantiles=self.quantiles, table=table)
 
     def count_labels(self) -> list[str]:
-        return [
-            f"development|count_q{q:.2f}|{track}|{v}|m={m}"
-            for v in VOICE_LABELS
-            for m in self.lengths
-            for track in TRACKS
-            for q in self.quantiles
-        ]
+        return _count_labels(self.lengths, self.quantiles)
 
     def count_columns(self, thresholds: DevelopmentThresholds) -> np.ndarray:
-        """Threshold-count feature block for all pooled movements."""
-        labels = self.count_labels()
-        out = np.full((self.n, len(labels)), np.nan)
-        col = 0
-        for v in VOICE_LABELS:
-            for m in self.lengths:
-                for track in TRACKS:
-                    thr = thresholds.get(v, m, track)
-                    arrays = self.sds[(v, m, track)]
-                    for qi in range(len(self.quantiles)):
-                        if not np.isnan(thr[qi]):
-                            for i, a in enumerate(arrays):
-                                if a.size:
-                                    out[i, col + qi] = float((a >= thr[qi]).sum())
-                    col += len(self.quantiles)
+        """Threshold-count feature block for all pooled movements: per key and
+        quantile, each row's count of sds at or above the threshold; NaN for
+        a row without windows or a NaN threshold."""
+        nq = len(self.quantiles)
+        out = np.full((self.n, len(self.sds) * nq), np.nan)
+        for k, (key, sds) in enumerate(self.sds.items()):
+            has = self.sizes[key] > 0
+            for qi, t in enumerate(thresholds.get(*key)):
+                if not np.isnan(t):
+                    above = self.rows[key][np.searchsorted(sds, t):]
+                    out[has, k * nq + qi] = np.bincount(above, minlength=self.n)[has]
         return out
+
+
+def _count_labels(lengths: Sequence[int], quantiles: Sequence[float]) -> list[str]:
+    """Labels of the development count block, in pool key order."""
+    return [
+        f"development|count_q{q:.2f}|{track}|{v}|m={m}"
+        for v in VOICE_LABELS
+        for m in lengths
+        for track in TRACKS
+        for q in quantiles
+    ]
+
+
+def _pooled(
+    movements: Iterable[dict[str, _VoiceData]], lengths: Sequence[int], reading: str
+) -> DevelopmentSdPool:
+    """The pool of the window sds of ``movements``' per-voice data, taken
+    one movement at a time; the reading is checked before the first."""
+    if reading not in THRESHOLD_READINGS:
+        raise ValueError(f"reading must be one of {THRESHOLD_READINGS}")
+    parts = {(v, m, track): [] for v in VOICE_LABELS for m in lengths for track in TRACKS}
+    n = 0
+    for data in movements:
+        for (v, m, track), arrays in parts.items():
+            sds = data[v].window_sds(track, m)
+            arrays.append(sds if sds is not None else np.empty(0, dtype=float))
+        n += 1
+    sorted_sds, rows, sizes = {}, {}, {}
+    for key in list(parts):
+        arrays = parts.pop(key)
+        pooled = np.concatenate(arrays) if arrays else np.empty(0, dtype=float)
+        sizes[key] = np.array([a.size for a in arrays], dtype=np.int64)
+        del arrays  # this key's per-movement arrays are freed before its sort
+        order = np.argsort(pooled, kind="stable")
+        sorted_sds[key] = pooled[order]
+        rows[key] = np.repeat(np.arange(n, dtype=np.int32), sizes[key])[order]
+    return DevelopmentSdPool(
+        lengths=tuple(lengths), quantiles=DEV_QUANTILES, reading=reading, n=n,
+        sds=sorted_sds, rows=rows, sizes=sizes,
+    )
 
 
 def build_development_pool(
     corpus, config: SegmentConfig = SegmentConfig(), reading: str = "prose"
 ) -> DevelopmentSdPool:
-    pool = DevelopmentSdPool(
-        lengths=tuple(config.lengths),
-        quantiles=DEV_QUANTILES,
-        sds={(v, m, track): [] for v in VOICE_LABELS for m in config.lengths for track in TRACKS},
-        reading=reading,
-    )
-    for movement in corpus:
-        pool.add(_voice_data(movement))
-    return pool
+    return _pooled((_voice_data(mv) for mv in corpus), config.lengths, reading)
 
 
 def development_features(
@@ -870,12 +866,12 @@ def extract_all(
         raise ValueError("corpus is empty")
     if any(m.meta is None for m in corpus):
         raise ValueError("every movement needs metadata for matrix assembly")
-    pool = build_development_pool((), config, threshold_reading)  # checks the reading
     names = feature_names(config)
     free = {fn.label: j for j, fn in enumerate(names)}  # the count columns are popped
-    counted = [free.pop(lbl) for lbl in pool.count_labels()]
+    counted = [free.pop(lbl) for lbl in _count_labels(config.lengths, DEV_QUANTILES)]
     values = np.empty((len(corpus), len(names)))
-    for i, movement in enumerate(corpus):
+
+    def threshold_free(i, movement):
         data = _voice_data(movement)
         feats = basic_summary(movement, data)
         feats.update(pairwise_interval_features(data))
@@ -886,7 +882,11 @@ def extract_all(
         if feats.keys() != free.keys():
             raise AssertionError("computed features do not match the registry")
         values[i, list(free.values())] = [feats[lbl] for lbl in free]
-        pool.add(data)
+        return data
+
+    pool = _pooled(
+        (threshold_free(i, mv) for i, mv in enumerate(corpus)), config.lengths, threshold_reading
+    )
     thresholds = pool.thresholds()
     values[:, counted] = pool.count_columns(thresholds)
     matrix = FeatureMatrix(rows=tuple(m.meta for m in corpus), columns=names, values=values)

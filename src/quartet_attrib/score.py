@@ -157,7 +157,7 @@ def _token_pitch(sub: str, lineno: int) -> int:
         midi += len(acc)
     elif acc.startswith("-"):
         midi -= len(acc)
-    absolute = midi - 11  # places C4 at MIDDLE_C
+    absolute = midi - 60 + MIDDLE_C  # C4 is MIDI 60
     if not 1 <= absolute <= 132:
         raise MalformedKern(f"line {lineno}: pitch {sub!r} outside the 1..132 range")
     return absolute
@@ -482,8 +482,6 @@ def movement_to_json(movement: EncodedMovement) -> dict:
         },
     }
 
-
-MANIFEST_FIELDS = ("path", "composer", "quartet_id", "set_id", "movement_number")
 
 _COMPOSER_ALIASES = {
     "0": Composer.MOZART,

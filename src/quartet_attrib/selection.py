@@ -10,7 +10,6 @@ wins.  Results are deterministic given (matrix, y, prior, restarts, seed).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -54,17 +53,6 @@ class SelectionResult:
         if self.trace is None:
             del out["trace"]
         return out
-
-
-def replay_trace(trace: Sequence[TraceEntry]) -> tuple[str, ...]:
-    """Reapply a restart's accepted moves; returns the final selected set."""
-    current: list[str] = []
-    for entry in trace:
-        if entry.action == "add":
-            current.append(entry.feature)
-        else:
-            current.remove(entry.feature)
-    return tuple(sorted(current))
 
 
 def _as_array(matrix) -> tuple[np.ndarray, tuple[str, ...]]:

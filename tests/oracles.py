@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from quartet_attrib import glm
-from quartet_attrib.features import LengthMismatch
+from quartet_attrib.features import DevelopmentThresholds, LengthMismatch, _voice_data
 from quartet_attrib.score import (
     VOICE_ORDER,
     EncodedMovement,
@@ -383,6 +383,73 @@ def weighted_quantile_loop_oracle(values, weights, q):
     return pairs[-1][0]
 
 
+def thresholds_from_json(payload):
+    """DevelopmentThresholds back from its thresholds.json form."""
+    quantiles = tuple(float(q) for q in payload["quantiles"])
+    table = {}
+    for track, by_m in payload["thresholds"].items():
+        for m, by_voice in by_m.items():
+            for voice, by_q in by_voice.items():
+                table[(voice, int(m), track)] = tuple(
+                    float(by_q[f"{q:.2f}"]) for q in quantiles
+                )
+    return DevelopmentThresholds(quantiles=quantiles, table=table)
+
+
+# ---------------------------------------------------------------------------
+# Development pool, one row at a time: each movement's window sds kept as its
+# own array, thresholds from the rows' concatenated sds, counts per row.
+# ---------------------------------------------------------------------------
+
+
+def window_sds_by_row(movements, lengths):
+    """(voice, m, track) -> one array of window sds per movement, in the
+    library pool's key order; empty where the voice is shorter than m."""
+    data = [_voice_data(mv) for mv in movements]
+    out = {}
+    for v in VOICES:
+        for m in lengths:
+            for track in ("pitch", "duration"):
+                sds = [d[v].window_sds(track, m) for d in data]
+                out[(v, m, track)] = [np.empty(0) if a is None else a for a in sds]
+    return out
+
+
+def pool_thresholds_oracle(by_row, quantiles, reading, rows):
+    """Thresholds per key from the sds of ``rows``, concatenated in row
+    order, each weighted by one over its row's window count: the prose
+    reading is the running-sum weighted quantile of the sds, the literal one
+    np.percentile of sd times weight; NaN when no kept row has a window."""
+    table = {}
+    for key, arrays in by_row.items():
+        vals = [x for i in rows for x in arrays[i].tolist()]
+        wts = [1.0 / arrays[i].size for i in rows for _ in range(arrays[i].size)]
+        if not vals:
+            table[key] = tuple(float("nan") for _ in quantiles)
+        elif reading == "prose":
+            table[key] = tuple(weighted_quantile_loop_oracle(vals, wts, q) for q in quantiles)
+        else:
+            scaled = np.array(vals) * np.array(wts)
+            table[key] = tuple(float(np.percentile(scaled, 100.0 * q)) for q in quantiles)
+    return table
+
+
+def pool_counts_oracle(by_row, thresholds):
+    """The count block: per key and quantile, each row's number of sds at or
+    above the threshold; NaN for a row without windows or a NaN threshold."""
+    n = len(next(iter(by_row.values())))
+    out = np.full((n, len(by_row) * len(thresholds.quantiles)), np.nan)
+    col = 0
+    for key, arrays in by_row.items():
+        for t in thresholds.get(*key):
+            if not math.isnan(t):
+                for i, a in enumerate(arrays):
+                    if a.size:
+                        out[i, col] = float(sum(1 for x in a.tolist() if x >= t))
+            col += 1
+    return out
+
+
 def objective_path(solve, iterations):
     """The penalized objective (log-likelihood minus log prior) of one
     Cauchy-prior solve after each of its first `iterations` iterations.
@@ -508,6 +575,17 @@ def icm_select_oracle(
         restart_bics=tuple(restart_bics),
         trace=best_state["trace"],
     )
+
+
+def replay_trace(trace):
+    """Reapply a restart's accepted moves; returns the final selected set."""
+    current = []
+    for entry in trace:
+        if entry.action == "add":
+            current.append(entry.feature)
+        else:
+            current.remove(entry.feature)
+    return tuple(sorted(current))
 
 
 # ---------------------------------------------------------------------------

@@ -439,6 +439,17 @@ class TestCvEntryPoints:
         assert rc == 1
         assert "--meta is required" in capsys.readouterr().err
 
+    def test_leakage_audit_reports_missing_meta_before_parsing(self, tmp_path, capsys):
+        src, csvs, manifest = self.corpus_and_csvs(tmp_path)
+        (manifest.parent / "broken.krn").write_text("**kern\t**kern\n*-\t*-\n")
+        with open(manifest, "a", encoding="utf-8") as fh:
+            fh.write("broken.krn,1,hq9,set9,1\n")
+        rc = main(["cv", "--leakage-audit", *src, *csvs[:2], *self.MODEL,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--meta is required" in err and "error parsing" not in err
+
     def test_leakage_audit_rejects_rows_in_another_order(self, tmp_path, capsys):
         src, csvs, manifest = self.corpus_and_csvs(tmp_path)
         header, *rows = manifest.read_text().splitlines()

@@ -418,20 +418,50 @@ class TestDevelopmentThresholds:
         rows = [0, 2, 3, 6]
         thr = pool.thresholds(rows=rows)
         assert thr.quantiles == pool.quantiles
-        missing = 0
-        for key, arrays in pool.sds.items():
-            vals = [x for i in rows for x in arrays[i].tolist()]
-            wts = [1.0 / arrays[i].size for i in rows for _ in range(arrays[i].size)]
-            if not vals:
-                missing += 1
-                assert all(math.isnan(t) for t in thr.table[key])
-                continue
-            # equal weights 1/size often put a cumulative share exactly on q,
-            # so the oracle rounds as the library does: a running sum in order
-            for qi, q in enumerate(pool.quantiles):
-                want = oracles.weighted_quantile_loop_oracle(vals, wts, q)
-                assert thr.table[key][qi] == want, (key, q)
-        assert missing < len(pool.sds)
+        # equal weights 1/size often put a cumulative share exactly on q, so
+        # the oracle rounds as the library does: a running sum in order
+        by_row = oracles.window_sds_by_row(movements, SMALL.lengths)
+        want = oracles.pool_thresholds_oracle(by_row, pool.quantiles, "prose", rows)
+        assert thr.table.keys() == want.keys()
+        for key, vals in want.items():
+            assert np.array(thr.table[key]).tobytes() == np.array(vals).tobytes(), key
+        missing = sum(all(map(math.isnan, vals)) for vals in want.values())
+        assert missing < len(want)
+
+    @pytest.mark.parametrize("reading", ["prose", "literal"])
+    def test_pool_equals_the_row_by_row_reference(self, reading):
+        """Thresholds and counts of the sorted pool equal the per-row loops
+        bit for bit, on random corpora and ascending row subsets."""
+        lengths = (8, 12, 24)
+        seen = {"empty_row": 0, "empty_key": 0, "cross_row_tie": 0}
+        for seed in range(12):
+            rng = np.random.default_rng([24, seed])
+            movements = [
+                synth.random_movement(rng, n_notes=(4, 30))
+                for _ in range(int(rng.integers(3, 8)))
+            ]
+            movements.append(synth.transpose_movement(movements[0], 5))  # equal sds
+            pool = build_development_pool(movements, SegmentConfig(lengths), reading)
+            by_row = oracles.window_sds_by_row(movements, lengths)
+            n = len(movements)
+            for k in (0, n, *rng.integers(1, n, size=4)):
+                rows = sorted(rng.choice(n, size=k, replace=False).tolist())
+                thr = pool.thresholds(rows=rows)
+                want = oracles.pool_thresholds_oracle(by_row, pool.quantiles, reading, rows)
+                assert thr.table.keys() == want.keys()
+                for key, vals in want.items():
+                    assert np.array(thr.table[key]).tobytes() == np.array(vals).tobytes()
+                got = pool.count_columns(thr)
+                assert got.tobytes() == oracles.pool_counts_oracle(by_row, thr).tobytes()
+                for arrays in by_row.values():
+                    kept = [arrays[i] for i in rows]
+                    seen["empty_row"] += any(a.size == 0 for a in kept)
+                    seen["empty_key"] += bool(kept) and all(a.size == 0 for a in kept)
+                    distinct = [set(a.tolist()) for a in kept]
+                    seen["cross_row_tie"] += any(
+                        a & b for i, a in enumerate(distinct) for b in distinct[i + 1 :]
+                    )
+        assert all(seen.values()), seen
 
     def test_non_decreasing_in_quantile(self):
         rng = np.random.default_rng(20)
@@ -453,7 +483,7 @@ class TestDevelopmentThresholds:
         rng = np.random.default_rng(22)
         movements = [synth.random_movement(rng) for _ in range(3)]
         thr = build_development_pool(movements, SMALL).thresholds()
-        back = DevelopmentThresholds.from_json(thr.to_json())
+        back = oracles.thresholds_from_json(thr.to_json())
         assert back.quantiles == thr.quantiles
         for key, vals in thr.table.items():
             for a, b in zip(vals, back.table[key]):

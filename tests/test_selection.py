@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 import synth
 from quartet_attrib import glm, selection
-from quartet_attrib.selection import icm_select, replay_trace
+from quartet_attrib.selection import icm_select
 
 
 PRIOR = glm.PriorConfig(scale_factor=0.6)
@@ -108,7 +109,7 @@ class TestDeterminismAndTrace:
         rng = np.random.default_rng(10)
         X, y = synth.logistic_toy(rng, n=60, p=6)
         res = icm_select(X, y, prior=PRIOR, restarts=4, seed=3, trace=True)
-        assert replay_trace(res.trace) == tuple(sorted(res.selected))
+        assert oracles.replay_trace(res.trace) == tuple(sorted(res.selected))
 
     def test_trace_bic_strictly_decreasing(self):
         rng = np.random.default_rng(11)
@@ -199,8 +200,6 @@ def _oracle_cases():
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_batched_search_matches_one_fit_per_candidate_oracle(monkeypatch):
-    import oracles
-
     seen = {"nonconverged": 0, "em_fallback": 0}
     real_modes, real_pd = glm.posterior_modes, glm._positive_definite
 
