@@ -84,6 +84,8 @@ class CVConfig:
             raise ValueError("filter_mode must be 'per-fold' or 'global'")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
+        if self.n_jobs < 1:
+            raise ValueError("n_jobs must be at least 1")
         if self.bic_form not in glm.BIC_FORMS:
             raise ValueError(f"bic_form must be one of {tuple(glm.BIC_FORMS)}")
 

@@ -55,6 +55,7 @@ OVERLAP_DESCS = (
 MINOR_THIRD_HIGH = Fraction(3, 5)
 #: Quantiles defining the development standard-deviation thresholds.
 DEV_QUANTILES = (0.70, 0.80, 0.90, 0.95)
+_NAN = float("nan")
 
 THRESHOLD_READINGS = ("prose", "literal")
 DEFAULT_SEGMENT_LENGTHS = (8, 10, 12, 14, 16, 18)
@@ -137,74 +138,73 @@ def parse_label(label: str) -> FeatureName:
 
 
 _BASIC_DESCRIPTORS = ("note_count", "mean_duration", "sd_duration", "mean_pitch", "sd_pitch")
-_MINOR3_DESCRIPTORS = (
-    "minor3_min",
-    "minor3_q1",
-    "minor3_median",
-    "minor3_q3",
-    "minor3_max",
-    "minor3_mean",
-    "minor3_sd",
-    "minor3_count_zero",
-    "minor3_count_high",
+_STEP_DESCRIPTORS = (
+    *(f"class_{c}" for c in range(12)),
+    *(f"sign_{s}" for s in SIGN_LABELS),
+    *(f"mode_{mode}" for mode in MODE_LABELS),
 )
+_STEP_SUMMARIES = ("mean_semitone", "sd_semitone", "mean_duration_diff", "sd_duration_diff")
+_PAIR_DESCRIPTORS = (
+    "pair_mean_semitone", "pair_sd_semitone", *(f"pair_class_{c}" for c in range(12))
+)
+_MINOR3_DESCRIPTORS = tuple(
+    "minor3_" + d
+    for d in ("min", "q1", "median", "q3", "max", "mean", "sd", "count_zero", "count_high")
+)
+_DEV_MAXIMA = ("max_sd", "max_location")
+
+
+def _block(category, descriptors, voices=(None,), lengths=(None,), tracks=(None,)):
+    """Names in voice -> segment length -> track -> descriptor order."""
+    return tuple(
+        FeatureName(category, desc, voice=v, track=track, segment_length=m)
+        for v in voices
+        for m in lengths
+        for track in tracks
+        for desc in descriptors
+    )
 
 
 @lru_cache(maxsize=8)
-def _feature_names_cached(lengths: tuple[int, ...]):
-    names: list[FeatureName] = []
+def _layout(lengths: tuple[int, ...]):
+    """The registry for ``lengths`` and each family's labels in registry order.
 
-    def add(category, descriptor, **kw):
-        names.append(FeatureName(category, descriptor, **kw))
-
-    for v in VOICE_LABELS:
-        for desc in _BASIC_DESCRIPTORS:
-            add("basic", desc, voice=v)
-    add("basic", "simultaneous_notes")
-    add("basic", "simultaneous_rests")
-
-    for v in VOICE_LABELS:
-        for c in range(12):
-            add("interval", f"class_{c}", voice=v)
-        for s in SIGN_LABELS:
-            add("interval", f"sign_{s}", voice=v)
-        for mode in MODE_LABELS:
-            add("interval", f"mode_{mode}", voice=v)
-    for v in VOICE_LABELS:
-        for desc in ("mean_semitone", "sd_semitone", "mean_duration_diff", "sd_duration_diff"):
-            add("interval", desc, voice=v)
-    for a, b in VOICE_PAIRS:
-        pair = f"{a}-{b}"
-        add("interval", "pair_mean_semitone", voice=pair)
-        add("interval", "pair_sd_semitone", voice=pair)
-        for c in range(12):
-            add("interval", f"pair_class_{c}", voice=pair)
-    for v in VOICE_LABELS:
-        for m in lengths:
-            for desc in _MINOR3_DESCRIPTORS:
-                add("interval", desc, voice=v, segment_length=m)
-
-    dev_descs = ["max_sd", "max_location"] + [f"count_q{q:.2f}" for q in DEV_QUANTILES]
-    for category, descs in (
-        ("exposition", OVERLAP_DESCS),
-        ("development", dev_descs),
-        ("recapitulation", OVERLAP_DESCS),
-    ):
-        for v in VOICE_LABELS:
-            for m in lengths:
-                for track in TRACKS:
-                    for desc in descs:
-                        add(category, desc, voice=v, track=track, segment_length=m)
-
-    # keep Table-1 category order: basic, interval, exposition, development, recap
-    order = {c: i for i, c in enumerate(CATEGORIES)}
-    names.sort(key=lambda fn: order[fn.category])
-    return tuple(names)
+    The registry is the families' blocks joined in CATEGORIES order.  The
+    development block interleaves the family's maxima with the count columns
+    the pool fills; "count" holds the latter.
+    """
+    windows = {"voices": VOICE_LABELS, "lengths": lengths, "tracks": TRACKS}
+    dev_descs = (*_DEV_MAXIMA, *(f"count_q{q:.2f}" for q in DEV_QUANTILES))
+    blocks = {
+        "basic": _block("basic", _BASIC_DESCRIPTORS, VOICE_LABELS)
+        + _block("basic", ("simultaneous_notes", "simultaneous_rests")),
+        "pairwise": _block("interval", _STEP_DESCRIPTORS, VOICE_LABELS)
+        + _block("interval", _STEP_SUMMARIES, VOICE_LABELS)
+        + _block("interval", _PAIR_DESCRIPTORS, tuple("-".join(p) for p in VOICE_PAIRS)),
+        "minor_third": _block("interval", _MINOR3_DESCRIPTORS, VOICE_LABELS, lengths),
+        "exposition": _block("exposition", OVERLAP_DESCS, **windows),
+        "development": _block("development", dev_descs, **windows),
+        "recapitulation": _block("recapitulation", OVERLAP_DESCS, **windows),
+    }
+    labels = {family: tuple(fn.label for fn in block) for family, block in blocks.items()}
+    dev = blocks["development"]
+    labels["development"] = tuple(fn.label for fn in dev if fn.descriptor in _DEV_MAXIMA)
+    labels["count"] = tuple(fn.label for fn in dev if fn.descriptor not in _DEV_MAXIMA)
+    return tuple(fn for block in blocks.values() for fn in block), labels
 
 
 def feature_names(config: SegmentConfig = SegmentConfig()) -> tuple[FeatureName, ...]:
     """The full ordered feature registry for one segment configuration."""
-    return _feature_names_cached(tuple(config.lengths))
+    return _layout(tuple(config.lengths))[0]
+
+
+def _labels(lengths: Sequence[int], family: str) -> tuple[str, ...]:
+    return _layout(tuple(lengths))[1][family]
+
+
+def _named(family: str, values: list, config: SegmentConfig = SegmentConfig()) -> dict:
+    """A family's values, given in its block order, keyed by their labels."""
+    return dict(zip(_labels(config.lengths, family), values, strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +315,11 @@ class FeatureMatrix:
             seen: set[str] = set()
             for rec in reader:
                 path = rec[0]
+                if len(rec) != len(header):
+                    raise ValueError(
+                        f"feature row {path!r} has {len(rec)} fields, "
+                        f"the header has {len(header)}"
+                    )
                 if path not in metas:
                     raise ValueError(f"feature row {path!r} missing from metadata sidecar")
                 if path in seen:
@@ -442,16 +447,13 @@ def _sd(x) -> float:
 def basic_summary(movement: EncodedMovement, data: dict[str, _VoiceData]) -> dict[str, float]:
     """Per-voice note counts and duration/pitch summaries plus the two
     all-four-voices simultaneity proportions (from the movement's onsets)."""
-    feats: dict[str, float] = {}
+    values = []
     for v in VOICE_LABELS:
         vd = data[v]
         if not vd.m_notes:
             raise EmptyVoice(f"voice {v} has no notes")
-        feats[f"basic|note_count|{v}"] = float(vd.m_notes)
-        feats[f"basic|mean_duration|{v}"] = float(np.mean(vd.dur_float))
-        feats[f"basic|sd_duration|{v}"] = _sd(vd.dur_float)
-        feats[f"basic|mean_pitch|{v}"] = float(np.mean(vd.pcs))
-        feats[f"basic|sd_pitch|{v}"] = _sd(vd.pcs)
+        mean_duration, mean_pitch = float(np.mean(vd.dur_float)), float(np.mean(vd.pcs))
+        values += [float(vd.m_notes), mean_duration, _sd(vd.dur_float), mean_pitch, _sd(vd.pcs)]
 
     # onsets as integer numerators over the movement's common denominator
     grid = onset_grid(movement).values()
@@ -463,9 +465,8 @@ def basic_summary(movement: EncodedMovement, data: dict[str, _VoiceData]) -> dic
     shared = [r for t, r in first.items() if all(t in d and d[t] == r for d in others)]
     all_rest = sum(shared)
     all_note = len(shared) - all_rest
-    feats["basic|simultaneous_notes"] = all_note / n_onsets if n_onsets else float("nan")
-    feats["basic|simultaneous_rests"] = all_rest / n_onsets if n_onsets else float("nan")
-    return feats
+    values += [all_note / n_onsets, all_rest / n_onsets] if n_onsets else [_NAN] * 2
+    return _named("basic", values)
 
 
 # ---------------------------------------------------------------------------
@@ -481,59 +482,33 @@ def pairwise_interval_features(data: dict[str, _VoiceData]) -> dict[str, float]:
     per voice pair, differences of the semitone summaries and of the class
     proportions.  Voices with fewer than two notes are missing-masked.
     """
-    feats: dict[str, float] = {}
-    stats: dict[str, dict | None] = {}
+    steps_block, summaries, stats = [], [], {}
     for v in VOICE_LABELS:
         vd = data[v]
         if vd.m_notes < 2:
             stats[v] = None
-            for c in range(12):
-                feats[f"interval|class_{c}|{v}"] = float("nan")
-            for s in SIGN_LABELS:
-                feats[f"interval|sign_{s}|{v}"] = float("nan")
-            for mode in MODE_LABELS:
-                feats[f"interval|mode_{mode}|{v}"] = float("nan")
-            for desc in ("mean_semitone", "sd_semitone", "mean_duration_diff", "sd_duration_diff"):
-                feats[f"interval|{desc}|{v}"] = float("nan")
+            steps_block += [_NAN] * len(_STEP_DESCRIPTORS)
+            summaries += [_NAN] * len(_STEP_SUMMARIES)
             continue
         steps = np.diff(vd.abs_pitch)
         dur_steps = np.diff(vd.dur_float)
         classes = np.abs(steps) % 12
         class_props = np.bincount(classes, minlength=12) / len(classes)
-        mode_props = np.zeros(4)
-        for c in range(12):
-            mode_props[MODE_OF_CLASS[c]] += class_props[c]
-        sem_mean = float(np.mean(steps))
-        sem_sd = _sd(steps)
-        for c in range(12):
-            feats[f"interval|class_{c}|{v}"] = float(class_props[c])
-        feats[f"interval|sign_ascending|{v}"] = float(np.mean(steps > 0))
-        feats[f"interval|sign_descending|{v}"] = float(np.mean(steps < 0))
-        feats[f"interval|sign_constant|{v}"] = float(np.mean(steps == 0))
-        for mi, mode in enumerate(MODE_LABELS):
-            feats[f"interval|mode_{mode}|{v}"] = float(mode_props[mi])
-        feats[f"interval|mean_semitone|{v}"] = sem_mean
-        feats[f"interval|sd_semitone|{v}"] = sem_sd
-        feats[f"interval|mean_duration_diff|{v}"] = float(np.mean(dur_steps))
-        feats[f"interval|sd_duration_diff|{v}"] = _sd(dur_steps)
-        stats[v] = {"class_props": class_props, "sem_mean": sem_mean, "sem_sd": sem_sd}
+        mode_props = np.bincount(MODE_OF_CLASS, weights=class_props, minlength=4)
+        signs = [np.mean(steps > 0), np.mean(steps < 0), np.mean(steps == 0)]
+        steps_block += [*class_props.tolist(), *map(float, signs), *mode_props.tolist()]
+        sem_mean, sem_sd = float(np.mean(steps)), _sd(steps)
+        summaries += [sem_mean, sem_sd, float(np.mean(dur_steps)), _sd(dur_steps)]
+        stats[v] = (sem_mean, sem_sd, class_props)
 
+    pairs = []
     for a, b in VOICE_PAIRS:
-        pair = f"{a}-{b}"
-        sa, sb = stats[a], stats[b]
-        if sa is None or sb is None:
-            feats[f"interval|pair_mean_semitone|{pair}"] = float("nan")
-            feats[f"interval|pair_sd_semitone|{pair}"] = float("nan")
-            for c in range(12):
-                feats[f"interval|pair_class_{c}|{pair}"] = float("nan")
+        if stats[a] is None or stats[b] is None:
+            pairs += [_NAN] * len(_PAIR_DESCRIPTORS)
             continue
-        feats[f"interval|pair_mean_semitone|{pair}"] = sa["sem_mean"] - sb["sem_mean"]
-        feats[f"interval|pair_sd_semitone|{pair}"] = sa["sem_sd"] - sb["sem_sd"]
-        for c in range(12):
-            feats[f"interval|pair_class_{c}|{pair}"] = float(
-                sa["class_props"][c] - sb["class_props"][c]
-            )
-    return feats
+        (mean_a, sd_a, props_a), (mean_b, sd_b, props_b) = stats[a], stats[b]
+        pairs += [mean_a - mean_b, sd_a - sd_b, *(props_a - props_b).tolist()]
+    return _named("pairwise", steps_block + summaries + pairs)
 
 
 def minor_third_segment_features(
@@ -545,31 +520,27 @@ def minor_third_segment_features(
     class distance from the window's first note, summarised by seven order
     statistics plus counts of all-zero and high-proportion segments.
     """
-    feats: dict[str, float] = {}
+    high = MINOR_THIRD_HIGH
+    values = []
     for v in VOICE_LABELS:
         ap = data[v].abs_pitch
         for m in config.lengths:
-            base = f"|{v}|m={m}"
             if len(ap) < m:
-                for desc in _MINOR3_DESCRIPTORS:
-                    feats[f"interval|{desc}{base}"] = float("nan")
+                values += [_NAN] * len(_MINOR3_DESCRIPTORS)
                 continue
             w = _sliding(ap, m)
             counts = (np.abs(w[:, 1:] - w[:, :1]) % 12 == 3).sum(axis=1)
             props = counts / (m - 1)
-            feats[f"interval|minor3_min{base}"] = float(props.min())
-            feats[f"interval|minor3_q1{base}"] = float(np.percentile(props, 25))
-            feats[f"interval|minor3_median{base}"] = float(np.percentile(props, 50))
-            feats[f"interval|minor3_q3{base}"] = float(np.percentile(props, 75))
-            feats[f"interval|minor3_max{base}"] = float(props.max())
-            feats[f"interval|minor3_mean{base}"] = float(props.mean())
-            feats[f"interval|minor3_sd{base}"] = _sd(props)
-            feats[f"interval|minor3_count_zero{base}"] = float((counts == 0).sum())
-            high = MINOR_THIRD_HIGH
-            feats[f"interval|minor3_count_high{base}"] = float(
-                (counts * high.denominator >= high.numerator * (m - 1)).sum()
-            )
-    return feats
+            values += [
+                float(props.min()),
+                *np.percentile(props, [25, 50, 75]).tolist(),
+                float(props.max()),
+                float(props.mean()),
+                _sd(props),
+                float((counts == 0).sum()),
+                float((counts * high.denominator >= high.numerator * (m - 1)).sum()),
+            ]
+    return _named("minor_third", values, config)
 
 
 # ---------------------------------------------------------------------------
@@ -610,22 +581,19 @@ def _overlap_features(
 ) -> dict[str, float]:
     """Overlap of each voice's opening segment against its later segments:
     those starting at or before ceil(M/2) with ``first_half``, else all."""
-    feats: dict[str, float] = {}
-    masked = (float("nan"),) * len(OVERLAP_DESCS)
+    values = []
     for v in VOICE_LABELS:
         vd = data[v]
         half = (vd.m_notes + 1) // 2
         for m in config.lengths:
             for track in TRACKS:
-                base = f"|{track}|{v}|m={m}"
                 wmat = vd.windows(track, m)
                 stats = None
                 if wmat is not None:
                     total = wmat.shape[0]
                     stats = _overlap_stats(wmat, min(half, total) if first_half else total)
-                for desc, value in zip(OVERLAP_DESCS, stats or masked):
-                    feats[f"{category}|{desc}{base}"] = value
-    return feats
+                values += stats or [_NAN] * len(OVERLAP_DESCS)
+    return _named(category, values, config)
 
 
 def exposition_features(
@@ -736,18 +704,16 @@ class DevelopmentSdPool:
             # adds the weights in the order a sort of the kept rows would
             w = 1.0 / self.sizes[key][self.rows[key][kept]]
             if self.reading == "prose":
-                table[key] = tuple(
-                    float(x) for x in weighted_quantile(v, w, self.quantiles)
-                )
+                picks = weighted_quantile(v, w, self.quantiles)
             else:
-                # literal reading: plain quantile of the scaled values
-                table[key] = tuple(
-                    float(np.percentile(v * w, 100.0 * q)) for q in self.quantiles
-                )
+                # literal reading: plain quantiles of the scaled values
+                picks = np.percentile(v * w, [100.0 * q for q in self.quantiles])
+            table[key] = tuple(float(x) for x in picks)
         return DevelopmentThresholds(quantiles=self.quantiles, table=table)
 
     def count_labels(self) -> list[str]:
-        return _count_labels(self.lengths, self.quantiles)
+        """Labels of the count block, in the column order of count_columns."""
+        return list(_labels(self.lengths, "count"))
 
     def count_columns(self, thresholds: DevelopmentThresholds) -> np.ndarray:
         """Threshold-count feature block for all pooled movements: per key and
@@ -762,17 +728,6 @@ class DevelopmentSdPool:
                     above = self.rows[key][np.searchsorted(sds, t):]
                     out[has, k * nq + qi] = np.bincount(above, minlength=self.n)[has]
         return out
-
-
-def _count_labels(lengths: Sequence[int], quantiles: Sequence[float]) -> list[str]:
-    """Labels of the development count block, in pool key order."""
-    return [
-        f"development|count_q{q:.2f}|{track}|{v}|m={m}"
-        for v in VOICE_LABELS
-        for m in lengths
-        for track in TRACKS
-        for q in quantiles
-    ]
 
 
 def _pooled(
@@ -820,21 +775,17 @@ def development_features(
     counts of windows at or above each corpus-level threshold come from
     ``DevelopmentSdPool.count_columns``.
     """
-    feats: dict[str, float] = {}
+    values = []
     for v in VOICE_LABELS:
-        vd = data[v]
         for m in config.lengths:
             for track in TRACKS:
-                base = f"|{track}|{v}|m={m}"
-                sds = vd.window_sds(track, m)
+                sds = data[v].window_sds(track, m)
                 if sds is None:
-                    feats[f"development|max_sd{base}"] = float("nan")
-                    feats[f"development|max_location{base}"] = float("nan")
+                    values += [_NAN] * len(_DEV_MAXIMA)
                     continue
                 pos = int(np.argmax(sds))  # first occurrence on ties
-                feats[f"development|max_sd{base}"] = float(sds[pos])
-                feats[f"development|max_location{base}"] = (pos + 1) / len(sds)
-    return feats
+                values += [float(sds[pos]), (pos + 1) / len(sds)]
+    return _named("development", values, config)
 
 
 # ---------------------------------------------------------------------------
@@ -868,7 +819,7 @@ def extract_all(
         raise ValueError("every movement needs metadata for matrix assembly")
     names = feature_names(config)
     free = {fn.label: j for j, fn in enumerate(names)}  # the count columns are popped
-    counted = [free.pop(lbl) for lbl in _count_labels(config.lengths, DEV_QUANTILES)]
+    counted = [free.pop(lbl) for lbl in _labels(config.lengths, "count")]
     values = np.empty((len(corpus), len(names)))
 
     def threshold_free(i, movement):

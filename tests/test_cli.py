@@ -243,6 +243,16 @@ class TestCV:
             assert capsys.readouterr().err == "error: restarts must be at least 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_fail_before_any_fold(self, tmp_path, capsys, jobs):
+        fp, mp = toy_feature_csvs(tmp_path)
+        out = tmp_path / "x"
+        args = ["--features", str(fp), "--meta", str(mp), "--jobs", jobs, "--out", str(out)]
+        for command in ("cv", "fit"):
+            assert main([command, *args]) == 1
+            assert capsys.readouterr().err == "error: n_jobs must be at least 1\n"
+        assert not out.exists()
+
 
 class TestFitAndReport:
     def test_fit_writes_model_and_report(self, tmp_path, capsys):

@@ -391,6 +391,9 @@ def test_cv_config_validation():
         CVConfig(grid=())
     with pytest.raises(ValueError, match="restarts"):
         CVConfig(restarts=0)
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="n_jobs must be at least 1"):
+            CVConfig(n_jobs=jobs)
     with pytest.raises(ValueError, match="bic_form must be one of"):
         CVConfig(bic_form="aic")
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import oracles
 import synth
 from quartet_attrib import features
 from quartet_attrib.features import (
+    CATEGORIES,
     DevelopmentThresholds,
     FeatureMatrix,
     SegmentConfig,
@@ -90,6 +92,38 @@ class TestRegistry:
             assert back.voice == fn.voice
             assert back.track == fn.track
             assert back.segment_length == fn.segment_length
+
+    @pytest.mark.parametrize(
+        "config", [CONFIG, SMALL, SegmentConfig(lengths=(12,))], ids=["paper", "small", "one"]
+    )
+    def test_families_fill_the_registry_in_its_order(self, config):
+        """Each family's keys and the pool's count labels sit at increasing
+        registry positions and together fill the registry exactly; the
+        registry is grouped by category in CATEGORIES order."""
+        mv = synth.random_movement(np.random.default_rng(32), meta=synth.make_meta())
+        data = voice_data(mv)
+        blocks = {
+            "basic_summary": basic_summary(mv, data),
+            "pairwise_interval_features": pairwise_interval_features(data),
+            "minor_third_segment_features": minor_third_segment_features(data, config),
+            "exposition_features": exposition_features(data, config),
+            "development_features": development_features(data, config),
+            "recapitulation_features": recapitulation_features(data, config),
+            "count_labels": build_development_pool([mv], config).count_labels(),
+        }
+        names = feature_names(config)
+        labels = [fn.label for fn in names]
+        position = {label: j for j, label in enumerate(labels)}
+        placed = [None] * len(labels)
+        for family, keys in blocks.items():
+            where = [position[key] for key in keys]
+            assert where == sorted(where), family
+            for j, key in zip(where, keys):
+                assert placed[j] is None, key
+                placed[j] = key
+        assert placed == labels
+        grouped = [category for category, _ in itertools.groupby(fn.category for fn in names)]
+        assert grouped == list(CATEGORIES)
 
 
 class TestBasicSummary:
@@ -584,6 +618,17 @@ class TestMatrixIO:
         nan = np.isnan(matrix.values)
         assert np.array_equal(nan, np.isnan(back.values))
         assert np.array_equal(back.values[~nan], matrix.values[~nan])
+
+    def test_ragged_row_named_in_the_error(self, tmp_path):
+        rows = [synth.make_meta(path=f"r{i}.krn", quartet=f"q{i}") for i in range(3)]
+        columns = feature_names(SMALL)[:4]
+        fp, mp = tmp_path / "f.csv", tmp_path / "m.csv"
+        FeatureMatrix(rows=rows, columns=columns, values=np.ones((3, 4))).to_csv(fp, mp)
+        lines = fp.read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]  # r1.krn loses its last field
+        fp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"'r1\.krn' has 4 fields, the header has 5"):
+            FeatureMatrix.from_csv(fp, mp)
 
     def test_select_rows_columns(self):
         rng = np.random.default_rng(30)

@@ -1,7 +1,8 @@
 """Every module-level name in the package is read somewhere in the package
 or exported: a function, class or constant that nothing in ``src/`` uses and
 ``__all__`` does not list is dead code or a test-only view that belongs in
-``tests/oracles.py``."""
+``tests/oracles.py``.  Feature labels are spelt only by ``FeatureName.label``
+and read only by ``parse_label``: no f-string in the package builds one."""
 
 import ast
 from pathlib import Path
@@ -32,9 +33,23 @@ def _read(tree: ast.Module) -> set[str]:
     return names
 
 
+def _trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _label_fstrings(tree: ast.Module) -> list[int]:
+    """Lines of the f-strings whose literal parts hold the label separator."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.JoinedStr)
+        and any(isinstance(part, ast.Constant) and "|" in part.value for part in node.values)
+    ]
+
+
 def test_every_module_level_name_is_read_or_exported():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _trees()
     read = set().union(*map(_read, trees.values()))
     unread = sorted(
         f"{module}:{name}"
@@ -42,3 +57,9 @@ def test_every_module_level_name_is_read_or_exported():
         for name in _defined(tree) - read - set(quartet_attrib.__all__)
     )
     assert not unread, unread
+
+
+def test_no_f_string_builds_a_feature_label():
+    found = [f"{module}:{line}" for module, tree in _trees().items()
+             for line in _label_fstrings(tree)]
+    assert not found, found
