@@ -91,7 +91,7 @@ def _load_corpus_or_die(args):
     corpus_root = Path(args.corpus)
     if not corpus_root.is_dir():
         raise SystemExit(f"error: corpus root {corpus_root} is not a directory")
-    movements, errors = load_corpus(corpus_root, args.manifest, skip_bad=args.skip_bad)
+    movements, errors = load_corpus(corpus_root, args.manifest)
     for path, msg in errors:
         print(f"error parsing {path}: {msg}", file=sys.stderr)
     if errors and not args.skip_bad:
@@ -277,16 +277,9 @@ def cmd_compare(args) -> int:
         b = CVResult.from_json(json.load(fh))
     report = compare_runs(a, b)
     print(f"movements compared: {report.n}")
-    print(
-        "probability (a vs b): "
-        f"less {report.prob_less_pct:.2f}%  equal {report.prob_equal_pct:.2f}%  "
-        f"greater {report.prob_greater_pct:.2f}%"
-    )
-    print(
-        "class (a vs b):       "
-        f"less {report.class_less_pct:.2f}%  equal {report.class_equal_pct:.2f}%  "
-        f"greater {report.class_greater_pct:.2f}%"
-    )
+    for head, pcts in (("probability (a vs b): ", report.probability),
+                       ("class (a vs b):       ", report.class_)):
+        print(head + "  ".join(f"{k.removesuffix('_pct')} {v:.2f}%" for k, v in pcts.items()))
     print(f"accuracy: a {_percent(report.accuracy_a)}  b {_percent(report.accuracy_b)}")
     if args.out:
         out = _out_dir(args)

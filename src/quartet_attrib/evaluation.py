@@ -424,33 +424,16 @@ def selection_stability(result: CVResult) -> list[StabilityEntry]:
 @dataclass
 class AgreementReport:
     n: int
-    prob_less_pct: float
-    prob_equal_pct: float
-    prob_greater_pct: float
-    class_less_pct: float
-    class_equal_pct: float
-    class_greater_pct: float
+    probability: dict  # less_pct / equal_pct / greater_pct of rounded probabilities
+    class_: dict  # the same for predicted classes; written as "class"
     by_composer: dict
     accuracy_a: float
     accuracy_b: float
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "probability": {
-                "less_pct": self.prob_less_pct,
-                "equal_pct": self.prob_equal_pct,
-                "greater_pct": self.prob_greater_pct,
-            },
-            "class": {
-                "less_pct": self.class_less_pct,
-                "equal_pct": self.class_equal_pct,
-                "greater_pct": self.class_greater_pct,
-            },
-            "by_composer": self.by_composer,
-            "accuracy_a": self.accuracy_a,
-            "accuracy_b": self.accuracy_b,
-        }
+        out = asdict(self)
+        out["class"] = out.pop("class_")
+        return out
 
 
 def _side(a, b) -> str:
@@ -497,14 +480,14 @@ def compare_runs(a: CVResult, b: CVResult) -> AgreementReport:
         }
         for comp in ("mozart", "haydn")
     }
+    probability, class_ = {}, {}
+    for side in ("less", "equal", "greater"):
+        probability[f"{side}_pct"] = pct(prob[side], n)
+        class_[f"{side}_pct"] = pct(cls[side], n)
     return AgreementReport(
         n=n,
-        prob_less_pct=pct(prob["less"], n),
-        prob_equal_pct=pct(prob["equal"], n),
-        prob_greater_pct=pct(prob["greater"], n),
-        class_less_pct=pct(cls["less"], n),
-        class_equal_pct=pct(cls["equal"], n),
-        class_greater_pct=pct(cls["greater"], n),
+        probability=probability,
+        class_=class_,
         by_composer=by_composer,
         accuracy_a=a.accuracy,
         accuracy_b=b.accuracy,
@@ -520,22 +503,13 @@ def compare_runs(a: CVResult, b: CVResult) -> AgreementReport:
 class FullModelReport:
     selection: SelectionResult
     table: list[dict]  # intercept row first, then one row per feature
-    hosmer: list[tuple[int, float, float]]  # (groups, statistic, p_value)
+    hosmer: list[dict]  # one {"g", "statistic", "p_value"} per group count
     hosmer_median_p: float
     n: int
     config: dict
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "config": self.config,
-            "selection": self.selection.to_json(),
-            "table": self.table,
-            "hosmer": [
-                {"g": g, "statistic": s, "p_value": p} for g, s, p in self.hosmer
-            ],
-            "hosmer_median_p": self.hosmer_median_p,
-        }
+        return {**asdict(self), "selection": self.selection.to_json()}
 
 
 def fit_full_model(matrix: FeatureMatrix, config: CVConfig) -> FullModelReport:
@@ -579,13 +553,12 @@ def fit_full_model(matrix: FeatureMatrix, config: CVConfig) -> FullModelReport:
 
     cols = [scoped.column_index(lbl) for lbl in result.selected]
     probs = glm.predict_prob(model, scoped.values[:, cols])
-    hosmer: list[tuple[int, float, float]] = []
-    for g in range(20, 101):
-        if g > matrix.n or g <= model.d + 1:
-            continue
-        res = glm.hosmer_lemeshow(probs, y, g)
-        hosmer.append((g, res.statistic, res.p_value))
-    median_p = float(np.median([p for _, _, p in hosmer])) if hosmer else float("nan")
+    hosmer = [
+        {"g": g, **glm.hosmer_lemeshow(probs, y, g)._asdict()}
+        for g in range(20, 101)
+        if model.d + 1 < g <= matrix.n
+    ]
+    median_p = float(np.median([h["p_value"] for h in hosmer])) if hosmer else float("nan")
     return FullModelReport(
         selection=result,
         table=table,

@@ -295,7 +295,13 @@ class FeatureMatrix:
     def from_csv(cls, features_path, meta_path) -> "FeatureMatrix":
         metas: dict[str, MovementMeta] = {}
         with open(meta_path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
+            reader = csv.DictReader(fh)
+            missing = {"source_path", "composer", "quartet_id", "movement_number"} - set(
+                reader.fieldnames or []
+            )
+            if missing:
+                raise ValueError(f"metadata sidecar is missing columns: {sorted(missing)}")
+            for row in reader:
                 meta = MovementMeta(
                     composer=Composer(int(row["composer"])),
                     quartet_id=row["quartet_id"],

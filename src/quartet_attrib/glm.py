@@ -18,8 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-from scipy.special import expit
-from scipy.stats import chi2, norm
+from scipy.special import chdtrc, expit, ndtr
 
 logger = logging.getLogger(__name__)
 
@@ -389,7 +388,7 @@ def wald_pvalues(model: FittedModel) -> np.ndarray:
     est = np.concatenate(([model.intercept], model.coef))
     with np.errstate(invalid="ignore", divide="ignore"):
         z = est / model.standard_errors
-    out = 2.0 * norm.sf(np.abs(z))
+    out = 2.0 * ndtr(-np.abs(z))
     return np.where(est == 0, 1.0, out)
 
 
@@ -443,5 +442,5 @@ def hosmer_lemeshow(probs, y, g: int) -> HosmerLemeshowResult:
         o0 = len(idx) - o1
         stat += (o1 - e1) ** 2 / e1 + (o0 - e0) ** 2 / e0
     df = len(merged) - 2
-    p_value = float(chi2.sf(stat, df)) if df >= 1 else float("nan")
+    p_value = float(chdtrc(df, stat)) if df >= 1 else float("nan")
     return HosmerLemeshowResult(statistic=float(stat), p_value=p_value)

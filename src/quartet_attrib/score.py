@@ -458,24 +458,10 @@ def movement_to_json(movement: EncodedMovement) -> dict:
     """JSON-safe dump of a parsed movement, for debugging."""
     meta = movement.meta
     return {
-        "meta": None
-        if meta is None
-        else {
-            "composer": int(meta.composer),
-            "quartet_id": meta.quartet_id,
-            "set_id": meta.set_id,
-            "movement_number": meta.movement_number,
-            "source_path": meta.source_path,
-        },
+        "meta": None if meta is None else {**vars(meta), "composer": int(meta.composer)},
         "voices": {
             t.voice.value: [
-                {
-                    "absolute_pitch": e.absolute_pitch,
-                    "pitch_class": e.pitch_class,
-                    "duration": str(e.duration),
-                    "bar_index": e.bar_index,
-                    "onset": str(e.onset),
-                }
+                {**vars(e), "duration": str(e.duration), "onset": str(e.onset)}
                 for e in t.events
             ]
             for t in movement.voices
@@ -531,14 +517,12 @@ def read_manifest(manifest_path: str | Path) -> list[MovementMeta]:
 def load_corpus(
     corpus_root: str | Path,
     manifest_path: str | Path,
-    skip_bad: bool = False,
 ) -> tuple[list[EncodedMovement], list[tuple[str, str]]]:
     """Parse every manifest movement under corpus_root.
 
-    Returns (movements, errors) where errors is a list of
-    (manifest path, message) pairs.  With skip_bad the failing movements
-    are dropped; otherwise callers should treat a non-empty error list as
-    fatal.
+    Returns (movements, errors): the movements that parsed and one
+    (manifest path, message) pair per movement that did not.  Reporting
+    the errors, and deciding whether they are fatal, is the caller's job.
     """
     root = Path(corpus_root)
     movements: list[EncodedMovement] = []
@@ -552,7 +536,4 @@ def load_corpus(
             movements.append(parse_kern(content, meta=meta))
         except (OSError, KernError, ValueError) as exc:
             errors.append((meta.source_path, str(exc)))
-    if errors and not skip_bad:
-        for path, msg in errors:
-            logger.error("failed to parse %s: %s", path, msg)
     return movements, errors

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy.stats import chi2, norm
 
 from quartet_attrib import glm
 from quartet_attrib.features import DevelopmentThresholds, LengthMismatch, _voice_data
@@ -586,6 +587,19 @@ def replay_trace(trace):
         else:
             current.remove(entry.feature)
     return tuple(sorted(current))
+
+
+def wald_pvalues_oracle(model):
+    """``glm.wald_pvalues`` through scipy.stats: 2 * norm.sf(|z|), 1 for a zero estimate."""
+    est = np.concatenate(([model.intercept], model.coef))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        z = est / model.standard_errors
+    return np.where(est == 0, 1.0, 2.0 * norm.sf(np.abs(z)))
+
+
+def hosmer_pvalue_oracle(statistic, df):
+    """The Hosmer-Lemeshow p-value through scipy.stats: chi2.sf(statistic, df)."""
+    return float(chi2.sf(statistic, df))
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ def _load_named_corpus(env_name):
     root = _corpus_dir(env_name)
     if root is None:
         return None
-    movements, errors = load_corpus(root, root / "manifest.csv", skip_bad=True)
+    movements, errors = load_corpus(root, root / "manifest.csv")
     return movements if movements else None
 
 

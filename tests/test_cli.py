@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +103,23 @@ class TestExtract:
         assert rc == 0
         rows = (tmp_path / "ok" / "features.csv").read_text().strip().splitlines()
         assert len(rows) == 9  # header + 8 good movements
+
+    def test_each_bad_movement_named_once_on_stderr(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        manifest = synth.write_tiny_corpus(corpus, seed=7)
+        (corpus / "broken.krn").write_text("**kern\t**kern\n*-\t*-\n", encoding="utf-8")
+        with open(manifest, "a", encoding="utf-8") as fh:
+            fh.write("broken.krn,1,hq9,set9,1\nabsent.krn,0,mq9,set9,1\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        run = subprocess.run(
+            [sys.executable, "-m", "quartet_attrib.cli", "extract", "--corpus", str(corpus),
+             "--manifest", str(manifest), "--m-lengths", "8", "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 1
+        for name in ("broken.krn", "absent.krn"):
+            named = [ln for ln in run.stderr.splitlines() if name in ln]
+            assert len(named) == 1 and named[0].startswith(f"error parsing {name}: "), run.stderr
 
     def test_dump_movements(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -430,6 +450,19 @@ class TestCvEntryPoints:
         assert main(["cv", *extra, *from_csvs, *self.MODEL, "--out", str(a)]) == 0
         assert main(["cv", *extra, *src, *self.MODEL, "--out", str(b)]) == 0
         assert (a / "cv_result.json").read_bytes() == (b / "cv_result.json").read_bytes()
+
+    def test_meta_without_composer_column_fails_with_an_error(self, tmp_path, capsys):
+        fp, mp = toy_feature_csvs(tmp_path)
+        header, *rows = [line.split(",") for line in mp.read_text().splitlines()]
+        j = header.index("composer")
+        mp.write_text("\n".join(",".join(r[:j] + r[j + 1:]) for r in [header, *rows]) + "\n")
+        rc = main(["cv", "--features", str(fp), "--meta", str(mp), *self.MODEL,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: metadata sidecar is missing columns: ['composer']\n"
+        )
+        assert not (tmp_path / "o" / "cv_result.json").exists()
 
     def test_repeated_feature_rows_fail(self, tmp_path, capsys):
         _, csvs, _ = self.corpus_and_csvs(tmp_path)

@@ -8,12 +8,14 @@ import pytest
 import synth
 from quartet_attrib import selection as selection_mod
 from quartet_attrib.evaluation import (
+    AgreementReport,
     CVConfig,
     CVResult,
     ConfigurationError,
     CutoffPolicy,
     FeatureScope,
     FoldRecord,
+    FullModelReport,
     MismatchedCorpora,
     Scheme,
     compare_runs,
@@ -25,8 +27,8 @@ from quartet_attrib.evaluation import (
     write_probability_csv,
 )
 from quartet_attrib.features import FeatureMatrix, FeatureName
-from quartet_attrib.glm import PriorConfig
-from quartet_attrib.score import Composer
+from quartet_attrib.glm import HosmerLemeshowResult, PriorConfig
+from quartet_attrib.score import Composer, Event, MovementMeta, movement_to_json
 
 
 def toy_matrix(rng, n=12, p=5, signal_scale=2.5, quartet_size=2, categories=None):
@@ -276,8 +278,8 @@ class TestCompareRuns:
         matrix = toy_matrix(rng, n=8, p=3)
         result = run_cv(matrix, CVConfig(scheme=Scheme.LOO, seed=7, **FAST))
         rep = compare_runs(result, result)
-        assert rep.prob_equal_pct == 100.0
-        assert rep.class_equal_pct == 100.0
+        assert rep.probability["equal_pct"] == 100.0
+        assert rep.class_["equal_pct"] == 100.0
 
     def test_hand_built_percentages(self):
         folds_a = (
@@ -295,12 +297,12 @@ class TestCompareRuns:
         a = CVResult(scheme="loo", config={}, folds=folds_a)
         b = CVResult(scheme="loo", config={}, folds=folds_b)
         rep = compare_runs(a, b)
-        assert rep.prob_equal_pct == 25.0
-        assert rep.prob_less_pct == 25.0
-        assert rep.prob_greater_pct == 50.0
-        assert rep.class_equal_pct == 50.0
-        assert rep.class_less_pct == 25.0
-        assert rep.class_greater_pct == 25.0
+        assert rep.probability["equal_pct"] == 25.0
+        assert rep.probability["less_pct"] == 25.0
+        assert rep.probability["greater_pct"] == 50.0
+        assert rep.class_["equal_pct"] == 50.0
+        assert rep.class_["less_pct"] == 25.0
+        assert rep.class_["greater_pct"] == 25.0
         assert rep.by_composer["mozart"]["class_equal_pct"] == 50.0
 
     def test_mismatched_corpora(self):
@@ -329,7 +331,7 @@ class TestFullModel:
         matrix = toy_matrix(rng, n=60, p=4)
         config = CVConfig(seed=9, restarts=3, prior=PriorConfig(scale_factor=0.6))
         report = fit_full_model(matrix, config)
-        gs = [g for g, _, _ in report.hosmer]
+        gs = [h["g"] for h in report.hosmer]
         assert gs and max(gs) <= 60 and min(gs) >= 20
         assert not math.isnan(report.hosmer_median_p)
 
@@ -380,6 +382,24 @@ def test_json_keys_are_the_dataclass_fields():
     assert traced.trace and all(
         t.keys() == names(selection_mod.TraceEntry) for t in payload["trace"]
     )
+
+    agreement = compare_runs(result, result).to_json()
+    assert agreement.keys() == names(AgreementReport) - {"class_"} | {"class"}
+    sides = {"less_pct", "equal_pct", "greater_pct"}
+    assert agreement["probability"].keys() == agreement["class"].keys() == sides
+
+    report = fit_full_model(toy_matrix(rng, n=24, p=3), CVConfig(**FAST))
+    payload = report.to_json()
+    assert payload.keys() == names(FullModelReport)
+    assert payload["selection"] == report.selection.to_json()
+    assert payload["hosmer"] and all(
+        h.keys() == {"g", *HosmerLemeshowResult._fields} for h in payload["hosmer"]
+    )
+
+    dump = movement_to_json(synth.random_movement(rng, meta=synth.make_meta()))
+    assert dump["meta"].keys() == names(MovementMeta)
+    events = [e for voice in dump["voices"].values() for e in voice]
+    assert events and all(e.keys() == names(Event) for e in events)
 
 
 def test_cv_config_validation():

@@ -716,17 +716,6 @@ def _threshold_free_features(mv, config):
     }
 
 
-def test_movement_features_complete():
-    """The six families and the pool's count columns make up the registry,
-    each label exactly once."""
-    rng = np.random.default_rng(31)
-    mv = synth.random_movement(rng, meta=synth.make_meta())
-    free = _threshold_free_features(mv, CONFIG)
-    counts = build_development_pool([mv], CONFIG).count_labels()
-    assert not set(free) & set(counts) and len(set(counts)) == len(counts)
-    assert set(free) | set(counts) == {fn.label for fn in feature_names(CONFIG)}
-
-
 class TestOnePass:
     def corpus(self, seed, n=4):
         rng = np.random.default_rng(seed)

@@ -336,6 +336,17 @@ class TestWald:
         model.standard_errors = np.array([2.32])
         assert wald_pvalues(model)[0] == pytest.approx(0.63, abs=5e-3)
 
+    def test_equals_the_scipy_stats_form_bit_for_bit(self):
+        rng = np.random.default_rng(47)
+        for _ in range(20):
+            X, y = synth.logistic_toy(rng, n=40, p=4)
+            model = fit(X, y, PriorConfig(scale_factor=0.6))
+            model.coef[0] = 0.0  # a zero estimate: p is 1
+            model.standard_errors[2] = np.nan  # a nonzero estimate without an SE: p is NaN
+            got = wald_pvalues(model)
+            assert got[1] == 1.0 and math.isnan(got[2])
+            assert got.tobytes() == oracles.wald_pvalues_oracle(model).tobytes()
+
 
 class TestHosmerLemeshow:
     def test_exact_frequencies_statistic_zero(self):
@@ -364,6 +375,16 @@ class TestHosmerLemeshow:
         y = (rng.random(2000) < np.clip(probs + 0.15, 0, 1)).astype(float)
         res = hosmer_lemeshow(probs, y, 10)
         assert res.p_value < 0.01
+
+    def test_p_value_equals_the_scipy_stats_form_bit_for_bit(self):
+        rng = np.random.default_rng(48)
+        for g in range(3, 40):
+            # probabilities inside (0, 1) merge no group, so df is g - 2
+            probs = rng.uniform(0.01, 0.99, size=3 * g)
+            y = (rng.random(3 * g) < probs).astype(float)
+            res = hosmer_lemeshow(probs, y, g)
+            want = oracles.hosmer_pvalue_oracle(res.statistic, g - 2)
+            assert np.float64(res.p_value).tobytes() == np.float64(want).tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,14 @@
 or exported: a function, class or constant that nothing in ``src/`` uses and
 ``__all__`` does not list is dead code or a test-only view that belongs in
 ``tests/oracles.py``.  Feature labels are spelt only by ``FeatureName.label``
-and read only by ``parse_label``: no f-string in the package builds one."""
+and read only by ``parse_label``: no f-string in the package builds one.
+The CLI runs on numpy and ``scipy.special``: importing it loads no
+``scipy.stats``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import quartet_attrib
@@ -63,3 +68,11 @@ def test_no_f_string_builds_a_feature_label():
     found = [f"{module}:{line}" for module, tree in _trees().items()
              for line in _label_fstrings(tree)]
     assert not found, found
+
+
+def test_cli_import_loads_no_scipy_stats():
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    code = "import sys, quartet_attrib.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -58,7 +58,7 @@ class TestPlantedCorpus:
         assert len(loqo.folds) == 8
         assert loqo.accuracy >= 0.75
         report = compare_runs(loo, loqo)
-        assert report.class_equal_pct >= 75.0
+        assert report.class_["equal_pct"] >= 75.0
 
     def test_tuned_cutoff_variant_completes(self, styled_matrix):
         result = run_cv(

@@ -365,7 +365,7 @@ class TestCorpusLoading:
         bad.write_text("**kern\t**kern\n*-\t*-\n", encoding="utf-8")
         with open(manifest, "a", encoding="utf-8") as fh:
             fh.write("bad.krn,0,mq9,set9,1\n")
-        movements, errors = load_corpus(root, manifest, skip_bad=True)
+        movements, errors = load_corpus(root, manifest)
         assert len(movements) == 8
         assert len(errors) == 1 and errors[0][0] == "bad.krn"
 
