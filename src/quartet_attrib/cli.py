@@ -26,6 +26,7 @@ from .evaluation import (
     Scheme,
     compare_runs,
     fit_full_model,
+    require_keys,
     run_cv,
     selection_stability,
     write_fold_csv,
@@ -122,17 +123,32 @@ def _run_config(command: str, args, extra: dict) -> dict:
     }
 
 
+def _dump_names(movements) -> dict:
+    """Each movement by the file name of its dump: its source file's name
+    plus ``.json``.  Two movements with one name stop the command."""
+    dumps = {}
+    for i, mv in enumerate(movements):
+        name = f"{Path(mv.meta.source_path).name or f'movement{i}'}.json"
+        if name in dumps:
+            raise SystemExit(
+                f"error: --dump-movements would write both {dumps[name].meta.source_path} "
+                f"and {mv.meta.source_path} to movements/{name}"
+            )
+        dumps[name] = mv
+    return dumps
+
+
 def cmd_extract(args) -> int:
     movements, (matrix, _, thresholds) = _extract(args)
+    dumps = _dump_names(movements) if args.dump_movements else {}
     out = _out_dir(args)
     matrix.to_csv(out / "features.csv", out / "movement_meta.csv")
     _write_json(out / "thresholds.json", thresholds.to_json())
     if args.dump_movements:
         dump_dir = out / "movements"
         dump_dir.mkdir(exist_ok=True)
-        for i, mv in enumerate(movements):
-            name = Path(mv.meta.source_path).name or f"movement{i}"
-            _write_json(dump_dir / f"{name}.json", movement_to_json(mv))
+        for name, mv in dumps.items():
+            _write_json(dump_dir / name, movement_to_json(mv))
     _write_json(out / "run_config.json", _run_config("extract", args, {}))
     print(f"extracted {matrix.n} movements x {matrix.p} features -> {out / 'features.csv'}")
     return 0
@@ -219,6 +235,9 @@ def cmd_cv(args) -> int:
 
 def render_report(payload: dict) -> str:
     """Human-readable coefficient table and goodness-of-fit sweep."""
+    require_keys(payload, ("n", "selection", "table", "hosmer", "hosmer_median_p"),
+                 "a model report")
+    require_keys(payload["selection"], ("selected", "bic"), "a model report's selection")
     lines = []
     lines.append(f"Composer model on {payload['n']} movements")
     lines.append(f"selected features: {len(payload['selection']['selected'])}  "

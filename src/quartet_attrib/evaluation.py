@@ -13,7 +13,7 @@ import logging
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -212,7 +212,12 @@ class CVResult:
     @classmethod
     def from_json(cls, payload: dict) -> "CVResult":
         """Read ``to_json`` output.  A fold's keys that are not FoldRecord
-        fields are ignored, and missing ``failed``/``error`` take their defaults."""
+        fields are ignored, and missing ``failed``/``error`` take their
+        defaults; any other missing key is a ValueError."""
+        require_keys(payload, ("scheme", "folds"), "a CV result")
+        required = [f.name for f in fields(FoldRecord) if f.default is MISSING]
+        for f in payload["folds"]:
+            require_keys(f, required, "a CV fold record")
         names = {f.name for f in fields(FoldRecord)}
         folds = tuple(
             FoldRecord(
@@ -221,6 +226,13 @@ class CVResult:
             for f in payload["folds"]
         )
         return cls(scheme=payload["scheme"], config=payload.get("config", {}), folds=folds)
+
+
+def require_keys(payload, keys: Sequence[str], what: str) -> None:
+    """Raise ValueError naming the keys that payload, read from JSON, lacks."""
+    missing = [k for k in keys if k not in payload] if isinstance(payload, dict) else keys
+    if missing:
+        raise ValueError(f"not {what} (missing keys: {', '.join(missing)})")
 
 
 class _FoldSpec(NamedTuple):

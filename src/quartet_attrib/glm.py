@@ -35,8 +35,9 @@ class PriorConfig:
     intercept_scale: float = 10.0
 
     def __post_init__(self):
-        if self.scale_factor <= 0 or self.intercept_scale <= 0:
-            raise ValueError("prior scales must be positive")
+        for scale in (self.scale_factor, self.intercept_scale):
+            if not (math.isfinite(scale) and scale > 0):
+                raise ValueError(f"prior scales must be finite and positive, got {scale}")
 
 
 @dataclass
@@ -280,15 +281,14 @@ def fit(
     y,
     prior: PriorConfig = PriorConfig(),
     feature_names: Sequence[str] | None = None,
-    start: np.ndarray | None = None,
-    max_iter: int = 200,
 ) -> FittedModel:
-    """Posterior mode of Cauchy-prior logistic regression.
+    """Posterior mode of Cauchy-prior logistic regression, with standard errors.
 
     X is n x d (d may be 0 for an intercept-only model), y is 0/1.  Each
     feature's prior scale is xi / (2 * sd(x_j)); the intercept gets the
-    configured intercept scale.  Returns the last iterate with
-    converged=False if max_iter is hit.
+    configured intercept scale.  The mode is ``posterior_modes``' cold
+    solve (zero start, at most 200 iterations) of a stack of one; the last
+    iterate is returned with converged=False if the iterations run out.
     """
     X, y = check_data(X, y)
     n, d = X.shape
@@ -301,13 +301,7 @@ def fit(
     design, sds = design_rows(X)
     scales, bad_sds = prior_scales(sds, prior)
     stack = design_stack(design, np.arange(d + 1)[None])
-    beta = np.zeros(d + 1)
-    if start is not None:
-        beta = np.asarray(start, dtype=float).copy()
-        if beta.shape != (d + 1,):
-            raise ValueError("start must have length d + 1")
-
-    modes = posterior_modes(stack, y, scales[None], beta[None], max_iter=max_iter)
+    modes = posterior_modes(stack, y, scales[None], np.zeros((1, d + 1)))
     Xt = stack[0]
     beta = modes.beta[0]
     converged = bool(modes.converged[0])

@@ -77,8 +77,9 @@ def icm_select(
 
     matrix is a FeatureMatrix (already variance-filtered) or a plain 2-D
     array.  Candidate fits are warm-started from the current model; each
-    restart's final subset is solved cold, so its BIC is recomputable, and
-    the winning subset alone gets the reporting ``glm.fit``.
+    restart ends in one cold ``glm.fit`` of its final subset, whose BIC is
+    the restart's, so it is recomputable from the subset alone.  The
+    winning restart's fit is the reported model.
     An empty selection (intercept-only model) is a legal outcome.
 
     The moves of a sweep are tried in chunks of ``CHUNK``: the candidates of
@@ -99,7 +100,7 @@ def icm_select(
     design, sds = glm.design_rows(X)
     scales, _ = glm.prior_scales(sds, prior)
 
-    # (bic, restart, columns, sweeps, trace) of the best restart so far
+    # (bic, restart, model, sweeps, trace) of the best restart so far
     best: tuple | None = None
     restart_bics: list[float] = []
 
@@ -156,24 +157,22 @@ def icm_select(
                     pos += len(chunk)
             quiet = 0 if changed else quiet + 1
 
-        # a cold solve, so the restart's BIC is reproducible from its subset alone
-        final_cols = tuple(sorted(selected))
-        ((final_bic, _),) = _fit_subsets([final_cols], design, y, scales, np.zeros(p + 1), bic_form)
-        restart_bics.append(final_bic)
-        state = (final_bic, k, final_cols, sweeps, tuple(entries) if trace else None)
+        cols = tuple(sorted(selected))
+        model = glm.fit(X[:, cols], y, prior=prior, feature_names=[labels[j] for j in cols])
+        restart_bics.append(glm.bic(model, bic_form))
+        state = (restart_bics[-1], k, model, sweeps, tuple(entries) if trace else None)
         if best is None or state[:2] < best[:2]:
             best = state
 
     assert best is not None
-    bic, restart, cols, passes, winner_trace = best
-    names = tuple(labels[j] for j in cols)
+    bic, restart, model, passes, winner_trace = best
     return SelectionResult(
-        selected=names,
+        selected=model.feature_names,
         bic=bic,
         restart_index=restart,
         orderings_seed=seed,
         passes=passes,
-        model=glm.fit(X[:, cols], y, prior=prior, feature_names=names),
+        model=model,
         restart_bics=tuple(restart_bics),
         trace=winner_trace,
     )

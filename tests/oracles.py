@@ -464,24 +464,37 @@ def objective_path(solve, iterations):
     return tuple(path)
 
 
+def fit_solve(X, y, prior=glm.PriorConfig(), start=None, max_iter=200):
+    """glm.fit's posterior-mode solve, from start (zeros by default) for at
+    most max_iter iterations: its one-member design stack and prior scales
+    passed to ``glm.posterior_modes``.  Returns the Modes and the scales."""
+    X, y = glm.check_data(X, y)
+    d = X.shape[1]
+    design, sds = glm.design_rows(X)
+    scales, _ = glm.prior_scales(sds, prior)
+    stack = glm.design_stack(design, np.arange(d + 1)[None])
+    start = np.zeros(d + 1) if start is None else np.asarray(start, dtype=float)
+    return glm.posterior_modes(stack, y, scales[None], start[None], max_iter=max_iter), scales
+
+
 def fit_objective_path(X, y, prior=glm.PriorConfig(), start=None, max_iter=200):
-    """``objective_path`` of glm.fit(X, y, prior, start=start, max_iter=max_iter)."""
+    """``objective_path`` of fit_solve(X, y, prior, start, max_iter)."""
 
     def solve(k):
-        model = glm.fit(X, y, prior, start=start, max_iter=k)
-        beta = np.concatenate(([model.intercept], model.coef))
-        return beta, model.log_likelihood, model.prior_scales
+        modes, scales = fit_solve(X, y, prior, start, k)
+        return modes.beta[0], modes.log_likelihood[0], scales
 
-    return objective_path(solve, glm.fit(X, y, prior, start=start, max_iter=max_iter).iterations)
+    return objective_path(solve, fit_solve(X, y, prior, start, max_iter)[0].iterations[0])
 
 
-def _fit_subset(X, y, labels, cols, prior, warm):
-    names = tuple(labels[j] for j in cols)
-    start = None
-    if warm is not None:
-        prev = dict(zip(warm.feature_names, warm.coef))
-        start = np.array([warm.intercept] + [prev.get(nm, 0.0) for nm in names])
-    return glm.fit(X[:, cols], y, prior=prior, feature_names=names, start=start)
+def _fit_subset(X, y, cols, prior, warm):
+    """Coefficients and log-likelihood of subset cols solved as glm.fit
+    solves it, started from warm = (intercept, {column: coefficient}) with
+    0 for a column warm lacks."""
+    intercept, coef = warm
+    start = [intercept] + [coef.get(j, 0.0) for j in cols]
+    modes, _ = fit_solve(X[:, cols], y, prior, start)
+    return modes.beta[0], modes.log_likelihood[0]
 
 
 def icm_select_oracle(
@@ -493,7 +506,8 @@ def icm_select_oracle(
     bic_form="paper",
     trace=False,
 ):
-    """icm_select one candidate at a time, each a warm-started glm.fit."""
+    """icm_select one candidate at a time, each a warm-started solve of its
+    own; each restart ends in one cold glm.fit, the winner's reported."""
     X, labels = _as_array(matrix)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
@@ -511,7 +525,7 @@ def icm_select_oracle(
         order = rng.permutation(p)
         selected = set()
         current_bic = float("inf")
-        current_model = None
+        current = (0.0, {})  # the current model's intercept and coefficients
         cache = {}
         entries = []
         sweeps = 0
@@ -524,10 +538,10 @@ def icm_select_oracle(
                 cand = selected | {j} if j not in selected else selected - {j}
                 key = tuple(sorted(cand))
                 cand_bic = cache.get(key)
-                cand_model = None
+                cand_fit = None
                 if cand_bic is None:
-                    cand_model = _fit_subset(X, y, labels, key, prior, current_model)
-                    cand_bic = glm.bic(cand_model, form=bic_form)
+                    cand_fit = _fit_subset(X, y, key, prior, current)
+                    cand_bic = float(glm.bic_value(cand_fit[1], len(key), n, bic_form))
                     cache[key] = cand_bic
                 if cand_bic < current_bic - ACCEPT_TOL:
                     action = "add" if j not in selected else "remove"
@@ -544,14 +558,17 @@ def icm_select_oracle(
                         )
                     selected = cand
                     current_bic = cand_bic
-                    if cand_model is None:
-                        cand_model = _fit_subset(X, y, labels, key, prior, current_model)
-                    current_model = cand_model
+                    if cand_fit is None:
+                        cand_fit = _fit_subset(X, y, key, prior, current)
+                    beta = cand_fit[0]
+                    current = (beta[0], dict(zip(key, beta[1:])))
                     changed = True
             quiet = 0 if changed else quiet + 1
 
         final_cols = tuple(sorted(selected))
-        final_model = _fit_subset(X, y, labels, final_cols, prior, None)
+        final_model = glm.fit(
+            X[:, final_cols], y, prior, feature_names=[labels[j] for j in final_cols]
+        )
         final_bic = glm.bic(final_model, form=bic_form)
         restart_bics.append(final_bic)
         key = (final_bic, k)

@@ -143,6 +143,24 @@ class TestExtract:
         dumps = list((out / "movements").glob("*.json"))
         assert len(dumps) == 4
 
+    def test_dump_movements_with_one_name_for_two_files_fails(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        manifest = synth.write_tiny_corpus(corpus, n_quartets=1, seed=8)
+        text = manifest.read_text()
+        for sub, old in (("a", "mq1_1.krn"), ("b", "hq1_1.krn")):
+            (corpus / sub).mkdir()
+            (corpus / old).rename(corpus / sub / "1.krn")
+            text = text.replace(old, f"{sub}/1.krn")
+        manifest.write_text(text)
+        out = tmp_path / "out"
+        args = ["--corpus", str(corpus), "--manifest", str(manifest), "--m-lengths", "8"]
+        rc = main(["extract", *args, "--dump-movements", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "a/1.krn" in err and "b/1.krn" in err
+        assert not out.exists()
+        assert main(["extract", *args, "--out", str(out)]) == 0  # no dumps, no clash
+
 
 class TestCV:
     def test_cv_from_feature_csv(self, tmp_path, capsys):
@@ -263,6 +281,17 @@ class TestCV:
             assert capsys.readouterr().err == "error: restarts must be at least 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("xi", ["nan", "inf"])
+    def test_non_finite_prior_scale_fails_before_any_fold(self, tmp_path, capsys, xi):
+        fp, mp = toy_feature_csvs(tmp_path)
+        out = tmp_path / "x"
+        args = ["--features", str(fp), "--meta", str(mp), "--xi", xi, "--out", str(out)]
+        for command in ("cv", "fit"):
+            assert main([command, *args]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: prior scales must be finite and positive"), err
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_fail_before_any_fold(self, tmp_path, capsys, jobs):
         fp, mp = toy_feature_csvs(tmp_path)
@@ -325,6 +354,24 @@ class TestFitAndReport:
         rc = main(["report", "--model", str(out / "model.json"), "--out", str(out2)])
         assert rc == 0
         assert (out / "report.txt").read_bytes() == (out2 / "report.txt").read_bytes()
+
+
+    def test_report_and_compare_name_the_keys_a_wrong_file_lacks(self, tmp_path, capsys):
+        fp, mp = toy_feature_csvs(tmp_path)
+        args = ["--features", str(fp), "--meta", str(mp), "--restarts", "2", "--out"]
+        assert main(["cv", *args, str(tmp_path / "cv")]) == 0
+        assert main(["fit", *args, str(tmp_path / "fit")]) == 0
+        capsys.readouterr()
+        cv_result, model = tmp_path / "cv" / "cv_result.json", tmp_path / "fit" / "model.json"
+        out = tmp_path / "out"
+        assert main(["report", "--model", str(cv_result), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: not a model report "
+            "(missing keys: n, selection, table, hosmer, hosmer_median_p)\n"
+        )
+        assert main(["compare", str(model), str(model), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: not a CV result (missing keys: scheme, folds)\n"
+        assert not out.exists()
 
 
 class TestCompare:

@@ -265,6 +265,14 @@ class TestAggregates:
         extended["fits"] = 12  # a key that is not a FoldRecord field
         assert CVResult.from_json(payload).folds == r.folds
 
+    def test_json_without_required_keys_names_them(self):
+        payload = json.loads(json.dumps(self._result().to_json()))
+        with pytest.raises(ValueError, match=r"not a CV result \(missing keys: folds\)"):
+            CVResult.from_json({k: v for k, v in payload.items() if k != "folds"})
+        del payload["folds"][1]["cutoff"], payload["folds"][1]["selected"]
+        with pytest.raises(ValueError, match=r"missing keys: cutoff, selected\)"):
+            CVResult.from_json(payload)
+
     def test_stability_counts(self):
         r = self._result()
         entries = selection_stability(r)

@@ -119,9 +119,29 @@ class TestFit:
         prior = PriorConfig(scale_factor=0.6)
         cold = fit(X, y, prior)
         start = np.concatenate(([cold.intercept], cold.coef)) + 0.05
-        warm = fit(X, y, prior, start=start)
-        assert abs(warm.intercept - cold.intercept) < 1e-6
-        assert np.abs(warm.coef - cold.coef).max() < 1e-6
+        warm = oracles.fit_solve(X, y, prior, start)[0].beta[0]
+        assert abs(warm[0] - cold.intercept) < 1e-6
+        assert np.abs(warm[1:] - cold.coef).max() < 1e-6
+
+    def test_oracle_solve_is_fits_solve(self):
+        """oracles.fit_solve from a zero start for 200 iterations is glm.fit's
+        solve bit for bit, so the objective paths it rebuilds are fit's."""
+        rng = np.random.default_rng(1)
+        cases = [synth.logistic_toy(rng, n=40, p=3) for _ in range(10)]
+        x = np.array([-2.0, -1.5, -1.0, 1.0, 1.5, 2.0])
+        cases.append((x.reshape(-1, 1), np.array([0.0, 0, 0, 1, 1, 1])))  # separated
+        X = np.column_stack([rng.normal(size=30), np.ones(30)])
+        cases.append((np.asfortranarray(X), (rng.random(30) < 0.5).astype(float)))
+        cases.append((np.empty((20, 0)), np.array([0.0, 1.0] * 10)))
+        for prior in (PriorConfig(), PriorConfig(scale_factor=0.6)):
+            for X, y in cases:
+                model = fit(X, y, prior)
+                modes, scales = oracles.fit_solve(X, y, prior)
+                assert np.array_equal(modes.beta[0], np.r_[model.intercept, model.coef])
+                assert modes.log_likelihood[0] == model.log_likelihood
+                assert modes.iterations[0] == model.iterations
+                assert modes.converged[0] == model.converged
+                assert np.array_equal(scales, model.prior_scales)
 
     def test_constant_column_flagged_degenerate(self):
         rng = np.random.default_rng(5)
@@ -136,6 +156,12 @@ class TestFit:
             fit(np.zeros((3, 1)), np.array([0.0, 2.0, 1.0]))
         with pytest.raises(ValueError):
             fit(np.zeros((3, 1)), np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_prior_scales_must_be_finite_and_positive(self, value):
+        for field in ("scale_factor", "intercept_scale"):
+            with pytest.raises(ValueError, match="finite and positive"):
+                PriorConfig(**{field: value})
 
     def test_json_is_the_fields(self):
         rng = np.random.default_rng(6)
@@ -200,13 +226,12 @@ class TestStackedSolver:
             alone = posterior_modes(
                 design_stack(design, one), y, scales[one], starts[k : k + 1], max_iter=max_iter
             )
-            model = fit(X[:, list(cols)], y, prior, start=starts[k], max_iter=max_iter)
-            coef = np.concatenate(([model.intercept], model.coef))
-            assert np.array_equal(stacked.beta[k], coef)
-            assert np.array_equal(alone.beta[0], coef)
-            assert stacked.log_likelihood[k] == alone.log_likelihood[0] == model.log_likelihood
-            assert stacked.iterations[k] == model.iterations
-            assert stacked.converged[k] == model.converged
+            solo, _ = oracles.fit_solve(X[:, list(cols)], y, prior, starts[k], max_iter)
+            assert np.array_equal(stacked.beta[k], solo.beta[0])
+            assert np.array_equal(alone.beta[0], solo.beta[0])
+            assert stacked.log_likelihood[k] == alone.log_likelihood[0] == solo.log_likelihood[0]
+            assert stacked.iterations[k] == solo.iterations[0]
+            assert stacked.converged[k] == solo.converged[0]
             path = oracles.objective_path(
                 lambda i: (resolve(i).beta[k], resolve(i).log_likelihood[k], scales[rows[k]]),
                 stacked.iterations[k],

@@ -4,7 +4,10 @@ or exported: a function, class or constant that nothing in ``src/`` uses and
 ``tests/oracles.py``.  Feature labels are spelt only by ``FeatureName.label``
 and read only by ``parse_label``: no f-string in the package builds one.
 The CLI runs on numpy and ``scipy.special``: importing it loads no
-``scipy.stats``."""
+``scipy.stats``.  Every defaulted parameter of a module-level function in
+``glm.py`` and ``selection.py`` is set by some call in ``src/``, apart from
+the few listed in ``UNSET_DEFAULTS``: an option only tests set belongs in
+``tests/oracles.py``."""
 
 import ast
 import os
@@ -43,6 +46,42 @@ def _trees() -> dict[str, ast.Module]:
             for path in sorted(PACKAGE.glob("*.py"))}
 
 
+#: (module, function, parameter) whose default no call in ``src/`` overrides.
+UNSET_DEFAULTS = {
+    ("glm", "predict_prob", "feature_names"): "an input check for library callers",
+    ("selection", "icm_select", "trace"): "the oracle comparison reads the trace",
+    ("glm", "posterior_modes", "max_iter"): "objective paths are rebuilt with max_iter=k",
+}
+
+
+def _defaulted(func: ast.FunctionDef) -> set[str]:
+    a = func.args
+    positional = a.posonlyargs + a.args
+    named = positional[len(positional) - len(a.defaults):]
+    named += [arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return {arg.arg for arg in named}
+
+
+def _set_by_calls(func: ast.FunctionDef, trees) -> set[str]:
+    """The parameters of func that some call by its name passes."""
+    positional = [arg.arg for arg in func.args.posonlyargs + func.args.args]
+    out = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            if getattr(callee, "id", getattr(callee, "attr", None)) != func.name:
+                continue
+            if any(isinstance(arg, ast.Starred) for arg in node.args) or any(
+                kw.arg is None for kw in node.keywords
+            ):
+                return set(positional) | {arg.arg for arg in func.args.kwonlyargs}
+            out.update(positional[: len(node.args)])
+            out.update(kw.arg for kw in node.keywords)
+    return out
+
+
 def _label_fstrings(tree: ast.Module) -> list[int]:
     """Lines of the f-strings whose literal parts hold the label separator."""
     return [
@@ -76,3 +115,14 @@ def test_cli_import_loads_no_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_every_defaulted_parameter_is_set_by_the_package():
+    trees = _trees()
+    unset = set()
+    for module in ("glm", "selection"):
+        for func in trees[f"{module}.py"].body:
+            if isinstance(func, ast.FunctionDef):
+                for name in _defaulted(func) - _set_by_calls(func, trees.values()):
+                    unset.add((module, func.name, name))
+    assert unset == UNSET_DEFAULTS.keys(), sorted(unset ^ UNSET_DEFAULTS.keys())

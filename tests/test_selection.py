@@ -227,22 +227,23 @@ def test_batched_search_matches_one_fit_per_candidate_oracle(monkeypatch):
     assert seen["nonconverged"] > 0 and seen["em_fallback"] > 0, seen
 
 
-def test_first_move_of_each_restart_costs_one_fit(monkeypatch):
+def test_first_move_and_final_fit_of_each_restart_are_the_cold_solves(monkeypatch):
     """A restart starts at BIC inf, where any finite candidate is accepted,
-    so its first candidate is solved alone instead of in a full chunk."""
+    so its first candidate is solved alone instead of in a full chunk; its
+    final subset is solved once, by glm.fit.  Every other solve is warm."""
     rng = np.random.default_rng(19)
     X, y = synth.logistic_toy(rng, n=50, p=40)
-    calls = []  # (subsets solved together, started cold) per solver call
-    real_fit_subsets = selection._fit_subsets
+    calls = []  # (members solved together, started cold) per solver call
+    real_modes = glm.posterior_modes
 
-    def fit_subsets(subsets, design, y, scales, warm, bic_form):
-        calls.append((len(subsets), not warm.any()))
-        return real_fit_subsets(subsets, design, y, scales, warm, bic_form)
+    def modes(Xt, y, scales, start, *args, **kwargs):
+        calls.append((len(start), not np.any(start)))
+        return real_modes(Xt, y, scales, start, *args, **kwargs)
 
-    monkeypatch.setattr(selection, "_fit_subsets", fit_subsets)
+    monkeypatch.setattr(glm, "posterior_modes", modes)
     restarts = 3
     icm_select(X, y, prior=PRIOR, restarts=restarts, seed=4)
-    # the cold solves alternate: a restart's first move, then its final subset
+    # the cold solves alternate: a restart's first move, then its final fit
     cold = [i for i, (_, is_cold) in enumerate(calls) if is_cold]
     assert len(cold) == 2 * restarts and cold[0] == 0 and cold[-1] == len(calls) - 1
     assert [calls[i][0] for i in cold] == [1] * (2 * restarts)
@@ -251,21 +252,25 @@ def test_first_move_of_each_restart_costs_one_fit(monkeypatch):
 
 
 @pytest.mark.parametrize("bic_form", ["paper", "textbook"])
-def test_one_reporting_fit_per_selection(monkeypatch, bic_form):
-    """Every restart's BIC comes from the stacked solver; only the winning
-    subset gets a glm.fit, whose BIC is the reported one bit for bit."""
+def test_one_glm_fit_per_restart_and_the_winners_is_reported(monkeypatch, bic_form):
+    """Each restart's BIC is that of one glm.fit of its final subset, bit
+    for bit, and the winning restart's fit object is the reported model."""
     rng = np.random.default_rng(20)
     X, y = synth.logistic_toy(rng, n=50, p=12)
     fits = []
     real_fit = glm.fit
 
     def fit(*args, **kwargs):
-        fits.append(args)
-        return real_fit(*args, **kwargs)
+        fits.append(real_fit(*args, **kwargs))
+        return fits[-1]
 
     monkeypatch.setattr(glm, "fit", fit)
-    res = icm_select(X, y, prior=PRIOR, restarts=4, seed=2, bic_form=bic_form)
-    assert len(fits) == 1
+    restarts = 4
+    res = icm_select(X, y, prior=PRIOR, restarts=restarts, seed=2, bic_form=bic_form)
+    assert len(fits) == restarts
+    assert res.model is fits[res.restart_index]
     assert res.model.feature_names == res.selected
-    assert res.bic.hex() == glm.bic(res.model, form=bic_form).hex()
+    assert [b.hex() for b in res.restart_bics] == [
+        glm.bic(model, form=bic_form).hex() for model in fits
+    ]
     assert res.bic == res.restart_bics[res.restart_index] == min(res.restart_bics)
