@@ -174,8 +174,8 @@ def _cv_config(args) -> CVConfig:
         restarts=args.restarts,
         filter_mode=_resolve(args, "filter", "per-fold"),
         bic_form=args.bic,
-        leakage_audit=args.leakage_audit,
-        n_jobs=args.jobs,
+        leakage_audit=_resolve(args, "leakage_audit", False),
+        n_jobs=_resolve(args, "jobs", 1),
     )
 
 
@@ -328,12 +328,7 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--restarts", type=int, default=10)
     p.add_argument("--seed", type=int, help=f"RNG seed (falls back to ${SEED_ENV}, then 0)")
     p.add_argument("--scope", choices=[s.value for s in FeatureScope])
-    p.add_argument("--cutoff", choices=[c.value for c in CutoffPolicy])
     p.add_argument("--bic", choices=list(BIC_FORMS), default="paper")
-    p.add_argument("--filter", choices=["global", "per-fold"])
-    p.add_argument("--leakage-audit", action="store_true",
-                   help="recompute development thresholds per training fold")
-    p.add_argument("--jobs", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,6 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix_args(p)
     _add_model_args(p)
     p.add_argument("--scheme", choices=[s.value for s in Scheme])
+    p.add_argument("--cutoff", choices=[c.value for c in CutoffPolicy])
+    p.add_argument("--filter", choices=["global", "per-fold"])
+    p.add_argument("--leakage-audit", action="store_true",
+                   help="recompute development thresholds per training fold")
+    p.add_argument("--jobs", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cv)
 

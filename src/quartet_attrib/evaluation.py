@@ -111,15 +111,9 @@ def tune_cutoff(train_probs, train_y, grid: Sequence[float] = DEFAULT_GRID) -> f
     y = np.asarray(train_y, dtype=float)
     if len(probs) == 0:
         raise ValueError("cannot tune a cutoff on empty training data")
-    best_correct = -1
-    candidates: list[float] = []
-    for c in grid:
-        correct = int(((probs > c).astype(float) == y).sum())
-        if correct > best_correct:
-            best_correct = correct
-            candidates = [c]
-        elif correct == best_correct:
-            candidates.append(c)
+    correct = ((probs > np.asarray(grid, dtype=float)[:, None]).astype(float) == y).sum(axis=1)
+    best = correct.max()
+    candidates = [c for c, k in zip(grid, correct) if k == best]
     return min(candidates, key=lambda c: (round(abs(c - 0.5), 12), c))
 
 
@@ -166,8 +160,8 @@ class CVResult:
 
     @property
     def pooled_accuracy(self) -> float:
-        correct = sum(1 for _, _, t, _, p, _ in self.iter_movements() if t == p)
-        return correct / self.n
+        cm = self.confusion
+        return (cm[0][0] + cm[1][1]) / self.n
 
     @property
     def fold_mean_accuracy(self) -> float:
@@ -175,16 +169,14 @@ class CVResult:
 
     @property
     def accuracy(self) -> float:
-        """Pooled proportion correct for LOO; mean per-fold accuracy for LOQO."""
-        if self.scheme == Scheme.LOQO.value:
-            return self.fold_mean_accuracy
-        return self.pooled_accuracy
+        """Mean per-fold accuracy.  A LOO fold holds one movement, so for LOO
+        this is the pooled proportion correct, bit for bit: both divide the
+        same integer count by n once."""
+        return self.fold_mean_accuracy
 
     def class_accuracy(self, cls: int) -> float:
-        rows = [(t, p) for _, _, t, _, p, _ in self.iter_movements() if t == cls]
-        if not rows:
-            return float("nan")
-        return sum(1 for t, p in rows if t == p) / len(rows)
+        row = self.confusion[cls]
+        return row[cls] / sum(row) if sum(row) else float("nan")
 
     @property
     def confusion(self) -> list[list[int]]:
@@ -286,14 +278,27 @@ def _apply_fold_thresholds(
     return FeatureMatrix(rows=matrix.rows, columns=matrix.columns, values=values)
 
 
+def _select(fm: FeatureMatrix, y, rows, config: CVConfig, seed: int, filtered: bool):
+    """Select a subset on ``rows`` of ``fm`` (variance-filtered first unless
+    ``filtered``); return the selection and its columns over all rows of ``fm``."""
+    train = fm.select_rows(rows)
+    if not filtered:
+        train = near_zero_variance_filter(train)
+    result = selection.icm_select(
+        train,
+        y[rows],
+        prior=config.prior,
+        restarts=config.restarts,
+        seed=seed,
+        bic_form=config.bic_form,
+    )
+    return result, fm.values[:, [fm.column_index(lbl) for lbl in result.selected]]
+
+
 def _run_fold(matrix, y, config, pool, fold, fold_index) -> FoldRecord:
     held_out = set(fold.indices)
     train_idx = [i for i in range(matrix.n) if i not in held_out]
     test_idx = list(fold.indices)
-    train_paths = {matrix.rows[i].source_path for i in train_idx}
-    test_paths = {matrix.rows[i].source_path for i in test_idx}
-    if train_paths & test_paths:
-        raise AssertionError(f"fold {fold.fold_id}: train/test rows overlap")
     shared = dict(
         fold_id=fold.fold_id,
         indices=tuple(test_idx),
@@ -305,28 +310,14 @@ def _run_fold(matrix, y, config, pool, fold, fold_index) -> FoldRecord:
         fm = matrix
         if config.leakage_audit:
             fm = _apply_fold_thresholds(fm, pool, train_idx)
-        train_fm = fm.select_rows(train_idx)
-        if config.filter_mode == "per-fold":
-            train_fm = near_zero_variance_filter(train_fm)
-        y_train = y[train_idx]
-        result = selection.icm_select(
-            train_fm,
-            y_train,
-            prior=config.prior,
-            restarts=config.restarts,
-            seed=_fold_seed(config.seed, fold_index),
-            bic_form=config.bic_form,
-        )
+        seed = _fold_seed(config.seed, fold_index)
+        result, X = _select(fm, y, train_idx, config, seed, config.filter_mode == "global")
         model = result.model
-        cols = [fm.column_index(lbl) for lbl in result.selected]
-        train_X = fm.values[np.ix_(train_idx, cols)]
-        test_X = fm.values[np.ix_(test_idx, cols)]
-
         if config.cutoff_policy == CutoffPolicy.TUNED:
-            cutoff = tune_cutoff(glm.predict_prob(model, train_X), y_train, config.grid)
+            cutoff = tune_cutoff(glm.predict_prob(model, X[train_idx]), y[train_idx], config.grid)
         else:
             cutoff = 0.5
-        probs = glm.predict_prob(model, test_X)
+        probs = glm.predict_prob(model, X[test_idx])
         predicted = (probs > cutoff).astype(int)
         return FoldRecord(
             **shared,
@@ -377,10 +368,15 @@ def run_cv(
     a programming error and propagates.  A leakage audit recomputes the
     development counts on each training fold, with the thresholds read as
     the pool was built to read them; without its pool it raises
-    ``ConfigurationError`` before any fold.
+    ``ConfigurationError`` before any fold, as does a source path that
+    two rows share.  Rows without a source path are told apart by index.
     """
     if config.leakage_audit and development_pool is None:
         raise ConfigurationError("leakage_audit requires the development sd pool")
+    paths = Counter(meta.source_path for meta in matrix.rows if meta.source_path)
+    for path, count in paths.items():
+        if count > 1:
+            raise ConfigurationError(f"the matrix repeats the movement {path!r}")
     y = np.array([int(meta.composer) for meta in matrix.rows])
     scoped = _scope_matrix(matrix, config.feature_scope)
     if config.filter_mode == "global":
@@ -527,44 +523,32 @@ class FullModelReport:
 def fit_full_model(matrix: FeatureMatrix, config: CVConfig) -> FullModelReport:
     """Select and fit one model on all movements, with diagnostics.
 
+    A CV fold's select step run on all rows: the variance filter runs once,
+    as both filter modes keep the same columns on all rows, and the CV-only
+    settings (scheme, cutoff, filter mode, leakage audit, jobs) go unread.
+
     The bundle holds a coefficient table (estimates, standard errors, Wald
     p-values) and a Hosmer-Lemeshow sweep over the group counts 20..100
     that are feasible (g <= n and g > d + 1).
     """
     y = np.array([int(meta.composer) for meta in matrix.rows])
-    scoped = near_zero_variance_filter(_scope_matrix(matrix, config.feature_scope))
-    result = selection.icm_select(
-        scoped,
-        y,
-        prior=config.prior,
-        restarts=config.restarts,
-        seed=config.seed,
-        bic_form=config.bic_form,
-    )
+    scoped = _scope_matrix(matrix, config.feature_scope)
+    result, X = _select(scoped, y, range(matrix.n), config, config.seed, filtered=False)
     model = result.model
     pvals = glm.wald_pvalues(model)
+    names = ("(Intercept)", *model.feature_names)
+    estimates = (model.intercept, *model.coef)
     table = [
         {
-            "category": "",
-            "feature": "(Intercept)",
-            "estimate": model.intercept,
-            "se": float(model.standard_errors[0]),
-            "p_value": float(pvals[0]),
+            "category": parse_label(lbl).category if j else "",
+            "feature": lbl,
+            "estimate": float(est),
+            "se": float(se),
+            "p_value": float(p),
         }
+        for j, (lbl, est, se, p) in enumerate(zip(names, estimates, model.standard_errors, pvals))
     ]
-    for j, lbl in enumerate(model.feature_names):
-        table.append(
-            {
-                "category": parse_label(lbl).category,
-                "feature": lbl,
-                "estimate": float(model.coef[j]),
-                "se": float(model.standard_errors[j + 1]),
-                "p_value": float(pvals[j + 1]),
-            }
-        )
-
-    cols = [scoped.column_index(lbl) for lbl in result.selected]
-    probs = glm.predict_prob(model, scoped.values[:, cols])
+    probs = glm.predict_prob(model, X)
     hosmer = [
         {"g": g, **glm.hosmer_lemeshow(probs, y, g)._asdict()}
         for g in range(20, 101)

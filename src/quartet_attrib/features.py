@@ -309,6 +309,8 @@ class FeatureMatrix:
                     movement_number=int(row["movement_number"]),
                     source_path=row["source_path"],
                 )
+                if meta.source_path in metas:
+                    raise ValueError(f"metadata sidecar repeats the row {meta.source_path!r}")
                 metas[meta.source_path] = meta
         with open(features_path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)

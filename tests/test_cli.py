@@ -297,13 +297,26 @@ class TestCV:
         fp, mp = toy_feature_csvs(tmp_path)
         out = tmp_path / "x"
         args = ["--features", str(fp), "--meta", str(mp), "--jobs", jobs, "--out", str(out)]
-        for command in ("cv", "fit"):
-            assert main([command, *args]) == 1
-            assert capsys.readouterr().err == "error: n_jobs must be at least 1\n"
+        assert main(["cv", *args]) == 1
+        assert capsys.readouterr().err == "error: n_jobs must be at least 1\n"
         assert not out.exists()
 
 
 class TestFitAndReport:
+    @pytest.mark.parametrize(
+        "flag",
+        [["--cutoff", "tuned"], ["--filter", "per-fold"], ["--leakage-audit"], ["--jobs", "0"]],
+        ids=lambda flag: flag[0],
+    )
+    def test_fit_rejects_the_cv_only_flags(self, tmp_path, capsys, flag):
+        fp, mp = toy_feature_csvs(tmp_path)
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--features", str(fp), "--meta", str(mp), *flag, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {' '.join(flag)}\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fit_writes_model_and_report(self, tmp_path, capsys):
         fp, mp = toy_feature_csvs(tmp_path, n=30)
         out = tmp_path / "fit"
@@ -521,6 +534,18 @@ class TestCvEntryPoints:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(first.split(",")[0]) in err
         assert not (tmp_path / "o" / "cv_result.json").exists()
+
+    def test_repeated_meta_rows_fail(self, tmp_path, capsys):
+        fp, mp = toy_feature_csvs(tmp_path)
+        header, first, *rows = mp.read_text().splitlines()
+        path, composer, *rest = first.split(",")
+        relabelled = ",".join([path, str(1 - int(composer)), *rest])
+        mp.write_text("\n".join([header, first, relabelled, *rows]) + "\n")
+        rc = main(["cv", "--features", str(fp), "--meta", str(mp), *self.MODEL,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: metadata sidecar repeats the row {path!r}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_leakage_audit_features_need_meta(self, tmp_path, capsys):
         src, csvs, _ = self.corpus_and_csvs(tmp_path)

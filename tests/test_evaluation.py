@@ -108,6 +108,30 @@ class TestRunCV:
             seen.extend(fold.left_out)
         assert sorted(seen) == sorted(m.source_path for m in matrix.rows)
 
+    def test_rows_without_source_paths_run(self):
+        rng = np.random.default_rng(22)
+        matrix = toy_matrix(rng, n=8, p=3)
+        rows = tuple(dataclasses.replace(m, source_path="") for m in matrix.rows)
+        blank = FeatureMatrix(rows=rows, columns=matrix.columns, values=matrix.values)
+        result = run_cv(blank, CVConfig(scheme=Scheme.LOO, seed=1, **FAST))
+        assert [f.fold_id for f in result.folds] == [f"row{i}" for i in range(8)]
+        assert not any(f.failed for f in result.folds)
+
+    def test_repeated_source_path_fails_before_any_fold(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        matrix = toy_matrix(rng, n=8, p=3)
+        rows = (*matrix.rows[:-1], dataclasses.replace(matrix.rows[-1], source_path="mv0.krn"))
+        twice = FeatureMatrix(rows=rows, columns=matrix.columns, values=matrix.values)
+
+        def no_fold(*args):
+            raise AssertionError("a fold ran")
+
+        import quartet_attrib.evaluation as ev
+
+        monkeypatch.setattr(ev, "_run_fold", no_fold)
+        with pytest.raises(ConfigurationError, match="repeats the movement 'mv0.krn'"):
+            run_cv(twice, CVConfig(scheme=Scheme.LOO, **FAST))
+
     def test_loqo_groups_by_quartet(self):
         rng = np.random.default_rng(23)
         matrix = toy_matrix(rng, n=12, p=3, quartet_size=3)
@@ -247,6 +271,17 @@ class TestAggregates:
         r2 = CVResult(scheme="loqo", config={}, folds=folds)
         assert r2.pooled_accuracy == 0.5
         assert r2.accuracy == pytest.approx((1.0 + 1 / 3) / 2)
+
+    @pytest.mark.parametrize("n, correct", [(3, 2), (7, 5), (10, 7), (285, 241)])
+    def test_loo_accuracy_is_the_pooled_proportion_bit_for_bit(self, n, correct):
+        folds = tuple(
+            FoldRecord(f"p{i}", (i,), (f"p{i}",), (i % 2,), (0.5,), 0.5,
+                       (i % 2 if i < correct else 1 - i % 2,), ())
+            for i in range(n)
+        )
+        r = CVResult(scheme="loo", config={}, folds=folds)
+        assert r.pooled_accuracy == correct / n
+        assert r.accuracy.hex() == r.pooled_accuracy.hex()
 
     def test_confusion_sums_to_n(self):
         r = self._result()

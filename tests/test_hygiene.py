@@ -4,10 +4,9 @@ or exported: a function, class or constant that nothing in ``src/`` uses and
 ``tests/oracles.py``.  Feature labels are spelt only by ``FeatureName.label``
 and read only by ``parse_label``: no f-string in the package builds one.
 The CLI runs on numpy and ``scipy.special``: importing it loads no
-``scipy.stats``.  Every defaulted parameter of a module-level function in
-``glm.py`` and ``selection.py`` is set by some call in ``src/``, apart from
-the few listed in ``UNSET_DEFAULTS``: an option only tests set belongs in
-``tests/oracles.py``."""
+``scipy.stats``.  Every defaulted parameter of a function or method in
+``src/`` is set by some call in ``src/``, apart from the few listed in
+``UNSET_DEFAULTS``: an option only tests set belongs in ``tests/oracles.py``."""
 
 import ast
 import os
@@ -51,6 +50,7 @@ UNSET_DEFAULTS = {
     ("glm", "predict_prob", "feature_names"): "an input check for library callers",
     ("selection", "icm_select", "trace"): "the oracle comparison reads the trace",
     ("glm", "posterior_modes", "max_iter"): "objective paths are rebuilt with max_iter=k",
+    ("cli", "main", "argv"): "the entry point for tests and the benchmark; None reads sys.argv",
 }
 
 
@@ -65,6 +65,8 @@ def _defaulted(func: ast.FunctionDef) -> set[str]:
 def _set_by_calls(func: ast.FunctionDef, trees) -> set[str]:
     """The parameters of func that some call by its name passes."""
     positional = [arg.arg for arg in func.args.posonlyargs + func.args.args]
+    if positional[:1] in (["self"], ["cls"]):  # a method: the call binds it
+        positional = positional[1:]
     out = set()
     for tree in trees:
         for node in ast.walk(tree):
@@ -120,9 +122,9 @@ def test_cli_import_loads_no_scipy_stats():
 def test_every_defaulted_parameter_is_set_by_the_package():
     trees = _trees()
     unset = set()
-    for module in ("glm", "selection"):
-        for func in trees[f"{module}.py"].body:
+    for module, tree in trees.items():
+        for func in ast.walk(tree):  # methods and nested functions too
             if isinstance(func, ast.FunctionDef):
                 for name in _defaulted(func) - _set_by_calls(func, trees.values()):
-                    unset.add((module, func.name, name))
+                    unset.add((module.removesuffix(".py"), func.name, name))
     assert unset == UNSET_DEFAULTS.keys(), sorted(unset ^ UNSET_DEFAULTS.keys())
