@@ -88,25 +88,61 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _load_corpus_or_die(args):
+def _corpus_pass(args, consume, tap=None):
+    """Run ``consume`` on the manifest movements as they are parsed and
+    return its result; ``tap`` sees each movement on the way.
+
+    Parse errors are printed once the pass ends, before any other message,
+    so a failure reads as if the whole corpus had been parsed first: a
+    parse error without ``--skip-bad`` stops the feed and the command, then
+    a corpus without movements does, then an error of ``consume``.  After
+    a failure the rest of the manifest is parsed only to name every bad
+    file.
+    """
     corpus_root = Path(args.corpus)
     if not corpus_root.is_dir():
         raise SystemExit(f"error: corpus root {corpus_root} is not a directory")
     movements, errors = load_corpus(corpus_root, args.manifest)
+    fatal = not args.skip_bad
+    parsed = 0
+
+    def feed():
+        nonlocal parsed
+        for mv in movements:
+            if errors and fatal:
+                break
+            parsed += 1
+            if tap is not None:
+                tap(mv)
+            yield mv
+        if errors and fatal:
+            raise SystemExit(1)
+
+    failure = None
+    try:
+        result = consume(feed())
+    except (ValueError, SystemExit) as exc:
+        failure = exc
+        parsed += sum(1 for _ in movements)
     for path, msg in errors:
         print(f"error parsing {path}: {msg}", file=sys.stderr)
-    if errors and not args.skip_bad:
+    if errors and fatal:
         raise SystemExit(1)
-    if not movements:
+    if not parsed:
         raise SystemExit("error: no movements found")
-    return movements
+    if failure is not None:
+        raise failure
+    return result
 
 
-def _extract(args):
-    """The parsed corpus and its extraction: matrix, pool and thresholds."""
-    movements = _load_corpus_or_die(args)
+def _extract(args, tap=None):
+    """The corpus's extraction (matrix, pool and thresholds), in one pass."""
     seg = SegmentConfig(args.m_lengths)
-    return movements, extract_all(movements, seg, threshold_reading=args.threshold_reading)
+    return _corpus_pass(
+        args,
+        lambda movements: extract_all(movements, seg, threshold_reading=args.threshold_reading),
+        tap,
+    )
 
 
 def _run_config(command: str, args, extra: dict) -> dict:
@@ -123,32 +159,35 @@ def _run_config(command: str, args, extra: dict) -> dict:
     }
 
 
-def _dump_names(movements) -> dict:
-    """Each movement by the file name of its dump: its source file's name
-    plus ``.json``.  Two movements with one name stop the command."""
-    dumps = {}
-    for i, mv in enumerate(movements):
-        name = f"{Path(mv.meta.source_path).name or f'movement{i}'}.json"
-        if name in dumps:
-            raise SystemExit(
-                f"error: --dump-movements would write both {dumps[name].meta.source_path} "
-                f"and {mv.meta.source_path} to movements/{name}"
-            )
-        dumps[name] = mv
-    return dumps
-
-
 def cmd_extract(args) -> int:
-    movements, (matrix, _, thresholds) = _extract(args)
-    dumps = _dump_names(movements) if args.dump_movements else {}
+    # with --dump-movements, each movement's dump is kept by its file name:
+    # its source file's name plus ".json" (or its index, counted up to the
+    # first clash); a name taken twice stops the command once the
+    # extraction has succeeded, before anything is written
+    dumps, clashes = {}, []
+
+    def dump(mv):
+        path = mv.meta.source_path
+        name = f"{Path(path).name or f'movement{len(dumps)}'}.json"
+        if name in dumps:
+            clashes.append(
+                f"error: --dump-movements would write both {dumps[name][0]} "
+                f"and {path} to movements/{name}"
+            )
+        else:
+            dumps[name] = (path, movement_to_json(mv))
+
+    matrix, _, thresholds = _extract(args, dump if args.dump_movements else None)
+    if clashes:
+        raise SystemExit(clashes[0])
     out = _out_dir(args)
     matrix.to_csv(out / "features.csv", out / "movement_meta.csv")
     _write_json(out / "thresholds.json", thresholds.to_json())
     if args.dump_movements:
         dump_dir = out / "movements"
         dump_dir.mkdir(exist_ok=True)
-        for name, mv in dumps.items():
-            _write_json(dump_dir / name, movement_to_json(mv))
+        for name, (_, payload) in dumps.items():
+            _write_json(dump_dir / name, payload)
     _write_json(out / "run_config.json", _run_config("extract", args, {}))
     print(f"extracted {matrix.n} movements x {matrix.p} features -> {out / 'features.csv'}")
     return 0
@@ -160,7 +199,7 @@ def _matrix_from_args(args) -> FeatureMatrix:
             raise SystemExit("error: --meta is required with --features")
         return FeatureMatrix.from_csv(args.features, args.meta)
     if args.corpus and args.manifest:
-        return _extract(args)[1].matrix
+        return _extract(args).matrix
     raise SystemExit("error: provide --features/--meta or --corpus/--manifest")
 
 
@@ -208,17 +247,19 @@ def cmd_cv(args) -> int:
         # the pool alone: the matrix comes from the CSV, read first so that
         # a wrong CSV argument stops the command before the corpus is parsed
         matrix = _matrix_from_args(args)
-        movements = _load_corpus_or_die(args)
-        pool = build_development_pool(
-            movements, SegmentConfig(args.m_lengths), args.threshold_reading
+        seg, paths = SegmentConfig(args.m_lengths), []
+        pool = _corpus_pass(
+            args,
+            lambda movements: build_development_pool(movements, seg, args.threshold_reading),
+            lambda mv: paths.append(mv.meta.source_path),
         )
-        if [r.source_path for r in matrix.rows] != [mv.meta.source_path for mv in movements]:
+        if [r.source_path for r in matrix.rows] != paths:
             raise SystemExit(
                 "error: --leakage-audit needs the --features rows to be the "
                 "parsed --manifest movements, in the same order"
             )
     elif config.leakage_audit:
-        _, (matrix, pool, _) = _extract(args)
+        matrix, pool, _ = _extract(args)
     else:
         matrix = _matrix_from_args(args)
     result = run_cv(matrix, config, development_pool=pool)
@@ -272,7 +313,7 @@ def cmd_fit(args) -> int:
     _write_json(out / "model.json", payload)
     text = render_report(payload)
     (out / "report.txt").write_text(text, encoding="utf-8")
-    run = {"cv": config.to_json(), "features": args.features, "meta": args.meta}
+    run = {"cv": report.config, "features": args.features, "meta": args.meta}
     _write_json(out / "run_config.json", _run_config("fit", args, run))
     print(text, end="")
     return 0

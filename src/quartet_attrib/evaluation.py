@@ -507,6 +507,10 @@ def compare_runs(a: CVResult, b: CVResult) -> AgreementReport:
 # ---------------------------------------------------------------------------
 
 
+#: The CVConfig fields that fit_full_model reads, and all that a fit records.
+FIT_FIELDS = ("feature_scope", "prior", "seed", "restarts", "bic_form")
+
+
 @dataclass
 class FullModelReport:
     selection: SelectionResult
@@ -561,7 +565,7 @@ def fit_full_model(matrix: FeatureMatrix, config: CVConfig) -> FullModelReport:
         hosmer=hosmer,
         hosmer_median_p=median_p,
         n=matrix.n,
-        config=config.to_json(),
+        config={k: v for k, v in config.to_json().items() if k in FIT_FIELDS},
     )
 
 

@@ -356,6 +356,24 @@ def _format_value(x: float) -> str:
 _INT64_EXACT = 1 << 26
 
 
+class _Prefix(NamedTuple):
+    """Running sums along the rows of a track's table.
+
+    Row i of the table holds the L values of the track from note i on,
+    padded past the voice's end, so column m - 1 of row i sums the
+    length-m window that starts at note i; a length-m read takes rows
+    0..N-m only and never reaches the padding.  Every cell is the sum of
+    at most one window of the voice (duration padding is 0, pitch values
+    lie in 1..12), so the _INT64_EXACT bound, which covers every window's
+    exact variance terms, covers the int64 tables; past it the duration
+    table holds Python ints, which are exact.
+    """
+
+    s1: np.ndarray  # the window's values
+    s2: np.ndarray  # their squares
+    matches: np.ndarray  # its positions equal to the opening window's
+
+
 @dataclass
 class _VoiceData:
     pcs: np.ndarray  # pitch classes 1..12, rests removed
@@ -365,28 +383,58 @@ class _VoiceData:
     # durations have equal numerators, which is all window matching needs
     dur_num: np.ndarray
     dur_den: int
-    # (kind, track, m) -> window matrix or window sds, each built once
+    # (track, L) -> running sums and ("sds", track, m) -> window sds, each built once
     memo: dict = field(default_factory=dict, repr=False)
 
     @property
     def m_notes(self) -> int:
         return len(self.pcs)
 
-    def windows(self, track: str, m: int) -> np.ndarray | None:
-        """The track's length-m windows; None when the voice is shorter."""
-        key = ("windows", track, m)
+    def running(self, track: str, L: int):
+        """The running sums of the "pitch" or "duration" track (a _Prefix),
+        or the running count of minor thirds ("minor_third"), for windows
+        of up to L notes; the voice needs at least one note."""
+        key = (track, L)
         if key not in self.memo:
-            self.memo[key] = _track_windows(self, track, m)
+            self.memo[key] = _running_sums(self, track, L)
         return self.memo[key]
 
-    def window_sds(self, track: str, m: int) -> np.ndarray | None:
-        """Standard deviation of each of the track's length-m windows."""
+    def window_sds(self, track: str, m: int, L: int) -> np.ndarray | None:
+        """Standard deviation of each of the track's length-m windows (m <= L),
+        via the exact variance identity: the variance of k/den values is
+        (m * sum(k^2) - (sum k)^2) over (den^2 * m * (m - 1)).  Computed in
+        integers (int64, or Python ints in an object array) with the
+        quotient rounded once, it is bitwise identical for any reordering of
+        equal value multisets, so location tie-breaking is exact.  None when
+        the voice is shorter than m."""
         key = ("sds", track, m)
         if key not in self.memo:
-            wmat = self.windows(track, m)
-            den = 1 if track == "pitch" else self.dur_den
-            self.memo[key] = None if wmat is None else _exact_window_sd(wmat, den)
+            n = self.m_notes - m + 1
+            sds = None
+            if n > 0:
+                sums = self.running(track, L)
+                s1, s2 = sums.s1[:n, m - 1], sums.s2[:n, m - 1]
+                den = 1 if track == "pitch" else self.dur_den
+                var = (m * s2 - s1 * s1) / (den * den * m * (m - 1))
+                sds = np.sqrt(var.astype(float))
+            self.memo[key] = sds
         return self.memo[key]
+
+
+def _running_sums(vd: _VoiceData, track: str, L: int):
+    """Build the table behind ``_VoiceData.running`` and sum along its rows."""
+    seq = {"pitch": vd.pcs, "duration": vd.dur_num, "minor_third": vd.abs_pitch}[track]
+    padded = np.concatenate([seq, np.zeros(L - 1, dtype=seq.dtype)])
+    table = np.lib.stride_tricks.sliding_window_view(padded, L)
+    if track == "minor_third":
+        return np.cumsum(np.abs(table - table[:, :1]) % 12 == 3, axis=1)
+    if track == "pitch":
+        table = (table - table[:, :1]) % 12 + 1  # relative to the window's first note
+    return _Prefix(
+        np.cumsum(table, axis=1),
+        np.cumsum(table * table, axis=1),
+        np.cumsum(table == table[0], axis=1),
+    )
 
 
 def _voice_data(movement: EncodedMovement) -> dict[str, _VoiceData]:
@@ -414,32 +462,6 @@ def _voice_data(movement: EncodedMovement) -> dict[str, _VoiceData]:
     return out
 
 
-def _exact_window_sd(windows: np.ndarray, denominator: int = 1) -> np.ndarray:
-    """Sample sd per integer window via the exact variance identity.
-
-    The variance of k/denominator values is (m * sum(k^2) - (sum k)^2)
-    over (denominator^2 * m * (m - 1)); computing it in integers (int64, or
-    Python ints in an object array) and rounding the quotient once makes
-    the result bitwise identical for any reordering of equal value
-    multisets, so location tie-breaking is exact.
-    """
-    m = windows.shape[1]
-    s1 = windows.sum(axis=1)
-    s2 = (windows * windows).sum(axis=1)
-    var = (m * s2 - s1 * s1) / (denominator * denominator * m * (m - 1))
-    return np.sqrt(var.astype(float))
-
-
-def _sliding(arr: np.ndarray, m: int) -> np.ndarray:
-    return np.lib.stride_tricks.sliding_window_view(arr, m)
-
-
-def _relative_windows(pcs: np.ndarray, m: int) -> np.ndarray:
-    """Windows of pitch classes, each re-expressed relative to its first note."""
-    w = _sliding(pcs, m)
-    return (w - w[:, :1]) % 12 + 1
-
-
 def _sd(x) -> float:
     x = np.asarray(x, dtype=float)
     if x.size < 2:
@@ -459,7 +481,8 @@ def basic_summary(movement: EncodedMovement, data: dict[str, _VoiceData]) -> dic
     for v in VOICE_LABELS:
         vd = data[v]
         if not vd.m_notes:
-            raise EmptyVoice(f"voice {v} has no notes")
+            source = movement.meta.source_path if movement.meta is not None else "<string>"
+            raise EmptyVoice(f"{source}: voice {v} has no notes")
         mean_duration, mean_pitch = float(np.mean(vd.dur_float)), float(np.mean(vd.pcs))
         values += [float(vd.m_notes), mean_duration, _sd(vd.dur_float), mean_pitch, _sd(vd.pcs)]
 
@@ -528,16 +551,16 @@ def minor_third_segment_features(
     class distance from the window's first note, summarised by seven order
     statistics plus counts of all-zero and high-proportion segments.
     """
-    high = MINOR_THIRD_HIGH
+    high, L = MINOR_THIRD_HIGH, max(config.lengths)
     values = []
     for v in VOICE_LABELS:
-        ap = data[v].abs_pitch
+        vd = data[v]
         for m in config.lengths:
-            if len(ap) < m:
+            n = vd.m_notes - m + 1
+            if n <= 0:
                 values += [_NAN] * len(_MINOR3_DESCRIPTORS)
                 continue
-            w = _sliding(ap, m)
-            counts = (np.abs(w[:, 1:] - w[:, :1]) % 12 == 3).sum(axis=1)
+            counts = vd.running("minor_third", L)[:n, m - 1]
             props = counts / (m - 1)
             values += [
                 float(props.min()),
@@ -556,26 +579,14 @@ def minor_third_segment_features(
 # ---------------------------------------------------------------------------
 
 
-def _track_windows(vd: _VoiceData, track: str, m: int) -> np.ndarray | None:
-    seq = vd.pcs if track == "pitch" else vd.dur_num
-    if len(seq) < m:
-        return None
-    if track == "pitch":
-        return _relative_windows(seq, m)
-    return _sliding(seq, m)
-
-
-def _overlap_stats(wmat: np.ndarray, last_start: int) -> tuple[float, ...] | None:
-    """Overlap of the opening window against windows starting at 2..last_start,
-    one value per OVERLAP_DESCS entry.
+def _overlap_stats(matches: np.ndarray, m: int, total: int) -> tuple[float, ...]:
+    """Overlap of the opening length-m window against the windows starting
+    at 2, 3, ... (their ``matches``, out of ``total`` windows), one value
+    per OVERLAP_DESCS entry.
 
     Ties on the maximum take the later segment.  Counts compare the exact
     match fraction against the OVERLAP_THRESHOLDS.
     """
-    total, m = wmat.shape
-    if last_start < 2:
-        return None
-    matches = (wmat[1:last_start] == wmat[0]).sum(axis=1)
     best = int(matches.max())
     pos = int(np.nonzero(matches == best)[0][-1])
     counts = (
@@ -588,19 +599,22 @@ def _overlap_features(
     category: str, data: dict[str, _VoiceData], config: SegmentConfig, first_half: bool
 ) -> dict[str, float]:
     """Overlap of each voice's opening segment against its later segments:
-    those starting at or before ceil(M/2) with ``first_half``, else all."""
+    those starting at or before ceil(M/2) with ``first_half``, else all.
+    A voice with fewer than two such segments is masked."""
+    L = max(config.lengths)
     values = []
     for v in VOICE_LABELS:
         vd = data[v]
         half = (vd.m_notes + 1) // 2
         for m in config.lengths:
+            total = vd.m_notes - m + 1
+            last_start = min(half, total) if first_half else total
             for track in TRACKS:
-                wmat = vd.windows(track, m)
-                stats = None
-                if wmat is not None:
-                    total = wmat.shape[0]
-                    stats = _overlap_stats(wmat, min(half, total) if first_half else total)
-                values += stats or [_NAN] * len(OVERLAP_DESCS)
+                if last_start < 2:
+                    values += [_NAN] * len(OVERLAP_DESCS)
+                    continue
+                matches = vd.running(track, L).matches[1:last_start, m - 1]
+                values += _overlap_stats(matches, m, total)
     return _named(category, values, config)
 
 
@@ -746,10 +760,10 @@ def _pooled(
     if reading not in THRESHOLD_READINGS:
         raise ValueError(f"reading must be one of {THRESHOLD_READINGS}")
     parts = {(v, m, track): [] for v in VOICE_LABELS for m in lengths for track in TRACKS}
-    n = 0
+    L, n = max(lengths), 0
     for data in movements:
         for (v, m, track), arrays in parts.items():
-            sds = data[v].window_sds(track, m)
+            sds = data[v].window_sds(track, m, L)
             arrays.append(sds if sds is not None else np.empty(0, dtype=float))
         n += 1
     sorted_sds, rows, sizes = {}, {}, {}
@@ -770,7 +784,9 @@ def _pooled(
 def build_development_pool(
     corpus, config: SegmentConfig = SegmentConfig(), reading: str = "prose"
 ) -> DevelopmentSdPool:
-    return _pooled((_voice_data(mv) for mv in corpus), config.lengths, reading)
+    """The development pool of ``corpus``, any iterable of movements, taken
+    one movement at a time without listing it."""
+    return _pooled(map(_voice_data, corpus), config.lengths, reading)
 
 
 def development_features(
@@ -783,11 +799,11 @@ def development_features(
     counts of windows at or above each corpus-level threshold come from
     ``DevelopmentSdPool.count_columns``.
     """
-    values = []
+    L, values = max(config.lengths), []
     for v in VOICE_LABELS:
         for m in config.lengths:
             for track in TRACKS:
-                sds = data[v].window_sds(track, m)
+                sds = data[v].window_sds(track, m, L)
                 if sds is None:
                     values += [_NAN] * len(_DEV_MAXIMA)
                     continue
@@ -817,20 +833,21 @@ def extract_all(
 ) -> Extraction:
     """Assemble the corpus feature matrix in one pass over the movements.
 
-    Each movement's threshold-free features are computed and its window sds
-    pooled; the development counts are then taken at the pool's thresholds.
+    ``corpus`` may be any iterable, a one-pass iterator included, and is
+    not listed: each movement's threshold-free features are computed and
+    its window sds pooled, and then only its meta and its row of values are
+    kept.  The development counts are taken at the pool's thresholds once
+    every movement is pooled.
     """
-    corpus = list(corpus)
-    if not corpus:
-        raise ValueError("corpus is empty")
-    if any(m.meta is None for m in corpus):
-        raise ValueError("every movement needs metadata for matrix assembly")
     names = feature_names(config)
     free = {fn.label: j for j, fn in enumerate(names)}  # the count columns are popped
     counted = [free.pop(lbl) for lbl in _labels(config.lengths, "count")]
-    values = np.empty((len(corpus), len(names)))
+    columns = list(free.values())
+    metas, rows = [], []
 
-    def threshold_free(i, movement):
+    def threshold_free(movement):
+        if movement.meta is None:
+            raise ValueError("every movement needs metadata for matrix assembly")
         data = _voice_data(movement)
         feats = basic_summary(movement, data)
         feats.update(pairwise_interval_features(data))
@@ -840,15 +857,19 @@ def extract_all(
         feats.update(recapitulation_features(data, config))
         if feats.keys() != free.keys():
             raise AssertionError("computed features do not match the registry")
-        values[i, list(free.values())] = [feats[lbl] for lbl in free]
+        row = np.empty(len(names))
+        row[columns] = [feats[lbl] for lbl in free]
+        metas.append(movement.meta)
+        rows.append(row)
         return data
 
-    pool = _pooled(
-        (threshold_free(i, mv) for i, mv in enumerate(corpus)), config.lengths, threshold_reading
-    )
+    pool = _pooled(map(threshold_free, corpus), config.lengths, threshold_reading)
+    if not rows:
+        raise ValueError("corpus is empty")
+    values = np.array(rows)
     thresholds = pool.thresholds()
     values[:, counted] = pool.count_columns(thresholds)
-    matrix = FeatureMatrix(rows=tuple(m.meta for m in corpus), columns=names, values=values)
+    matrix = FeatureMatrix(rows=tuple(metas), columns=names, values=values)
     return Extraction(matrix, pool, thresholds)
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 logger = logging.getLogger(__name__)
 
@@ -485,11 +486,14 @@ def _parse_composer(text: str) -> Composer:
 
 
 def read_manifest(manifest_path: str | Path) -> list[MovementMeta]:
-    """Read the corpus manifest CSV (path, composer, quartet_id, set_id, movement_number)."""
+    """Read the corpus manifest CSV (path, composer, quartet_id, set_id, movement_number).
+
+    A row that does not read raises ValueError naming the manifest and the
+    row's line."""
     metas: list[MovementMeta] = []
     seen: set[str] = set()
     with open(manifest_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
         missing = {"path", "composer", "quartet_id", "movement_number"} - set(
             reader.fieldnames or []
         )
@@ -499,41 +503,52 @@ def read_manifest(manifest_path: str | Path) -> list[MovementMeta]:
             path = row["path"].strip()
             if not path:
                 continue
-            if path in seen:
-                raise ValueError(f"duplicate manifest path {path!r}")
-            seen.add(path)
-            metas.append(
-                MovementMeta(
-                    composer=_parse_composer(row["composer"]),
-                    quartet_id=row["quartet_id"].strip(),
-                    set_id=(row.get("set_id") or "").strip(),
-                    movement_number=int(row["movement_number"]),
-                    source_path=path,
+            try:
+                if path in seen:
+                    raise ValueError(f"duplicate manifest path {path!r}")
+                seen.add(path)
+                metas.append(
+                    MovementMeta(
+                        composer=_parse_composer(row["composer"]),
+                        quartet_id=row["quartet_id"].strip(),
+                        set_id=(row.get("set_id") or "").strip(),
+                        movement_number=int(row["movement_number"]),
+                        source_path=path,
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"manifest {manifest_path} line {reader.line_num}: {exc}") from None
     return metas
 
 
 def load_corpus(
     corpus_root: str | Path,
     manifest_path: str | Path,
-) -> tuple[list[EncodedMovement], list[tuple[str, str]]]:
-    """Parse every manifest movement under corpus_root.
+) -> tuple[Iterator[EncodedMovement], list[tuple[str, str]]]:
+    """Parse the manifest movements under corpus_root, one at a time.
 
-    Returns (movements, errors): the movements that parsed and one
-    (manifest path, message) pair per movement that did not.  Reporting
-    the errors, and deciding whether they are fatal, is the caller's job.
+    Returns (movements, errors).  The manifest is read at once; movements
+    is a one-pass iterator that reads and parses each file when asked for
+    it, and errors is the list it fills with one (manifest path, message)
+    pair per movement that does not parse, complete once movements is
+    exhausted.  Reporting the errors, and deciding whether they are fatal,
+    is the caller's job.
     """
     root = Path(corpus_root)
-    movements: list[EncodedMovement] = []
+    metas = read_manifest(manifest_path)
     errors: list[tuple[str, str]] = []
-    for meta in read_manifest(manifest_path):
-        path = Path(meta.source_path)
-        if not path.is_absolute():
-            path = root / path
-        try:
-            content = path.read_text(encoding="utf-8", errors="replace")
-            movements.append(parse_kern(content, meta=meta))
-        except (OSError, KernError, ValueError) as exc:
-            errors.append((meta.source_path, str(exc)))
-    return movements, errors
+
+    def movements():
+        for meta in metas:
+            path = Path(meta.source_path)
+            if not path.is_absolute():
+                path = root / path
+            try:
+                content = path.read_text(encoding="utf-8", errors="replace")
+                movement = parse_kern(content, meta=meta)
+            except (OSError, KernError, ValueError) as exc:
+                errors.append((meta.source_path, str(exc)))
+                continue
+            yield movement
+
+    return movements(), errors

@@ -398,6 +398,62 @@ def thresholds_from_json(payload):
 
 
 # ---------------------------------------------------------------------------
+# Per-length window reference: the library's per-voice data, with each
+# length-m window matrix built on its own and summed again, where the library
+# reads every length from one prefix-sum table per voice and track.
+# ---------------------------------------------------------------------------
+
+
+def _sliding(arr, m):
+    return np.lib.stride_tricks.sliding_window_view(arr, m)
+
+
+def relative_windows(pcs, m):
+    """Windows of pitch classes, each re-expressed relative to its first note."""
+    w = _sliding(pcs, m)
+    return (w - w[:, :1]) % 12 + 1
+
+
+def track_windows(vd, track, m):
+    """The voice data's length-m windows of ``track``; None when the voice
+    is shorter."""
+    seq = vd.pcs if track == "pitch" else vd.dur_num
+    if len(seq) < m:
+        return None
+    return relative_windows(seq, m) if track == "pitch" else _sliding(seq, m)
+
+
+def exact_window_sd(windows, denominator=1):
+    """Sample sd per integer window via the exact variance identity: the
+    variance of k/denominator values is (m * sum(k^2) - (sum k)^2) over
+    (denominator^2 * m * (m - 1)), computed in integers and rounded once."""
+    m = windows.shape[1]
+    s1 = windows.sum(axis=1)
+    s2 = (windows * windows).sum(axis=1)
+    var = (m * s2 - s1 * s1) / (denominator * denominator * m * (m - 1))
+    return np.sqrt(var.astype(float))
+
+
+def window_sds_reference(vd, track, m):
+    """The sds of the track's length-m windows; None when the voice is shorter."""
+    w = track_windows(vd, track, m)
+    return None if w is None else exact_window_sd(w, 1 if track == "pitch" else vd.dur_den)
+
+
+def overlap_matches_reference(vd, track, m, last_start):
+    """Matches of the opening length-m window with the windows starting at
+    2..last_start."""
+    w = track_windows(vd, track, m)
+    return (w[1:last_start] == w[0]).sum(axis=1)
+
+
+def minor_third_counts_reference(vd, m):
+    """Per length-m window, its notes a minor-third class from its first."""
+    w = _sliding(vd.abs_pitch, m)
+    return (np.abs(w[:, 1:] - w[:, :1]) % 12 == 3).sum(axis=1)
+
+
+# ---------------------------------------------------------------------------
 # Development pool, one row at a time: each movement's window sds kept as its
 # own array, thresholds from the rows' concatenated sds, counts per row.
 # ---------------------------------------------------------------------------
@@ -411,7 +467,7 @@ def window_sds_by_row(movements, lengths):
     for v in VOICES:
         for m in lengths:
             for track in ("pitch", "duration"):
-                sds = [d[v].window_sds(track, m) for d in data]
+                sds = [window_sds_reference(d[v], track, m) for d in data]
                 out[(v, m, track)] = [np.empty(0) if a is None else a for a in sds]
     return out
 

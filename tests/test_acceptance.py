@@ -78,6 +78,7 @@ def _load_named_corpus(env_name):
     if root is None:
         return None
     movements, errors = load_corpus(root, root / "manifest.csv")
+    movements = list(movements)
     return movements if movements else None
 
 

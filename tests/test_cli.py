@@ -162,6 +162,94 @@ class TestExtract:
         assert main(["extract", *args, "--out", str(out)]) == 0  # no dumps, no clash
 
 
+class TestCorpusErrors:
+    """What a bad corpus prints: the parse errors first, then at most one
+    more message, however the bad files and the failing movement are
+    ordered in the manifest."""
+
+    BROKEN = "**kern\t**kern\n*-\t*-\n"
+
+    def corpus(self, tmp_path, extra_rows):
+        corpus = tmp_path / "corpus"
+        manifest = synth.write_tiny_corpus(corpus, n_quartets=1, seed=9)
+        (corpus / "broken.krn").write_text(self.BROKEN, encoding="utf-8")
+        # a movement whose lower three voices hold only rests
+        (corpus / "rests.krn").write_text(
+            synth.melody_kern([["4c", "4d", "4e", "4f"]] * 3), encoding="utf-8"
+        )
+        with open(manifest, "a", encoding="utf-8") as fh:
+            fh.writelines(row + "\n" for row in extra_rows)
+        return ["--corpus", str(corpus), "--manifest", str(manifest), "--m-lengths", "8"]
+
+    def test_manifest_row_with_a_bad_movement_number_names_its_line(self, tmp_path, capsys):
+        args = self.corpus(tmp_path, ["broken.krn,1,hq9,set9,x"])
+        manifest = args[3]
+        assert main(["extract", *args, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: manifest {manifest} line 6: invalid literal for int() with base 10: 'x'\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_manifest_row_with_an_unknown_composer_names_its_line(self, tmp_path, capsys):
+        args = self.corpus(tmp_path, ["rests.krn,0,mq9,set9,1", "broken.krn,Bach,hq9,set9,1"])
+        manifest = args[3]
+        assert main(["extract", *args, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: manifest {manifest} line 7: unknown composer label 'Bach'\n"
+        )
+
+    @pytest.mark.parametrize("skip_bad", [False, True], ids=["strict", "skip-bad"])
+    def test_empty_voice_names_its_movement(self, tmp_path, capsys, skip_bad):
+        args = self.corpus(tmp_path, ["rests.krn,0,mq9,set9,1"])
+        flags = ["--skip-bad"] if skip_bad else []
+        assert main(["extract", *args, *flags, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: rests.krn: voice Violin2 has no notes\n"
+
+    @pytest.mark.parametrize("skip_bad", [False, True], ids=["strict", "skip-bad"])
+    @pytest.mark.parametrize("rests_first", [True, False], ids=["rests-first", "broken-first"])
+    def test_parse_errors_come_first_and_name_every_bad_file(
+        self, tmp_path, capsys, skip_bad, rests_first
+    ):
+        rows = ["rests.krn,0,mq9,set9,1", "broken.krn,1,hq9,set9,1", "absent.krn,1,hq9,set9,2"]
+        if not rests_first:
+            rows = rows[1:] + rows[:1]
+        args = self.corpus(tmp_path, rows)
+        flags = ["--skip-bad"] if skip_bad else []
+        out = tmp_path / "o"
+        assert main(["extract", *args, *flags, "--dump-movements", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        named = [line.split(":")[0] for line in err]
+        assert named == ["error parsing broken.krn", "error parsing absent.krn"] + (
+            ["error"] if skip_bad else []
+        )
+        if skip_bad:
+            assert err[-1] == "error: rests.krn: voice Violin2 has no notes"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("skip_bad", [False, True], ids=["strict", "skip-bad"])
+    def test_all_bad_corpus(self, tmp_path, capsys, skip_bad):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "broken.krn").write_text(self.BROKEN, encoding="utf-8")
+        manifest = corpus / "manifest.csv"
+        manifest.write_text(
+            "path,composer,quartet_id,set_id,movement_number\n"
+            "broken.krn,0,q1,,1\nabsent.krn,1,q2,,1\n",
+            encoding="utf-8",
+        )
+        flags = ["--skip-bad"] if skip_bad else []
+        for command in (["extract"], ["cv", "--leakage-audit", "--restarts", "1"]):
+            rc = main([*command, "--corpus", str(corpus), "--manifest", str(manifest), *flags,
+                       "--out", str(tmp_path / "o")])
+            assert rc == 1
+            err = capsys.readouterr().err.splitlines()
+            assert [line.split(":")[0] for line in err[:2]] == [
+                "error parsing broken.krn", "error parsing absent.krn"
+            ]
+            assert err[2:] == (["error: no movements found"] if skip_bad else [])
+        assert not (tmp_path / "o").exists()
+
+
 class TestCV:
     def test_cv_from_feature_csv(self, tmp_path, capsys):
         fp, mp = toy_feature_csvs(tmp_path)
@@ -341,6 +429,17 @@ class TestFitAndReport:
         payload = json.loads((out / "model.json").read_text())
         assert payload["table"][0]["feature"] == "(Intercept)"
         assert (out / "report.txt").exists()
+
+    def test_fit_records_only_the_settings_it_reads(self, tmp_path):
+        fp, mp = toy_feature_csvs(tmp_path, n=20)
+        out = tmp_path / "fit"
+        args = ["--features", str(fp), "--meta", str(mp), "--preset", "hm285"]
+        assert main(["fit", *args, "--restarts", "2", "--out", str(out)]) == 0
+        fields = {"feature_scope", "prior", "seed", "restarts", "bic_form"}
+        config = json.loads((out / "model.json").read_text())["config"]
+        assert config.keys() == fields
+        assert config["restarts"] == 2 and config["prior"]["scale_factor"] == 0.6
+        assert json.loads((out / "run_config.json").read_text())["cv"] == config
 
     def test_report_regeneration_byte_identical(self, tmp_path):
         fp, mp = toy_feature_csvs(tmp_path, n=30)

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +37,7 @@ FLAT_THRESHOLDS = DevelopmentThresholds(
     table={
         (v, m, track): (0.5, 1.0, 2.0, 3.0)
         for v in ("Violin1", "Violin2", "Viola", "Cello")
-        for m in (8, 10, 12, 14, 16, 18)
+        for m in range(2, 19)
         for track in ("pitch", "duration")
     },
 )
@@ -421,6 +423,78 @@ class TestHugeDurationDenominators:
         assert overlaps > 0
 
 
+class TestPrefixTables:
+    """Every segment length read from one prefix-sum table per voice and
+    track equals the per-length reference of tests/oracles.py bit for bit:
+    window sds, the opening window's matches up to both overlap cut-offs,
+    and minor-third counts."""
+
+    LENGTHS = [CONFIG.lengths, (2, 5, 13), (13, 2, 5), (3,), (18, 8)]
+
+    def movements(self):
+        rng = np.random.default_rng(40)
+        out = [synth.random_movement(rng, n_notes=(1, 24)) for _ in range(10)]
+        out.append(synth.movement_from_pitches([[60], [0, 61, 0], [0, 0], [50] * 3]))
+        motif = [49, 52, 56, 49, 51, 49]  # repeats, so maxima tie
+        out.append(synth.movement_from_pitches([motif * 5, motif * 3, [50, 53] * 9, motif]))
+        for primes in ((3, 5, 7, 11, 13, 17, 19), (23, 29, 31, 37, 41, 43, 47)):
+            tuplets = tuple(Fraction(1, 4 * k) for k in (1, *primes))
+            out.append(TestHugeDurationDenominators().movement(1, tuplets))
+        return out
+
+    def test_tables_equal_the_per_length_reference(self):
+        seen = dict.fromkeys(
+            ("below_shortest", "between", "one_note", "object", "match_tie", "sd_tie"), False
+        )
+        for mv in self.movements():
+            for lengths in self.LENGTHS:
+                L = max(lengths)
+                for vd in voice_data(mv).values():  # fresh tables for every length set
+                    seen["below_shortest"] |= 0 < vd.m_notes < min(lengths)
+                    seen["between"] |= min(lengths) <= vd.m_notes < L
+                    seen["one_note"] |= vd.m_notes == 1
+                    seen["object"] |= vd.dur_num.dtype == object
+                    half = (vd.m_notes + 1) // 2
+                    for m in lengths:
+                        n = vd.m_notes - m + 1
+                        for track in ("pitch", "duration"):
+                            got = vd.window_sds(track, m, L)
+                            want = oracles.window_sds_reference(vd, track, m)
+                            if want is None:
+                                assert got is None and n <= 0
+                                continue
+                            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                            seen["sd_tie"] |= n > 1 and (got == got.max()).sum() > 1
+                            for last in (min(half, n), n):  # exposition, recapitulation
+                                if last < 2:
+                                    continue
+                                got = vd.running(track, L).matches[1:last, m - 1]
+                                want = oracles.overlap_matches_reference(vd, track, m, last)
+                                assert got.dtype == want.dtype and np.array_equal(got, want)
+                                seen["match_tie"] |= (got == got.max()).sum() > 1
+                        if n > 0:
+                            got = vd.running("minor_third", L)[:n, m - 1]
+                            want = oracles.minor_third_counts_reference(vd, m)
+                            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert all(seen.values()), seen
+
+    def test_families_on_the_edge_cases_equal_the_scalar_oracles(self):
+        for mv in self.movements():
+            for lengths in self.LENGTHS:
+                config = SegmentConfig(lengths)
+                data = voice_data(mv)
+                # the oracle's Python-sum means and sds round apart from numpy's
+                for family, oracle, tol in (
+                    (exposition_features, oracles.exposition_oracle, 0.0),
+                    (recapitulation_features, oracles.recapitulation_oracle, 0.0),
+                    (minor_third_segment_features, oracles.minor3_oracle, 1e-12),
+                ):
+                    assert_dicts_close(family(data, config), oracle(mv, lengths), tol)
+                want = oracles.development_oracle(mv, FLAT_THRESHOLDS, lengths)
+                maxima = {k: x for k, x in want.items() if "count_q" not in k}
+                assert_dicts_close(development_features(data, config), maxima, tol=0.0)
+
+
 class TestDevelopmentThresholds:
     def test_constant_corpus_zero_thresholds(self):
         mv = synth.movement_from_pitches([[50] * 12] * 4)
@@ -726,38 +800,67 @@ class TestOnePass:
             for i in range(n)
         ]
 
-    def test_voice_data_and_windows_built_once_per_movement(self, monkeypatch):
+    def test_voice_data_and_tables_built_once_per_movement(self, monkeypatch):
         corpus = self.corpus(32)
-        calls = {"voice_data": 0, "windows": [], "sds": 0}
-        real_data, real_windows = features._voice_data, features._track_windows
-        real_sd = features._exact_window_sd
+        calls = {"voice_data": 0, "tables": []}
+        real_data, real_sums = features._voice_data, features._running_sums
 
         def voice_data(movement):
             calls["voice_data"] += 1
             return real_data(movement)
 
-        def track_windows(vd, track, m):
-            calls["windows"].append((calls["voice_data"], id(vd), track, m))
-            return real_windows(vd, track, m)
-
-        def window_sd(*args):
-            calls["sds"] += 1
-            return real_sd(*args)
+        def running_sums(vd, track, L):
+            calls["tables"].append((calls["voice_data"], id(vd), track, L))
+            return real_sums(vd, track, L)
 
         monkeypatch.setattr(features, "_voice_data", voice_data)
-        monkeypatch.setattr(features, "_track_windows", track_windows)
-        monkeypatch.setattr(features, "_exact_window_sd", window_sd)
+        monkeypatch.setattr(features, "_running_sums", running_sums)
         extract_all(corpus, SMALL)
         assert calls["voice_data"] == len(corpus)
-        keys = len(corpus) * 4 * len(SMALL.lengths) * 2  # movements, voices, m, tracks
-        assert len(calls["windows"]) == len(set(calls["windows"])) == keys
-        long_enough = sum(
-            len(oracles.notes_of(mv, v)) >= m
+        # one table per voice and track, at the longest length, for every
+        # voice with a window: pitch, duration and the minor-third count
+        assert len(calls["tables"]) == len(set(calls["tables"]))
+        assert {L for *_, L in calls["tables"]} == {max(SMALL.lengths)}
+        per_movement = [
+            sorted(track for i, _, track, _ in calls["tables"] if i == k + 1)
+            for k in range(len(corpus))
+        ]
+        voices = ("Violin1", "Violin2", "Viola", "Cello")
+        assert per_movement == [
+            sorted(
+                ["duration", "minor_third", "pitch"]
+                * sum(len(oracles.notes_of(mv, v)) >= min(SMALL.lengths) for v in voices)
+            )
             for mv in corpus
-            for v in ("Violin1", "Violin2", "Viola", "Cello")
-            for m in SMALL.lengths
-        )
-        assert calls["sds"] == 2 * long_enough
+        ]
+        assert 0 < len(calls["tables"]) < len(corpus) * 4 * 3  # some voices are too short
+
+    @pytest.mark.parametrize("build", ["extract_all", "build_development_pool"])
+    def test_one_movement_at_a_time(self, build):
+        """A one-pass corpus is not listed: when movement i + 1 is asked
+        for, movement i - 1 is gone, and the results equal a listed run's."""
+        alive = []
+
+        def stream(watch):
+            rng, refs = np.random.default_rng(36), []
+            for i in range(6):
+                if watch and i >= 2:
+                    gc.collect()
+                    alive.append(refs[i - 2]() is not None)
+                mv = synth.random_movement(
+                    rng, n_notes=(20, 40), meta=synth.make_meta(path=f"s{i}.krn", quartet=f"q{i}")
+                )
+                refs.append(weakref.ref(mv))
+                yield mv
+
+        got = getattr(features, build)(stream(watch=True), SMALL)
+        assert alive == [False] * 4
+        want = getattr(features, build)(list(stream(watch=False)), SMALL)
+        if build == "extract_all":
+            assert got.matrix.values.tobytes() == want.matrix.values.tobytes()
+            assert got.matrix.rows == want.matrix.rows
+            got, want = got.pool, want.pool
+        assert repr(got.thresholds()) == repr(want.thresholds())
 
     @pytest.mark.parametrize("reading", ["prose", "literal"])
     def test_matrix_is_the_families_plus_the_pool_counts(self, reading):

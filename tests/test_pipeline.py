@@ -28,6 +28,7 @@ def styled_matrix(tmp_path_factory):
     root = tmp_path_factory.mktemp("styled")
     manifest = synth.write_styled_corpus(root, n_quartets=4, movements_per_quartet=2)
     movements, errors = load_corpus(root, manifest)
+    movements = list(movements)  # one pass: listed, as it is counted and then extracted
     assert errors == []
     assert len(movements) == 16
     return extract_all(movements, SegmentConfig(lengths=(8,))).matrix

@@ -352,6 +352,7 @@ class TestCorpusLoading:
     def test_manifest_round_trip(self, tmp_path):
         manifest = synth.write_tiny_corpus(tmp_path / "corpus", seed=3)
         movements, errors = load_corpus(tmp_path / "corpus", manifest)
+        movements = list(movements)
         assert errors == []
         assert len(movements) == 8
         metas = [m.meta for m in movements]
@@ -366,7 +367,8 @@ class TestCorpusLoading:
         with open(manifest, "a", encoding="utf-8") as fh:
             fh.write("bad.krn,0,mq9,set9,1\n")
         movements, errors = load_corpus(root, manifest)
-        assert len(movements) == 8
+        assert errors == []  # nothing is parsed before the movements are asked for
+        assert len(list(movements)) == 8
         assert len(errors) == 1 and errors[0][0] == "bad.krn"
 
     def test_manifest_validation(self, tmp_path):
