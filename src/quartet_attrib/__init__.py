@@ -20,7 +20,6 @@ from .score import (
     VoiceTrack,
     WrongVoiceCount,
     load_corpus,
-    onset_grid,
     parse_kern,
 )
 from .features import (
@@ -80,7 +79,6 @@ __all__ = [
     "icm_select",
     "load_corpus",
     "near_zero_variance_filter",
-    "onset_grid",
     "parse_kern",
     "predict_prob",
     "run_cv",

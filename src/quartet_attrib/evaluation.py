@@ -260,24 +260,6 @@ def _fold_seed(seed: int, fold_index: int) -> int:
     return int(np.random.SeedSequence([seed, fold_index]).generate_state(1)[0])
 
 
-def _apply_fold_thresholds(
-    matrix: FeatureMatrix,
-    pool: DevelopmentSdPool,
-    train_idx: Sequence[int],
-) -> FeatureMatrix:
-    """Replace development count columns with training-fold thresholds."""
-    thresholds = pool.thresholds(rows=train_idx)
-    block = pool.count_columns(thresholds)
-    labels = pool.count_labels()
-    values = matrix.values.copy()
-    present = {lbl: j for j, lbl in enumerate(matrix.labels)}
-    for bcol, lbl in enumerate(labels):
-        j = present.get(lbl)
-        if j is not None:
-            values[:, j] = block[:, bcol]
-    return FeatureMatrix(rows=matrix.rows, columns=matrix.columns, values=values)
-
-
 def _select(fm: FeatureMatrix, y, rows, config: CVConfig, seed: int, filtered: bool):
     """Select a subset on ``rows`` of ``fm`` (variance-filtered first unless
     ``filtered``); return the selection and its columns over all rows of ``fm``."""
@@ -309,7 +291,7 @@ def _run_fold(matrix, y, config, pool, fold, fold_index) -> FoldRecord:
     try:
         fm = matrix
         if config.leakage_audit:
-            fm = _apply_fold_thresholds(fm, pool, train_idx)
+            fm, _ = pool.counted(fm, train_idx)
         seed = _fold_seed(config.seed, fold_index)
         result, X = _select(fm, y, train_idx, config, seed, config.filter_mode == "global")
         model = result.model
@@ -368,8 +350,10 @@ def run_cv(
     a programming error and propagates.  A leakage audit recomputes the
     development counts on each training fold, with the thresholds read as
     the pool was built to read them; without its pool it raises
-    ``ConfigurationError`` before any fold, as does a source path that
-    two rows share.  Rows without a source path are told apart by index.
+    ``ConfigurationError`` before any fold, as do a source path that two
+    rows share, a matrix without rows and a training fold of fewer than
+    two rows.  Rows without a source path are told apart by index.  A
+    parallel run starts at most one worker process per fold.
     """
     if config.leakage_audit and development_pool is None:
         raise ConfigurationError("leakage_audit requires the development sd pool")
@@ -377,17 +361,26 @@ def run_cv(
     for path, count in paths.items():
         if count > 1:
             raise ConfigurationError(f"the matrix repeats the movement {path!r}")
+    folds = _make_folds(matrix, config.scheme)
+    if not folds:
+        raise ConfigurationError("the matrix has no rows, so there is no fold to run")
+    for fold in folds:
+        if matrix.n - len(fold.indices) < 2:
+            raise ConfigurationError(
+                f"fold {fold.fold_id!r} trains on {matrix.n - len(fold.indices)} of "
+                f"{matrix.n} rows; every training fold needs at least two"
+            )
     y = np.array([int(meta.composer) for meta in matrix.rows])
     scoped = _scope_matrix(matrix, config.feature_scope)
     if config.filter_mode == "global":
         scoped = near_zero_variance_filter(scoped)
-    folds = _make_folds(scoped, config.scheme)
     shared = (scoped, y, config, development_pool)
     tasks = [(fold, fi) for fi, fold in enumerate(folds)]
-    if config.n_jobs > 1:
+    workers = min(config.n_jobs, len(folds))
+    if workers > 1:
         # the matrix and the pool go to each worker once, not with every fold
         with ProcessPoolExecutor(
-            max_workers=config.n_jobs, initializer=_init_worker, initargs=shared
+            max_workers=workers, initializer=_init_worker, initargs=shared
         ) as pool_exec:
             records = list(pool_exec.map(_run_worker_fold, tasks))
     else:

@@ -20,13 +20,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .score import (
-    Composer,
-    EncodedMovement,
-    MovementMeta,
-    VOICE_ORDER,
-    onset_grid,
-)
+from .score import Composer, EncodedMovement, MovementMeta, VOICE_ORDER
 
 CATEGORIES = ("basic", "interval", "exposition", "development", "recapitulation")
 TRACKS = ("pitch", "duration")
@@ -335,7 +329,9 @@ class FeatureMatrix:
                 seen.add(path)
                 rows.append(metas[path])
                 data.append([float(x) if x != "" else float("nan") for x in rec[1:]])
-        return cls(rows=tuple(rows), columns=columns, values=np.array(data, dtype=float))
+        # a header-only CSV reads as 0 rows of the header's columns
+        values = np.array(data, dtype=float).reshape(len(rows), len(columns))
+        return cls(rows=tuple(rows), columns=columns, values=values)
 
 
 def _format_value(x: float) -> str:
@@ -383,6 +379,11 @@ class _VoiceData:
     # durations have equal numerators, which is all window matching needs
     dur_num: np.ndarray
     dur_den: int
+    # every event's onset, rests included, as an integer numerator over
+    # onset_den, mapped to whether the voice rests there (the last event at
+    # an onset wins)
+    onsets: dict[int, bool]
+    onset_den: int
     # (track, L) -> running sums and ("sds", track, m) -> window sds, each built once
     memo: dict = field(default_factory=dict, repr=False)
 
@@ -442,22 +443,26 @@ def _voice_data(movement: EncodedMovement) -> dict[str, _VoiceData]:
     voice's notes; the feature families and the pool read only these."""
     out = {}
     for track in movement.voices:
-        notes = [
-            (e.pitch_class, e.absolute_pitch, e.duration)
-            for e in track.events
-            if not e.is_rest
-        ]
+        notes, starts = [], []
+        for e in track.events:
+            rest = e.is_rest
+            starts.append((e.onset.as_integer_ratio(), rest))
+            if not rest:
+                notes.append((e.pitch_class, e.absolute_pitch, e.duration))
         pcs, abs_pitch, durations = zip(*notes) if notes else ((), (), ())
         ratios = [d.as_integer_ratio() for d in durations]
         den = math.lcm(*(b for _, b in ratios))
         nums = [a * (den // b) for a, b in ratios]
         in_int64 = len(nums) * max([den, *nums]) <= _INT64_EXACT
+        onset_den = math.lcm(*{b for (_, b), _ in starts})
         out[track.voice.value] = _VoiceData(
             pcs=np.array(pcs, dtype=np.int64),
             abs_pitch=np.array(abs_pitch, dtype=np.int64),
             dur_float=np.array([a / b for a, b in ratios], dtype=float),
             dur_num=np.array(nums, dtype=np.int64 if in_int64 else object),
             dur_den=den,
+            onsets={a * (onset_den // b): rest for (a, b), rest in starts},
+            onset_den=onset_den,
         )
     return out
 
@@ -476,7 +481,8 @@ def _sd(x) -> float:
 
 def basic_summary(movement: EncodedMovement, data: dict[str, _VoiceData]) -> dict[str, float]:
     """Per-voice note counts and duration/pitch summaries plus the two
-    all-four-voices simultaneity proportions (from the movement's onsets)."""
+    all-four-voices simultaneity proportions, all from the per-voice data;
+    ``movement`` only names the movement in an EmptyVoice error."""
     values = []
     for v in VOICE_LABELS:
         vd = data[v]
@@ -486,11 +492,11 @@ def basic_summary(movement: EncodedMovement, data: dict[str, _VoiceData]) -> dic
         mean_duration, mean_pitch = float(np.mean(vd.dur_float)), float(np.mean(vd.pcs))
         values += [float(vd.m_notes), mean_duration, _sd(vd.dur_float), mean_pitch, _sd(vd.pcs)]
 
-    # onsets as integer numerators over the movement's common denominator
-    grid = onset_grid(movement).values()
-    den = math.lcm(*{t.denominator for pairs in grid for t, _ in pairs})
+    # onsets as integer numerators over the lcm of the voices' denominators
+    den = math.lcm(*(vd.onset_den for vd in data.values()))
     first, *others = (
-        {t.numerator * (den // t.denominator): rest for t, rest in pairs} for pairs in grid
+        {t * (den // vd.onset_den): rest for t, rest in vd.onsets.items()}
+        for vd in data.values()
     )
     n_onsets = len(set(first).union(*others))
     shared = [r for t, r in first.items() if all(t in d and d[t] == r for d in others)]
@@ -733,10 +739,6 @@ class DevelopmentSdPool:
             table[key] = tuple(float(x) for x in picks)
         return DevelopmentThresholds(quantiles=self.quantiles, table=table)
 
-    def count_labels(self) -> list[str]:
-        """Labels of the count block, in the column order of count_columns."""
-        return list(_labels(self.lengths, "count"))
-
     def count_columns(self, thresholds: DevelopmentThresholds) -> np.ndarray:
         """Threshold-count feature block for all pooled movements: per key and
         quantile, each row's count of sds at or above the threshold; NaN for
@@ -750,6 +752,19 @@ class DevelopmentSdPool:
                     above = self.rows[key][np.searchsorted(sds, t):]
                     out[has, k * nq + qi] = np.bincount(above, minlength=self.n)[has]
         return out
+
+    def counted(
+        self, matrix: FeatureMatrix, rows=None
+    ) -> tuple[FeatureMatrix, DevelopmentThresholds]:
+        """``matrix`` (rows aligned with the pool) with whichever count
+        columns it holds taken at the thresholds of ``rows`` (all rows by
+        default), and those thresholds.  The other columns are copied."""
+        thresholds = self.thresholds(rows)
+        block, values = self.count_columns(thresholds), matrix.values.copy()
+        for k, lbl in enumerate(_labels(self.lengths, "count")):  # the block's column order
+            if lbl in matrix._label_index:
+                values[:, matrix._label_index[lbl]] = block[:, k]
+        return FeatureMatrix(matrix.rows, matrix.columns, values), thresholds
 
 
 def _pooled(
@@ -840,9 +855,7 @@ def extract_all(
     every movement is pooled.
     """
     names = feature_names(config)
-    free = {fn.label: j for j, fn in enumerate(names)}  # the count columns are popped
-    counted = [free.pop(lbl) for lbl in _labels(config.lengths, "count")]
-    columns = list(free.values())
+    position = {fn.label: j for j, fn in enumerate(names)}
     metas, rows = [], []
 
     def threshold_free(movement):
@@ -855,10 +868,8 @@ def extract_all(
         feats.update(exposition_features(data, config))
         feats.update(development_features(data, config))
         feats.update(recapitulation_features(data, config))
-        if feats.keys() != free.keys():
-            raise AssertionError("computed features do not match the registry")
-        row = np.empty(len(names))
-        row[columns] = [feats[lbl] for lbl in free]
+        row = np.full(len(names), _NAN)  # the pool fills the count columns
+        row[[position[lbl] for lbl in feats]] = list(feats.values())
         metas.append(movement.meta)
         rows.append(row)
         return data
@@ -866,10 +877,7 @@ def extract_all(
     pool = _pooled(map(threshold_free, corpus), config.lengths, threshold_reading)
     if not rows:
         raise ValueError("corpus is empty")
-    values = np.array(rows)
-    thresholds = pool.thresholds()
-    values[:, counted] = pool.count_columns(thresholds)
-    matrix = FeatureMatrix(rows=tuple(metas), columns=names, values=values)
+    matrix, thresholds = pool.counted(FeatureMatrix(tuple(metas), names, np.array(rows)))
     return Extraction(matrix, pool, thresholds)
 
 

@@ -443,18 +443,6 @@ def parse_kern(file_content: str, meta: MovementMeta | None = None) -> EncodedMo
 # ---------------------------------------------------------------------------
 
 
-def onset_grid(movement: EncodedMovement) -> dict[Voice, list[tuple[Fraction, bool]]]:
-    """Per-voice (onset_time, is_rest) pairs, rests included.
-
-    Onset times are cumulative bar fractions from the movement start
-    (bar index plus within-bar offset).
-    """
-    return {
-        track.voice: [(e.onset, e.is_rest) for e in track.events]
-        for track in movement.voices
-    }
-
-
 def movement_to_json(movement: EncodedMovement) -> dict:
     """JSON-safe dump of a parsed movement, for debugging."""
     meta = movement.meta

@@ -19,7 +19,13 @@ import numpy as np
 from scipy.stats import chi2, norm
 
 from quartet_attrib import glm
-from quartet_attrib.features import DevelopmentThresholds, LengthMismatch, _voice_data
+from quartet_attrib.features import (
+    DevelopmentThresholds,
+    LengthMismatch,
+    SegmentConfig,
+    _voice_data,
+    feature_names,
+)
 from quartet_attrib.score import (
     VOICE_ORDER,
     EncodedMovement,
@@ -489,6 +495,16 @@ def pool_thresholds_oracle(by_row, quantiles, reading, rows):
             scaled = np.array(vals) * np.array(wts)
             table[key] = tuple(float(np.percentile(scaled, 100.0 * q)) for q in quantiles)
     return table
+
+
+def count_labels(lengths):
+    """The registry's development count labels, in registry order: the
+    column order of ``DevelopmentSdPool.count_columns``."""
+    return [
+        fn.label
+        for fn in feature_names(SegmentConfig(tuple(lengths)))
+        if fn.category == "development" and fn.descriptor.startswith("count_")
+    ]
 
 
 def pool_counts_oracle(by_row, thresholds):

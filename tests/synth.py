@@ -274,11 +274,11 @@ def bars_to_kern(per_voice_bars):
     return "\n".join(lines) + "\n"
 
 
-def tuplet_kern(rng, durations, rows=48, bar_rows=8, meter="4/4"):
+def tuplet_kern(rng, durations, rows=48, bar_rows=8, meter="4/4", per_voice=None):
     """Kern text whose voices draw their durations (whole-note fractions,
-    tuplets included) from durations, with rests, held rows and tied
-    pairs; a barline follows every bar_rows rows, so most bars do not sum
-    to a full bar."""
+    tuplets included) from durations, or voice v from per_voice[v], with
+    rests, held rows and tied pairs; a barline follows every bar_rows rows,
+    so most bars do not sum to a full bar."""
     lines = ["**kern\t**kern\t**kern\t**kern", "\t".join([f"*M{meter}"] * 4)]
     tied = [None] * 4  # the pitch token each voice must close a tie on
     for row in range(rows):
@@ -286,7 +286,8 @@ def tuplet_kern(rng, durations, rows=48, bar_rows=8, meter="4/4"):
             lines.append("\t".join([f"={row // bar_rows + 1}"] * 4))
         cells = []
         for v in range(4):
-            d = Fraction(durations[int(rng.integers(len(durations)))])
+            choices = durations if per_voice is None else per_voice[v]
+            d = Fraction(choices[int(rng.integers(len(choices)))])
             recip = str(d.denominator) if d.numerator == 1 else f"{d.denominator}%{d.numerator}"
             if tied[v] is not None:
                 cells.append(f"{recip}{tied[v]}]")

@@ -380,6 +380,24 @@ class TestCV:
             assert err.startswith("error: prior scales must be finite and positive"), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("filt", ["per-fold", "global"])
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (0, "the matrix has no rows, so there is no fold to run"),
+            (1, "fold 'mv0.krn' trains on 0 of 1 rows; every training fold needs at least two"),
+            (2, "fold 'mv0.krn' trains on 1 of 2 rows; every training fold needs at least two"),
+        ],
+    )
+    def test_too_few_rows_fail_before_any_fold(self, tmp_path, capsys, filt, n, message):
+        """Feature CSVs of 0 rows (a header alone), 1 row and 2 rows."""
+        fp, mp = toy_feature_csvs(tmp_path, n=n, p=2)
+        out = tmp_path / "x"
+        args = ["--features", str(fp), "--meta", str(mp), "--filter", filt, "--out", str(out)]
+        assert main(["cv", *args]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_fail_before_any_fold(self, tmp_path, capsys, jobs):
         fp, mp = toy_feature_csvs(tmp_path)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 import synth
 from quartet_attrib import selection as selection_mod
 from quartet_attrib.evaluation import (
@@ -55,6 +56,8 @@ def toy_matrix(rng, n=12, p=5, signal_scale=2.5, quartet_size=2, categories=None
 
 
 FAST = dict(restarts=2, prior=PriorConfig(scale_factor=0.6))
+NO_ROWS = "the matrix has no rows, so there is no fold to run"
+TOO_FEW = "rows; every training fold needs at least two"
 
 
 class TestTuneCutoff:
@@ -170,13 +173,65 @@ class TestRunCV:
         b = run_cv(matrix, CVConfig(scheme=Scheme.LOO, seed=2, **FAST))
         assert a.n == b.n  # results may or may not differ, but both complete
 
-    def test_two_movement_corpus_degenerate_but_defined(self):
-        rng = np.random.default_rng(27)
-        matrix = toy_matrix(rng, n=2, p=2)
-        config = CVConfig(scheme=Scheme.LOO, filter_mode="global", **FAST)
-        result = run_cv(matrix, config)
-        assert result.n == 2
-        assert len(result.folds) == 2
+    @pytest.mark.parametrize("filter_mode", ["per-fold", "global"])
+    @pytest.mark.parametrize(
+        "n, scheme, message",
+        [
+            (0, Scheme.LOO, NO_ROWS),
+            (0, Scheme.LOQO, NO_ROWS),
+            (1, Scheme.LOO, f"fold 'mv0.krn' trains on 0 of 1 {TOO_FEW}"),
+            (2, Scheme.LOO, f"fold 'mv0.krn' trains on 1 of 2 {TOO_FEW}"),
+            (3, Scheme.LOQO, f"fold 'q0' trains on 1 of 3 {TOO_FEW}"),
+        ],
+        ids=["empty-loo", "empty-loqo", "one-loo", "two-loo", "three-loqo"],
+    )
+    def test_training_fold_of_fewer_than_two_rows_fails_before_any_fold(
+        self, monkeypatch, filter_mode, n, scheme, message
+    ):
+        matrix = toy_matrix(np.random.default_rng(27), n=n, p=2)
+
+        def no_fold(*args, **kwargs):
+            raise AssertionError("a fold ran")
+
+        import quartet_attrib.evaluation as ev
+
+        monkeypatch.setattr(ev.selection, "icm_select", no_fold)
+        config = CVConfig(scheme=scheme, filter_mode=filter_mode, **FAST)
+        with pytest.raises(ConfigurationError) as info:
+            run_cv(matrix, config)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("jobs, workers", [(1, None), (3, 3), (4, 4), (8, 4)])
+    def test_no_more_workers_than_folds(self, monkeypatch, jobs, workers):
+        """A 4-fold LOQO run starts min(jobs, 4) workers, and none at --jobs 1;
+        the stand-in executor runs the folds inline, so no process starts."""
+        import quartet_attrib.evaluation as ev
+
+        started = []
+
+        class Inline:
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(ev, "ProcessPoolExecutor", Inline)
+        monkeypatch.setattr(ev, "_worker_shared", None)
+        matrix = toy_matrix(np.random.default_rng(29), n=8, p=3)
+        config = CVConfig(scheme=Scheme.LOQO, seed=1, **FAST)
+        serial = run_cv(matrix, config)
+        assert started == []
+        result = run_cv(matrix, dataclasses.replace(config, n_jobs=jobs))
+        assert started == ([] if workers is None else [workers])
+        assert result.to_json() == serial.to_json()
 
     def test_failed_fold_counts_as_misclassified(self, monkeypatch):
         rng = np.random.default_rng(28)
@@ -485,31 +540,45 @@ class TestLeakageAudit:
 
     @pytest.mark.parametrize("reading", ["prose", "literal"])
     def test_all_rows_reproduce_the_extraction(self, reading):
-        from quartet_attrib.evaluation import _apply_fold_thresholds
-
         matrix, pool = self._corpus_matrix(np.random.default_rng(45), reading=reading)
-        adjusted = _apply_fold_thresholds(matrix, pool, range(matrix.n))
-        assert np.array_equal(adjusted.values, matrix.values, equal_nan=True)
+        adjusted, thresholds = pool.counted(matrix)
+        assert adjusted.values.tobytes() == matrix.values.tobytes()
+        assert repr(thresholds) == repr(pool.thresholds())
 
     def test_fold_thresholds_replace_count_columns(self):
         rng = np.random.default_rng(40)
         matrix, pool = self._corpus_matrix(rng)
-        from quartet_attrib.evaluation import _apply_fold_thresholds
-
         train_idx = list(range(1, matrix.n))
-        adjusted = _apply_fold_thresholds(matrix, pool, train_idx)
-        fold_thr = pool.thresholds(rows=train_idx)
+        before = matrix.values.tobytes()
+        adjusted, fold_thr = pool.counted(matrix, train_idx)
+        assert matrix.values.tobytes() == before  # counted copies
+        assert repr(fold_thr) == repr(pool.thresholds(rows=train_idx))
         block = pool.count_columns(fold_thr)
-        labels = pool.count_labels()
+        labels = oracles.count_labels(pool.lengths)
         for bcol, lbl in enumerate(labels):
             j = matrix.column_index(lbl)
-            got = adjusted.values[:, j]
-            want = block[:, bcol]
-            nan = np.isnan(got) & np.isnan(want)
-            assert np.array_equal(got[~nan], want[~nan])
+            assert adjusted.values[:, j].tobytes() == block[:, bcol].tobytes()
         # non-count columns untouched
-        j = matrix.column_index("basic|note_count|Violin1")
-        assert np.array_equal(adjusted.values[:, j], matrix.values[:, j])
+        others = [j for j, lbl in enumerate(matrix.labels) if lbl not in set(labels)]
+        assert adjusted.values[:, others].tobytes() == matrix.values[:, others].tobytes()
+
+    def test_fold_counts_fill_the_count_columns_a_scope_holds(self):
+        """Counted on a matrix that holds some count columns, in another
+        order, and on one that holds none: each held column gets its label's
+        counts, and the thresholds are taken either way."""
+        matrix, pool = self._corpus_matrix(np.random.default_rng(46))
+        train_idx = list(range(2, matrix.n))
+        full, thresholds = pool.counted(matrix, train_idx)
+        labels = oracles.count_labels(pool.lengths)
+        cols = [matrix.column_index(lbl) for lbl in labels[::-3]]
+        cols.append(matrix.column_index("basic|note_count|Viola"))
+        part, part_thr = pool.counted(matrix.select_columns(cols), train_idx)
+        assert repr(part_thr) == repr(thresholds)
+        assert part.values.tobytes() == full.values[:, cols].tobytes()
+        reduced = matrix.select_columns(matrix.category_indices(("basic", "interval")))
+        none, none_thr = pool.counted(reduced, train_idx)
+        assert repr(none_thr) == repr(thresholds)
+        assert none.values.tobytes() == reduced.values.tobytes()
 
     def test_run_cv_with_leakage_audit(self):
         rng = np.random.default_rng(41)

@@ -27,6 +27,7 @@ from quartet_attrib.features import (
     parse_label,
     recapitulation_features,
 )
+from quartet_attrib.score import parse_kern
 
 CONFIG = SegmentConfig()
 SMALL = SegmentConfig(lengths=(8, 10))
@@ -52,7 +53,7 @@ def development_with_counts(mv, thresholds, config):
     """A movement's development features with its count columns at the
     given thresholds, taken from a one-movement pool."""
     pool = build_development_pool([mv], config)
-    counts = dict(zip(pool.count_labels(), pool.count_columns(thresholds)[0]))
+    counts = dict(zip(oracles.count_labels(config.lengths), pool.count_columns(thresholds)[0]))
     return {**development_features(voice_data(mv), config), **counts}
 
 
@@ -99,7 +100,7 @@ class TestRegistry:
         "config", [CONFIG, SMALL, SegmentConfig(lengths=(12,))], ids=["paper", "small", "one"]
     )
     def test_families_fill_the_registry_in_its_order(self, config):
-        """Each family's keys and the pool's count labels sit at increasing
+        """Each family's keys and the count labels sit at increasing
         registry positions and together fill the registry exactly; the
         registry is grouped by category in CATEGORIES order."""
         mv = synth.random_movement(np.random.default_rng(32), meta=synth.make_meta())
@@ -111,7 +112,7 @@ class TestRegistry:
             "exposition_features": exposition_features(data, config),
             "development_features": development_features(data, config),
             "recapitulation_features": recapitulation_features(data, config),
-            "count_labels": build_development_pool([mv], config).count_labels(),
+            "count_labels": oracles.count_labels(config.lengths),
         }
         names = feature_names(config)
         labels = [fn.label for fn in names]
@@ -167,6 +168,25 @@ class TestBasicSummary:
         for _ in range(20):
             mv = synth.random_movement(rng)
             assert_dicts_close(basic_summary(mv, voice_data(mv)), oracles.basic_summary_oracle(mv))
+
+    def test_simultaneity_across_voice_onset_denominators(self):
+        """Triplets, quintuplets, septuplets and eighths, one kind per voice,
+        among quarters: each voice has its own onset denominator, and the
+        proportions, read over their lcm, equal the oracle's, which compares
+        the onsets as fractions."""
+        q = Fraction(1, 4)
+        per_voice = tuple((Fraction(1, k), q, q) for k in (12, 20, 8, 28))
+        shared = 0
+        for seed in range(4):
+            text = synth.tuplet_kern(np.random.default_rng(seed), (), per_voice=per_voice)
+            mv = parse_kern(text)
+            data = voice_data(mv)
+            assert len({vd.onset_den for vd in data.values()}) == 4
+            got, want = basic_summary(mv, data), oracles.basic_summary_oracle(mv)
+            for key in ("basic|simultaneous_notes", "basic|simultaneous_rests"):
+                assert got[key] == want[key], key
+            shared += got["basic|simultaneous_notes"] > 0
+        assert shared
 
     def test_empty_voice_raises(self):
         mv = synth.movement_from_pitches([[49, 51], [0, 0], [49, 51], [49, 51]])
@@ -355,7 +375,7 @@ class TestDevelopment:
         pool = build_development_pool(movements, SMALL)
         thresholds = pool.thresholds()
         for row in pool.count_columns(thresholds):
-            feats = dict(zip(pool.count_labels(), row))
+            feats = dict(zip(oracles.count_labels(SMALL.lengths), row))
             for v in ("Violin1", "Cello"):
                 for m in SMALL.lengths:
                     for track in ("pitch", "duration"):
@@ -873,7 +893,7 @@ class TestOnePass:
         for i, mv in enumerate(corpus):
             want = {
                 **_threshold_free_features(mv, SMALL),
-                **dict(zip(pool.count_labels(), counted[i])),
+                **dict(zip(oracles.count_labels(SMALL.lengths), counted[i])),
             }
             got = matrix.values[i]
             expect = np.array([want[lbl] for lbl in matrix.labels])

@@ -62,25 +62,31 @@ def _defaulted(func: ast.FunctionDef) -> set[str]:
     return {arg.arg for arg in named}
 
 
-def _set_by_calls(func: ast.FunctionDef, trees) -> set[str]:
+def _calls_by_name(trees) -> dict[str, list[ast.Call]]:
+    """Every call in trees, indexed by the name it calls (``f(...)`` or
+    ``x.f(...)`` both index under ``f``), from one walk of each tree."""
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _set_by_calls(func: ast.FunctionDef, calls: dict[str, list[ast.Call]]) -> set[str]:
     """The parameters of func that some call by its name passes."""
     positional = [arg.arg for arg in func.args.posonlyargs + func.args.args]
     if positional[:1] in (["self"], ["cls"]):  # a method: the call binds it
         positional = positional[1:]
     out = set()
-    for tree in trees:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = node.func
-            if getattr(callee, "id", getattr(callee, "attr", None)) != func.name:
-                continue
-            if any(isinstance(arg, ast.Starred) for arg in node.args) or any(
-                kw.arg is None for kw in node.keywords
-            ):
-                return set(positional) | {arg.arg for arg in func.args.kwonlyargs}
-            out.update(positional[: len(node.args)])
-            out.update(kw.arg for kw in node.keywords)
+    for node in calls.get(func.name, ()):
+        if any(isinstance(arg, ast.Starred) for arg in node.args) or any(
+            kw.arg is None for kw in node.keywords
+        ):
+            return set(positional) | {arg.arg for arg in func.args.kwonlyargs}
+        out.update(positional[: len(node.args)])
+        out.update(kw.arg for kw in node.keywords)
     return out
 
 
@@ -121,10 +127,11 @@ def test_cli_import_loads_no_scipy_stats():
 
 def test_every_defaulted_parameter_is_set_by_the_package():
     trees = _trees()
+    calls = _calls_by_name(trees.values())
     unset = set()
     for module, tree in trees.items():
         for func in ast.walk(tree):  # methods and nested functions too
             if isinstance(func, ast.FunctionDef):
-                for name in _defaulted(func) - _set_by_calls(func, trees.values()):
+                for name in _defaulted(func) - _set_by_calls(func, calls):
                     unset.add((module.removesuffix(".py"), func.name, name))
     assert unset == UNSET_DEFAULTS.keys(), sorted(unset ^ UNSET_DEFAULTS.keys())

@@ -17,7 +17,6 @@ from quartet_attrib.score import (
     WrongVoiceCount,
     load_corpus,
     movement_to_json,
-    onset_grid,
     parse_kern,
     pitch_class_of,
     read_manifest,
@@ -329,23 +328,40 @@ class TestTrackViews:
         for voice in Voice:
             assert 0 not in notes(mv, voice, "pitch_class")
 
-    def test_onset_grid_cumulative(self):
+    def test_onsets_cumulative(self):
         mv = parse_kern(melody_file(["=1", "4c", "4d", "2e"]))
-        grid = onset_grid(mv)
-        onsets = [t for t, _ in grid[Voice.VIOLIN1]]
+        onsets = [e.onset for e in mv.voice(Voice.VIOLIN1).events]
         assert onsets == [Fraction(0), Fraction(1, 4), Fraction(1, 2)]
 
-    def test_onset_grid_second_bar_pattern(self):
+    def test_onsets_second_bar_pattern(self):
         # a bar of 0.375/0.125/0.25/0.25 starting one bar in: onsets 1.0..1.75
         tokens = ["=1", "4c", "4d", "4e", "4f", "=2", "4.g", "8a", "4b", "4cc"]
         mv = parse_kern(melody_file(tokens))
-        onsets = [float(t) for t, _ in onset_grid(mv)[Voice.VIOLIN1]][4:]
+        onsets = [float(e.onset) for e in mv.voice(Voice.VIOLIN1).events][4:]
         assert onsets == [1.0, 1.375, 1.5, 1.75]
 
-    def test_onset_grid_includes_rests(self):
+    def test_onsets_include_rests(self):
         mv = parse_kern(melody_file(["=1", "4c", "4r", "2d"]))
-        flags = [r for _, r in onset_grid(mv)[Voice.VIOLIN1]]
-        assert flags == [False, True, False]
+        events = mv.voice(Voice.VIOLIN1).events
+        assert [e.is_rest for e in events] == [False, True, False]
+        assert [e.onset for e in events] == [Fraction(0), Fraction(1, 4), Fraction(1, 2)]
+
+    @pytest.mark.parametrize("meter", ["4/4", "3/8"])
+    def test_onset_is_the_sum_of_earlier_durations(self, meter):
+        """Ties, tuplets and rests: every event starts where the voice's
+        earlier events (tied notes merged) end."""
+        tuplets = tuple(Fraction(1, 4 * k) for k in (1, 2, 3, 5, 7, 11))
+        tied = 0
+        for seed in range(4):
+            text = synth.tuplet_kern(np.random.default_rng(seed), tuplets, meter=meter)
+            tied += text.count("[")
+            for track in parse_kern(text).voices:
+                clock = Fraction(0)
+                for e in track.events:
+                    assert e.onset == clock
+                    clock += e.duration
+                assert any(e.is_rest for e in track.events)
+        assert tied
 
 
 class TestCorpusLoading:
