@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -355,10 +356,10 @@ _INT64_EXACT = 1 << 26
 class _Prefix(NamedTuple):
     """Running sums along the rows of a track's table.
 
-    Row i of the table holds the L values of the track from note i on,
-    padded past the voice's end, so column m - 1 of row i sums the
-    length-m window that starts at note i; a length-m read takes rows
-    0..N-m only and never reaches the padding.  Every cell is the sum of
+    Row i of the table holds the min(L, N) values of the track from note i
+    on, padded past the voice's end, so column m - 1 of row i sums the
+    length-m window that starts at note i; a length-m read (m <= N) takes
+    rows 0..N-m only and never reaches the padding.  Every cell is the sum of
     at most one window of the voice (duration padding is 0, pitch values
     lie in 1..12), so the _INT64_EXACT bound, which covers every window's
     exact variance terms, covers the int64 tables; past it the duration
@@ -380,9 +381,9 @@ class _VoiceData:
     dur_num: np.ndarray
     dur_den: int
     # every event's onset, rests included, as an integer numerator over
-    # onset_den, mapped to whether the voice rests there (the last event at
-    # an onset wins)
-    onsets: dict[int, bool]
+    # onset_den, and whether the voice rests there (the track's columns)
+    onsets: tuple[int, ...]
+    rests: np.ndarray
     onset_den: int
     # (track, L) -> running sums and ("sds", track, m) -> window sds, each built once
     memo: dict = field(default_factory=dict, repr=False)
@@ -425,8 +426,9 @@ class _VoiceData:
 def _running_sums(vd: _VoiceData, track: str, L: int):
     """Build the table behind ``_VoiceData.running`` and sum along its rows."""
     seq = {"pitch": vd.pcs, "duration": vd.dur_num, "minor_third": vd.abs_pitch}[track]
-    padded = np.concatenate([seq, np.zeros(L - 1, dtype=seq.dtype)])
-    table = np.lib.stride_tricks.sliding_window_view(padded, L)
+    width = min(L, len(seq))  # no window is longer than the voice
+    padded = np.concatenate([seq, np.zeros(width - 1, dtype=seq.dtype)])
+    table = np.lib.stride_tricks.sliding_window_view(padded, width)
     if track == "minor_third":
         return np.cumsum(np.abs(table - table[:, :1]) % 12 == 3, axis=1)
     if track == "pitch":
@@ -439,30 +441,31 @@ def _running_sums(vd: _VoiceData, track: str, L: int):
 
 
 def _voice_data(movement: EncodedMovement) -> dict[str, _VoiceData]:
-    """Per-voice arrays of the window features, from one pass over each
-    voice's notes; the feature families and the pool read only these."""
+    """Per-voice arrays of the window features, from each voice's columns;
+    the feature families and the pool read only these."""
     out = {}
     for track in movement.voices:
-        notes, starts = [], []
-        for e in track.events:
-            rest = e.is_rest
-            starts.append((e.onset.as_integer_ratio(), rest))
-            if not rest:
-                notes.append((e.pitch_class, e.absolute_pitch, e.duration))
-        pcs, abs_pitch, durations = zip(*notes) if notes else ((), (), ())
-        ratios = [d.as_integer_ratio() for d in durations]
+        pitches = np.array(track.pitches, dtype=np.int64)
+        rests = pitches == 0
+        abs_pitch = pitches[~rests]
+        durations = list(compress(track.durations, track.pitches))  # the notes'
+        # each distinct duration object gives its integer ratio once
+        distinct = list({id(d): d for d in durations}.values())
+        code = {id(d): i for i, d in enumerate(distinct)}
+        codes = np.fromiter(map(code.__getitem__, map(id, durations)), np.intp, len(durations))
+        ratios = [d.as_integer_ratio() for d in distinct]
         den = math.lcm(*(b for _, b in ratios))
         nums = [a * (den // b) for a, b in ratios]
-        in_int64 = len(nums) * max([den, *nums]) <= _INT64_EXACT
-        onset_den = math.lcm(*{b for (_, b), _ in starts})
+        in_int64 = len(durations) * max([den, *nums]) <= _INT64_EXACT
         out[track.voice.value] = _VoiceData(
-            pcs=np.array(pcs, dtype=np.int64),
-            abs_pitch=np.array(abs_pitch, dtype=np.int64),
-            dur_float=np.array([a / b for a, b in ratios], dtype=float),
-            dur_num=np.array(nums, dtype=np.int64 if in_int64 else object),
+            pcs=(abs_pitch - 1) % 12 + 1,
+            abs_pitch=abs_pitch,
+            dur_float=np.array([a / b for a, b in ratios], dtype=float)[codes],
+            dur_num=np.array(nums, dtype=np.int64 if in_int64 else object)[codes],
             dur_den=den,
-            onsets={a * (onset_den // b): rest for (a, b), rest in starts},
-            onset_den=onset_den,
+            onsets=track.onsets,
+            rests=rests,
+            onset_den=track.onset_den,
         )
     return out
 
@@ -492,10 +495,11 @@ def basic_summary(movement: EncodedMovement, data: dict[str, _VoiceData]) -> dic
         mean_duration, mean_pitch = float(np.mean(vd.dur_float)), float(np.mean(vd.pcs))
         values += [float(vd.m_notes), mean_duration, _sd(vd.dur_float), mean_pitch, _sd(vd.pcs)]
 
-    # onsets as integer numerators over the lcm of the voices' denominators
+    # each voice's onsets as integer numerators over the lcm of the voices'
+    # denominators, mapped to its rest flag there (the last event at an onset wins)
     den = math.lcm(*(vd.onset_den for vd in data.values()))
     first, *others = (
-        {t * (den // vd.onset_den): rest for t, rest in vd.onsets.items()}
+        dict(zip(map((den // vd.onset_den).__mul__, vd.onsets), vd.rests.tolist()))
         for vd in data.values()
     )
     n_onsets = len(set(first).union(*others))

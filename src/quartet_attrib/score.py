@@ -1,10 +1,12 @@
 """**kern score parsing into per-voice pitch and duration tracks.
 
 A movement is represented as four monophonic voices in the fixed order
-Violin 1, Violin 2, Viola, Cello.  Each voice is a sequence of events
-carrying an absolute pitch (1..132, middle C = 49), a pitch class
-(1..12 with 1 = C, 0 for rests) and a duration expressed as the exact
-fraction of one bar under the meter in force at the event's bar.
+Violin 1, Violin 2, Viola, Cello.  Each voice holds its events as columns:
+an absolute pitch (1..132, middle C = 49; 0 for rests), a duration
+expressed as the exact fraction of one bar under the meter in force at the
+event's bar, a bar index and an integer onset.  ``VoiceTrack.events``
+builds the same events as ``Event`` records, pitch class included (1..12
+with 1 = C, 0 for rests), on access.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import csv
 import logging
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
 from pathlib import Path
@@ -91,8 +93,29 @@ class Event:
 
 @dataclass(frozen=True)
 class VoiceTrack:
+    """One voice's events in time order, one column per field: absolute
+    pitch (0 for a rest), duration in bars (the Event field), bar index,
+    and onset as an integer count of 1/onset_den bars from the movement
+    start."""
+
     voice: Voice
-    events: tuple[Event, ...]
+    pitches: tuple[int, ...]
+    durations: tuple[Fraction, ...]
+    bars: tuple[int, ...]
+    onsets: tuple[int, ...]
+    onset_den: int
+
+    def __post_init__(self):
+        if not len(self.pitches) == len(self.durations) == len(self.bars) == len(self.onsets):
+            raise ValueError("a voice's columns must have equal lengths")
+
+    @property
+    def events(self) -> tuple[Event, ...]:
+        """The events as Event records, built on each access."""
+        return tuple(
+            Event(p, pitch_class_of(p), d, b, Fraction(t, self.onset_den))
+            for p, d, b, t in zip(self.pitches, self.durations, self.bars, self.onsets)
+        )
 
 
 @dataclass(frozen=True)
@@ -129,7 +152,15 @@ def pitch_class_of(absolute_pitch: int) -> int:
     return (absolute_pitch - 1) % 12 + 1
 
 
-def _token_duration(sub: str) -> tuple[int, int] | None:
+def _number(digits: str, lineno: int) -> int:
+    """A number of the score; one too long for int() to read is malformed."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise MalformedKern(f"line {lineno}: {len(digits)}-digit number too long to read") from None
+
+
+def _token_duration(sub: str, lineno: int) -> tuple[int, int] | None:
     """Duration of one note token in whole notes as an integer (numerator,
     denominator) pair, or None if it has none."""
     m = _DUR_RE.search(sub)
@@ -139,7 +170,8 @@ def _token_duration(sub: str) -> tuple[int, int] | None:
     if set(digits) == {"0"}:
         num, den = 2 ** len(digits), 1  # breve family: 0 = 2 wholes, 00 = 4
     else:
-        num, den = int(denom or 1), int(digits)  # recip a%b lasts b/a whole notes
+        # recip a%b lasts b/a whole notes
+        num, den = _number(denom or "1", lineno), _number(digits, lineno)
     k = len(dots)  # k dots lengthen by (2^(k+1) - 1) / 2^k
     return num * (2 ** (k + 1) - 1), den * 2**k
 
@@ -167,32 +199,57 @@ def _token_pitch(sub: str, lineno: int) -> int:
 @dataclass
 class _VoiceState:
     meter: tuple[int, int] | None = None  # bar length num/den in whole notes
-    events: list[Event] = field(default_factory=list)
     # The clock counts bar fractions from the movement start in units of
-    # 1/den; den grows by lcm as new duration denominators appear.
+    # 1/den; den grows by integer factors as new duration denominators appear.
     clock: int = 0
     bar_start: int = 0  # clock at the last barline
     den: int = 1
-    tie: Event | None = None  # an open tie, as the event it will become
+    # the VoiceTrack columns; each onset is over the den in force when it
+    # was appended, and marks holds (onsets appended, den) at each growth
+    pitches: list[int] = field(default_factory=list)
+    durations: list[Fraction] = field(default_factory=list)
+    bars: list[int] = field(default_factory=list)
+    onsets: list[int] = field(default_factory=list)
+    marks: list[tuple[int, int]] = field(default_factory=list)
+    # an open tie: [pitch, duration, bar index, onset, den at the onset]
+    tie: list | None = None
+
+    def add(self, pitch: int, duration: Fraction, bar: int, onset: int) -> None:
+        self.pitches.append(pitch)
+        self.durations.append(duration)
+        self.bars.append(bar)
+        self.onsets.append(onset)
+
+    def track(self, voice: Voice) -> VoiceTrack:
+        """The voice's columns, every onset rescaled to the final den."""
+        onsets, start = self.onsets, 0
+        for end, den in self.marks:
+            scale = self.den // den
+            onsets[start:end] = [t * scale for t in onsets[start:end]]
+            start = end
+        return VoiceTrack(
+            voice, tuple(self.pitches), tuple(self.durations), tuple(self.bars),
+            tuple(onsets), self.den,
+        )
 
 
 def _flush_tie(st: _VoiceState, src: str) -> None:
-    tie, st.tie = st.tie, None
-    if tie.duration > 1:
+    (pitch, duration, bar, onset, den), st.tie = st.tie, None
+    if duration > 1:
         logger.warning(
             "%s: tied note of duration %s exceeds one bar (stored unclamped)",
             src,
-            tie.duration,
+            duration,
         )
-    st.events.append(tie)
+    st.add(pitch, duration, bar, onset * (st.den // den))
 
 
 def _read_token(tok: str, lineno: int) -> tuple | None:
-    """Read one data token as (pitch, pitch class, num, den, opens, closes,
-    cont, zero), or None for a grace note: the kept note or rest (pitch 0),
-    its duration num/den in whole notes, its tie marks, and whether any
-    sub-token has a zero duration.  The reading depends on the token text
-    alone; lineno only labels the errors."""
+    """Read one data token as (pitch, num, den, opens, closes, cont, zero),
+    or None for a grace note: the kept note or rest (pitch 0), its duration
+    num/den in whole notes, its tie marks, and whether any sub-token has a
+    zero duration.  The reading depends on the token text alone; lineno
+    only labels the errors."""
     if "q" in tok or "Q" in tok:
         return None  # grace notes carry no duration; dropped
     subs = [s for s in tok.split(" ") if s]
@@ -200,7 +257,7 @@ def _read_token(tok: str, lineno: int) -> tuple | None:
     rest: tuple[tuple[int, int], str] | None = None
     zero = False  # reported after the meter check, which comes first
     for sub in subs:
-        dur = _token_duration(sub)
+        dur = _token_duration(sub, lineno)
         zero = zero or (dur is not None and not dur[0])
         if "r" in sub:
             if dur is None:
@@ -222,7 +279,7 @@ def _read_token(tok: str, lineno: int) -> tuple | None:
         pitch = 0
     else:
         raise MalformedKern(f"line {lineno}: unparseable token {tok!r}")
-    return pitch, pitch_class_of(pitch), num, den, "[" in sub, "]" in sub, "_" in sub, zero
+    return pitch, num, den, "[" in sub, "]" in sub, "_" in sub, zero
 
 
 def _process_token(
@@ -231,7 +288,7 @@ def _process_token(
 ) -> None:
     """Advance one voice by one read token; bar_fractions holds each bar
     fraction built so far in this parse, by (num, den, meter)."""
-    pitch, pc, num, den, opens, closes, cont, zero = reading
+    pitch, num, den, opens, closes, cont, zero = reading
     meter = st.meter
     if meter is None:
         raise MissingMeter(f"line {lineno}: note before any time signature")
@@ -244,28 +301,29 @@ def _process_token(
     step = frac.denominator
     if st.den % step:
         grow = step // math.gcd(st.den, step)
+        st.marks.append((len(st.onsets), st.den))
         st.den *= grow
         st.clock *= grow
         st.bar_start *= grow
-    onset = Fraction(st.clock, st.den)
+    onset = st.clock
     st.clock += frac.numerator * (st.den // step)
 
-    if st.tie is not None:
-        if (cont or closes) and pitch == st.tie.absolute_pitch:
-            st.tie = replace(st.tie, duration=st.tie.duration + frac)
+    tie = st.tie
+    if tie is not None:
+        if (cont or closes) and pitch == tie[0]:
+            tie[1] += frac
             if closes:
                 _flush_tie(st, src)
             return
         logger.warning("%s: line %d: tie broken by a non-matching event", src, lineno)
         _flush_tie(st, src)
 
-    event = Event(pitch, pc, frac, bar_index, onset)
     if opens and not closes:
-        st.tie = event
+        st.tie = [pitch, frac, bar_index, onset, st.den]
     else:
         if (cont or closes) and not opens:
             logger.warning("%s: line %d: stray tie marker", src, lineno)
-        st.events.append(event)
+        st.add(pitch, frac, bar_index, onset)
 
 
 _MANIPULATORS = ("*-", "*^", "*v", "*x", "*+")
@@ -374,7 +432,7 @@ def parse_kern(file_content: str, meta: MovementMeta | None = None) -> EncodedMo
             for st, ci in reads:
                 m = _METER_RE.match(tokens[ci])
                 if m:
-                    num, den = int(m.group(1)), int(m.group(2))
+                    num, den = _number(m.group(1), lineno), _number(m.group(2), lineno)
                     if not num or not den:
                         raise MalformedKern(f"line {lineno}: meter {tokens[ci]!r} has a zero term")
                     # a bar of num/den meter lasts num/den whole notes
@@ -432,9 +490,7 @@ def parse_kern(file_content: str, meta: MovementMeta | None = None) -> EncodedMo
 
     # kern spines run low to high: Cello, Viola, Violin 2, Violin 1
     by_voice = dict(zip((Voice.CELLO, Voice.VIOLA, Voice.VIOLIN2, Voice.VIOLIN1), voices))
-    tracks = tuple(
-        VoiceTrack(voice=v, events=tuple(by_voice[v].events)) for v in VOICE_ORDER
-    )
+    tracks = tuple(by_voice[v].track(v) for v in VOICE_ORDER)
     return EncodedMovement(meta=meta, voices=tracks)
 
 
@@ -534,7 +590,7 @@ def load_corpus(
             try:
                 content = path.read_text(encoding="utf-8", errors="replace")
                 movement = parse_kern(content, meta=meta)
-            except (OSError, KernError, ValueError) as exc:
+            except (OSError, KernError) as exc:
                 errors.append((meta.source_path, str(exc)))
                 continue
             yield movement

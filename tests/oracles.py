@@ -33,7 +33,6 @@ from quartet_attrib.score import (
     MalformedKern,
     MissingMeter,
     Voice,
-    VoiceTrack,
     WrongVoiceCount,
     pitch_class_of,
 )
@@ -43,6 +42,7 @@ from quartet_attrib.selection import (
     TraceEntry,
     _as_array,
 )
+from synth import track_from_events
 
 MODE_OF_CLASS = (0, 1, 2, 1, 2, 0, 3, 0, 1, 2, 1, 2)
 MODE_LABELS = ("perfect", "minor", "major", "dimaug")
@@ -706,7 +706,14 @@ _PC_BASE = {"c": 0, "d": 2, "e": 4, "f": 5, "g": 7, "a": 9, "b": 11}
 _MANIPULATORS = ("*-", "*^", "*v", "*x", "*+")
 
 
-def _token_duration(sub):
+def _number(digits, lineno):
+    try:
+        return int(digits)
+    except ValueError:
+        raise MalformedKern(f"line {lineno}: {len(digits)}-digit number too long to read") from None
+
+
+def _token_duration(sub, lineno):
     m = _DUR_RE.search(sub)
     if m is None:
         return None
@@ -714,7 +721,7 @@ def _token_duration(sub):
     if set(digits) == {"0"}:
         num, den = 2 ** len(digits), 1
     else:
-        num, den = int(denom or 1), int(digits)
+        num, den = _number(denom or "1", lineno), _number(digits, lineno)
     k = len(dots)
     return num * (2 ** (k + 1) - 1), den * 2**k
 
@@ -763,7 +770,7 @@ def _process_token(tok, st, bar_index, lineno, src):
         return False
     notes, rest, zero = [], None, False
     for sub in (s for s in tok.split(" ") if s):
-        dur = _token_duration(sub)
+        dur = _token_duration(sub, lineno)
         zero = zero or (dur is not None and not dur[0])
         if "r" in sub:
             if dur is None:
@@ -880,7 +887,7 @@ def parse_kern_oracle(file_content, meta=None):
                 tok = tokens[ci]
                 m = _METER_RE.match(tok)
                 if m:
-                    num, den = int(m.group(1)), int(m.group(2))
+                    num, den = _number(m.group(1), lineno), _number(m.group(2), lineno)
                     if not num or not den:
                         raise MalformedKern(f"line {lineno}: meter {tok!r} has a zero term")
                     voices[spine].meter = (num, den)
@@ -927,5 +934,5 @@ def parse_kern_oracle(file_content, meta=None):
             _oracle_log.warning("%s: unterminated tie at end of file", src)
             _flush_tie(st, src)
     by_voice = dict(zip((Voice.CELLO, Voice.VIOLA, Voice.VIOLIN2, Voice.VIOLIN1), voices))
-    tracks = tuple(VoiceTrack(voice=v, events=tuple(by_voice[v].events)) for v in VOICE_ORDER)
+    tracks = tuple(track_from_events(v, by_voice[v].events) for v in VOICE_ORDER)
     return EncodedMovement(meta=meta, voices=tracks)

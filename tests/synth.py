@@ -1,5 +1,6 @@
 """Synthetic movements, kern sources and toy datasets shared by the tests."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +35,21 @@ def make_meta(path="synth.krn", composer=Composer.MOZART, quartet="q1", movement
     )
 
 
+def track_from_events(voice, events):
+    """The VoiceTrack holding ``events`` as columns, its onsets over the lcm
+    of their denominators; each event's pitch class follows from its pitch."""
+    events = tuple(events)
+    den = math.lcm(*(e.onset.denominator for e in events))
+    return VoiceTrack(
+        voice=voice,
+        pitches=tuple(e.absolute_pitch for e in events),
+        durations=tuple(e.duration for e in events),
+        bars=tuple(e.bar_index for e in events),
+        onsets=tuple(int(e.onset * den) for e in events),
+        onset_den=den,
+    )
+
+
 def track_from_values(voice, pitches, durations, rest_flags=None):
     """Build a VoiceTrack from absolute pitches (0 = rest) and bar-fraction durations."""
     events = []
@@ -51,7 +67,7 @@ def track_from_values(voice, pitches, durations, rest_flags=None):
             )
         )
         clock += Fraction(d)
-    return VoiceTrack(voice=voice, events=tuple(events))
+    return track_from_events(voice, events)
 
 
 def movement_from_pitches(per_voice_pitches, per_voice_durations=None, meta=None):
@@ -103,7 +119,7 @@ def transpose_movement(movement, semitones):
                     onset=e.onset,
                 )
             )
-        tracks.append(VoiceTrack(voice=track.voice, events=tuple(events)))
+        tracks.append(track_from_events(track.voice, events))
     return EncodedMovement(meta=movement.meta, voices=tuple(tracks))
 
 

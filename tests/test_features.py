@@ -27,7 +27,15 @@ from quartet_attrib.features import (
     parse_label,
     recapitulation_features,
 )
-from quartet_attrib.score import parse_kern
+from quartet_attrib import score
+from quartet_attrib.score import (
+    VOICE_ORDER,
+    EncodedMovement,
+    VoiceTrack,
+    load_corpus,
+    movement_to_json,
+    parse_kern,
+)
 
 CONFIG = SegmentConfig()
 SMALL = SegmentConfig(lengths=(8, 10))
@@ -187,6 +195,26 @@ class TestBasicSummary:
                 assert got[key] == want[key], key
             shared += got["basic|simultaneous_notes"] > 0
         assert shared
+
+    def test_simultaneity_over_unreduced_onset_denominators(self):
+        """Each voice's onsets sit over its own denominator, reduced in none
+        of them: the proportions equal the oracle's, which compares the
+        onsets as fractions."""
+        columns = (  # pitches (0 = rest), onsets, onset denominator
+            ((60, 0, 62, 64), (0, 2, 4, 6), 8),
+            ((55, 0, 57, 59), (0, 3, 6, 9), 12),
+            ((50, 0, 52, 53, 54), (0, 6, 12, 16, 18), 24),
+            ((40, 0, 41), (0, 10, 20), 40),
+        )
+        tracks = tuple(
+            VoiceTrack(v, p, (Fraction(1, 4),) * len(p), (0,) * len(p), t, den)
+            for v, (p, t, den) in zip(VOICE_ORDER, columns)
+        )
+        mv = EncodedMovement(synth.make_meta(), tracks)
+        got, want = basic_summary(mv, voice_data(mv)), oracles.basic_summary_oracle(mv)
+        # five onsets (0, 1/4, 1/2, 2/3, 3/4): two all-note, one all-rest
+        assert got["basic|simultaneous_notes"] == want["basic|simultaneous_notes"] == 2 / 5
+        assert got["basic|simultaneous_rests"] == want["basic|simultaneous_rests"] == 1 / 5
 
     def test_empty_voice_raises(self):
         mv = synth.movement_from_pitches([[49, 51], [0, 0], [49, 51], [49, 51]])
@@ -449,7 +477,7 @@ class TestPrefixTables:
     window sds, the opening window's matches up to both overlap cut-offs,
     and minor-third counts."""
 
-    LENGTHS = [CONFIG.lengths, (2, 5, 13), (13, 2, 5), (3,), (18, 8)]
+    LENGTHS = [CONFIG.lengths, (2, 5, 13), (13, 2, 5), (3,), (18, 8), (8, 5000)]
 
     def movements(self):
         rng = np.random.default_rng(40)
@@ -497,6 +525,18 @@ class TestPrefixTables:
                             want = oracles.minor_third_counts_reference(vd, m)
                             assert got.dtype == want.dtype and np.array_equal(got, want)
         assert all(seen.values()), seen
+
+    def test_tables_are_no_wider_than_the_voice(self):
+        """A table holds one row per note and at most one column per note,
+        however long the longest segment length."""
+        for mv in self.movements():
+            for vd in voice_data(mv).values():
+                for track in ("pitch", "duration", "minor_third"):
+                    for L in (2, 18, 5000):
+                        if vd.m_notes:
+                            table = vd.running(track, L)
+                            table = table if track == "minor_third" else table.s1
+                            assert table.shape == (vd.m_notes, min(L, vd.m_notes))
 
     def test_families_on_the_edge_cases_equal_the_scalar_oracles(self):
         for mv in self.movements():
@@ -854,6 +894,26 @@ class TestOnePass:
             for mv in corpus
         ]
         assert 0 < len(calls["tables"]) < len(corpus) * 4 * 3  # some voices are too short
+
+    def test_the_extract_path_builds_no_event(self, tmp_path, monkeypatch):
+        """Parsing, the families and the pool read each voice's columns: no
+        Event record is built unless a track's events are asked for."""
+        built, real = [], score.Event
+
+        def event(*fields):
+            built.append(fields)
+            return real(*fields)
+
+        monkeypatch.setattr(score, "Event", event)
+        manifest = synth.write_tiny_corpus(tmp_path / "corpus", seed=3)
+        for build in (extract_all, build_development_pool):
+            movements, errors = load_corpus(tmp_path / "corpus", manifest)
+            build(movements, SMALL)
+            assert errors == []
+        assert built == []
+        mv = next(load_corpus(tmp_path / "corpus", manifest)[0])
+        movement_to_json(mv)  # a dump reads the events
+        assert len(built) == sum(len(t.pitches) for t in mv.voices)
 
     @pytest.mark.parametrize("build", ["extract_all", "build_development_pool"])
     def test_one_movement_at_a_time(self, build):

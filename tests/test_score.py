@@ -328,6 +328,10 @@ class TestTrackViews:
         for voice in Voice:
             assert 0 not in notes(mv, voice, "pitch_class")
 
+    def test_columns_of_unequal_length_are_refused(self):
+        with pytest.raises(ValueError, match="equal lengths"):
+            score.VoiceTrack(Voice.VIOLIN1, (49, 51), (Fraction(1, 4),) * 2, (0,), (0, 1), 4)
+
     def test_onsets_cumulative(self):
         mv = parse_kern(melody_file(["=1", "4c", "4d", "2e"]))
         onsets = [e.onset for e in mv.voice(Voice.VIOLIN1).events]
@@ -386,6 +390,17 @@ class TestCorpusLoading:
         assert errors == []  # nothing is parsed before the movements are asked for
         assert len(list(movements)) == 8
         assert len(errors) == 1 and errors[0][0] == "bad.krn"
+
+    def test_a_programming_error_in_the_parser_is_not_a_bad_file(self, tmp_path, monkeypatch):
+        def parse_kern(content, meta=None):
+            raise ValueError("a bug, not a malformed file")
+
+        manifest = synth.write_tiny_corpus(tmp_path / "corpus", seed=3)
+        monkeypatch.setattr(score, "parse_kern", parse_kern)
+        movements, errors = load_corpus(tmp_path / "corpus", manifest)
+        with pytest.raises(ValueError, match="a bug"):
+            next(movements)
+        assert errors == []
 
     def test_manifest_validation(self, tmp_path):
         p = tmp_path / "manifest.csv"
@@ -545,6 +560,12 @@ MALFORMED = [
     "**kern\t**kern\t**kern\t**kern\n*\t*M4/4\t*M4/4\t*M4/4\n4%0c\t4c\t4c\t4c\n",
     # a token already read for one voice meets a voice without a meter
     "**kern\t**kern\t**kern\t**kern\n*M4/4\t*\t*M4/4\t*M4/4\n4c\t4c\t4c\t4c\n",
+    # numbers past int()'s digit limit: a recip, a tuplet part, a meter term
+    pytest.param(four_spine(["4c\t4c\t" + "3" * 5000 + "c\t4c"]), id="long-recip"),
+    pytest.param(four_spine(["4c\t4c\t4%" + "3" * 5000 + "c\t4c"]), id="long-tuplet"),
+    pytest.param(
+        four_spine(["4c\t4c\t4c\t4c"], meter="*M" + "3" * 5000 + "/4"), id="long-meter"
+    ),
 ]
 
 
