@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .score import (
     Composer,
     EncodedMovement,
-    Event,
     KernError,
     MalformedKern,
     MissingMeter,
@@ -53,7 +52,6 @@ __all__ = [
     "CutoffPolicy",
     "DevelopmentThresholds",
     "EncodedMovement",
-    "Event",
     "FeatureMatrix",
     "FeatureName",
     "FeatureScope",

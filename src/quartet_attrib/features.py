@@ -448,20 +448,17 @@ def _voice_data(movement: EncodedMovement) -> dict[str, _VoiceData]:
         pitches = np.array(track.pitches, dtype=np.int64)
         rests = pitches == 0
         abs_pitch = pitches[~rests]
-        durations = list(compress(track.durations, track.pitches))  # the notes'
-        # each distinct duration object gives its integer ratio once
-        distinct = list({id(d): d for d in durations}.values())
-        code = {id(d): i for i, d in enumerate(distinct)}
-        codes = np.fromiter(map(code.__getitem__, map(id, durations)), np.intp, len(durations))
-        ratios = [d.as_integer_ratio() for d in distinct]
-        den = math.lcm(*(b for _, b in ratios))
-        nums = [a * (den // b) for a, b in ratios]
-        in_int64 = len(durations) * max([den, *nums]) <= _INT64_EXACT
+        nums = list(compress(track.durations, track.pitches))  # the notes'
+        # over the lcm of the notes' reduced denominators, which divides onset_den
+        g = math.gcd(track.onset_den, *nums)
+        den = track.onset_den // g
+        nums = [n // g for n in nums]
+        in_int64 = len(nums) * max([den, *nums]) <= _INT64_EXACT
         out[track.voice.value] = _VoiceData(
             pcs=(abs_pitch - 1) % 12 + 1,
             abs_pitch=abs_pitch,
-            dur_float=np.array([a / b for a, b in ratios], dtype=float)[codes],
-            dur_num=np.array(nums, dtype=np.int64 if in_int64 else object)[codes],
+            dur_float=np.array([n / den for n in nums], dtype=float),
+            dur_num=np.array(nums, dtype=np.int64 if in_int64 else object),
             dur_den=den,
             onsets=track.onsets,
             rests=rests,

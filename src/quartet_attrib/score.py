@@ -2,11 +2,10 @@
 
 A movement is represented as four monophonic voices in the fixed order
 Violin 1, Violin 2, Viola, Cello.  Each voice holds its events as columns:
-an absolute pitch (1..132, middle C = 49; 0 for rests), a duration
-expressed as the exact fraction of one bar under the meter in force at the
-event's bar, a bar index and an integer onset.  ``VoiceTrack.events``
-builds the same events as ``Event`` records, pitch class included (1..12
-with 1 = C, 0 for rests), on access.
+an absolute pitch (1..132, middle C = 49; 0 for rests), a duration, a bar
+index and an onset.  Durations and onsets are integers over one clock
+denominator per voice, so a voice's time is exact fractions of a bar under
+the meter in force at each event's bar, without a Fraction per note.
 """
 
 from __future__ import annotations
@@ -79,28 +78,15 @@ class MovementMeta:
 
 
 @dataclass(frozen=True)
-class Event:
-    absolute_pitch: int  # 0 for rests
-    pitch_class: int  # 0 for rests, else 1..12 (1 = C)
-    duration: Fraction  # fraction of one bar; merged ties may exceed 1
-    bar_index: int
-    onset: Fraction  # bar index plus within-bar offset at the event start
-
-    @property
-    def is_rest(self) -> bool:
-        return self.absolute_pitch == 0
-
-
-@dataclass(frozen=True)
 class VoiceTrack:
     """One voice's events in time order, one column per field: absolute
-    pitch (0 for a rest), duration in bars (the Event field), bar index,
-    and onset as an integer count of 1/onset_den bars from the movement
-    start."""
+    pitch (0 for a rest), duration, bar index and onset.  A duration and an
+    onset are integer counts of 1/onset_den bars, the onset counted from the
+    movement start; a merged tie may last more than onset_den."""
 
     voice: Voice
     pitches: tuple[int, ...]
-    durations: tuple[Fraction, ...]
+    durations: tuple[int, ...]
     bars: tuple[int, ...]
     onsets: tuple[int, ...]
     onset_den: int
@@ -108,14 +94,6 @@ class VoiceTrack:
     def __post_init__(self):
         if not len(self.pitches) == len(self.durations) == len(self.bars) == len(self.onsets):
             raise ValueError("a voice's columns must have equal lengths")
-
-    @property
-    def events(self) -> tuple[Event, ...]:
-        """The events as Event records, built on each access."""
-        return tuple(
-            Event(p, pitch_class_of(p), d, b, Fraction(t, self.onset_den))
-            for p, d, b, t in zip(self.pitches, self.durations, self.bars, self.onsets)
-        )
 
 
 @dataclass(frozen=True)
@@ -196,6 +174,13 @@ def _token_pitch(sub: str, lineno: int) -> int:
     return absolute
 
 
+#: A voice's clock denominator and clock (its latest onset plus duration)
+#: must stay below this, so that every onset and duration of an accepted
+#: parse prints within Python's 4300-digit limit on int to str conversion.
+_CLOCK_DIGITS = 1000
+_CLOCK_LIMIT = 10**_CLOCK_DIGITS
+
+
 @dataclass
 class _VoiceState:
     meter: tuple[int, int] | None = None  # bar length num/den in whole notes
@@ -204,44 +189,50 @@ class _VoiceState:
     clock: int = 0
     bar_start: int = 0  # clock at the last barline
     den: int = 1
-    # the VoiceTrack columns; each onset is over the den in force when it
-    # was appended, and marks holds (onsets appended, den) at each growth
+    # the VoiceTrack columns; each duration and onset is over the den in
+    # force when it was appended, and marks holds (events appended, den) at
+    # each growth
     pitches: list[int] = field(default_factory=list)
-    durations: list[Fraction] = field(default_factory=list)
+    durations: list[int] = field(default_factory=list)
     bars: list[int] = field(default_factory=list)
     onsets: list[int] = field(default_factory=list)
     marks: list[tuple[int, int]] = field(default_factory=list)
-    # an open tie: [pitch, duration, bar index, onset, den at the onset]
-    tie: list | None = None
+    # an open tie: (pitch, bar index, onset, den at the onset)
+    tie: tuple[int, int, int, int] | None = None
 
-    def add(self, pitch: int, duration: Fraction, bar: int, onset: int) -> None:
+    def add(self, pitch: int, duration: int, bar: int, onset: int) -> None:
         self.pitches.append(pitch)
         self.durations.append(duration)
         self.bars.append(bar)
         self.onsets.append(onset)
 
     def track(self, voice: Voice) -> VoiceTrack:
-        """The voice's columns, every onset rescaled to the final den."""
-        onsets, start = self.onsets, 0
+        """The voice's columns, every duration and onset rescaled to the final den."""
+        durations, onsets, start = self.durations, self.onsets, 0
         for end, den in self.marks:
             scale = self.den // den
+            durations[start:end] = [d * scale for d in durations[start:end]]
             onsets[start:end] = [t * scale for t in onsets[start:end]]
             start = end
         return VoiceTrack(
-            voice, tuple(self.pitches), tuple(self.durations), tuple(self.bars),
+            voice, tuple(self.pitches), tuple(durations), tuple(self.bars),
             tuple(onsets), self.den,
         )
 
 
-def _flush_tie(st: _VoiceState, src: str) -> None:
-    (pitch, duration, bar, onset, den), st.tie = st.tie, None
-    if duration > 1:
+def _flush_tie(st: _VoiceState, src: str, end: int) -> None:
+    """Add the open tie as one event, from its onset to the clock value
+    end: the tied notes fill that span."""
+    (pitch, bar, onset, den), st.tie = st.tie, None
+    onset *= st.den // den
+    duration = end - onset
+    if duration > st.den:
         logger.warning(
             "%s: tied note of duration %s exceeds one bar (stored unclamped)",
             src,
-            duration,
+            Fraction(duration, st.den),
         )
-    st.add(pitch, duration, bar, onset * (st.den // den))
+    st.add(pitch, duration, bar, onset)
 
 
 def _read_token(tok: str, lineno: int) -> tuple | None:
@@ -284,10 +275,10 @@ def _read_token(tok: str, lineno: int) -> tuple | None:
 
 def _process_token(
     tok: str, reading: tuple, st: _VoiceState, bar_index: int, lineno: int, src: str,
-    bar_fractions: dict[tuple, Fraction],
+    bar_fractions: dict[tuple, tuple[int, int]],
 ) -> None:
     """Advance one voice by one read token; bar_fractions holds each bar
-    fraction built so far in this parse, by (num, den, meter)."""
+    fraction built so far in this parse, reduced, by (num, den, meter)."""
     pitch, num, den, opens, closes, cont, zero = reading
     meter = st.meter
     if meter is None:
@@ -297,8 +288,10 @@ def _process_token(
     key = (num, den, meter)
     frac = bar_fractions.get(key)
     if frac is None:
-        frac = bar_fractions[key] = Fraction(num * meter[1], den * meter[0])
-    step = frac.denominator
+        num, den = num * meter[1], den * meter[0]
+        g = math.gcd(num, den)
+        frac = bar_fractions[key] = (num // g, den // g)
+    num, step = frac
     if st.den % step:
         grow = step // math.gcd(st.den, step)
         st.marks.append((len(st.onsets), st.den))
@@ -306,24 +299,26 @@ def _process_token(
         st.clock *= grow
         st.bar_start *= grow
     onset = st.clock
-    st.clock += frac.numerator * (st.den // step)
+    length = num * (st.den // step)
+    st.clock += length
+    if st.clock >= _CLOCK_LIMIT or st.den >= _CLOCK_LIMIT:
+        raise MalformedKern(f"line {lineno}: voice clock needs more than {_CLOCK_DIGITS} digits")
 
     tie = st.tie
     if tie is not None:
         if (cont or closes) and pitch == tie[0]:
-            tie[1] += frac
             if closes:
-                _flush_tie(st, src)
+                _flush_tie(st, src, st.clock)
             return
         logger.warning("%s: line %d: tie broken by a non-matching event", src, lineno)
-        _flush_tie(st, src)
+        _flush_tie(st, src, onset)
 
     if opens and not closes:
-        st.tie = [pitch, frac, bar_index, onset, st.den]
+        st.tie = (pitch, bar_index, onset, st.den)
     else:
         if (cont or closes) and not opens:
             logger.warning("%s: line %d: stray tie marker", src, lineno)
-        st.add(pitch, frac, bar_index, onset)
+        st.add(pitch, length, bar_index, onset)
 
 
 _MANIPULATORS = ("*-", "*^", "*v", "*x", "*+")
@@ -378,22 +373,23 @@ def parse_kern(file_content: str, meta: MovementMeta | None = None) -> EncodedMo
 
     Within any chord only the top note is kept, grace notes are dropped,
     tied note groups are merged into single events, and every duration is
-    stored as the exact fraction of a bar under the meter in force.  Spines
-    other than the four **kern spines are ignored; when a kern spine splits,
-    only its leftmost sub-spine is read so the rhythm stays well-formed, and
-    that sub-spine alone sets the voice's meter.  A meter on a line that
-    also manipulates spines applies to the spines as they stand before the
-    manipulation.
+    stored exactly, in bars under the meter in force, as an integer over the
+    voice's clock denominator.  Spines other than the four **kern spines are
+    ignored; when a kern spine splits, only its leftmost sub-spine is read so
+    the rhythm stays well-formed, and that sub-spine alone sets the voice's
+    meter.  A meter on a line that also manipulates spines applies to the
+    spines as they stand before the manipulation.
 
     Raises MalformedKern, WrongVoiceCount or MissingMeter on structural
-    problems.  Irregular bar sums are logged, not fatal.
+    problems, and MalformedKern when a voice's clock outgrows _CLOCK_DIGITS
+    digits.  Irregular bar sums are logged, not fatal.
     """
     src = meta.source_path if meta is not None else "<string>"
     cols: list[int | None] | None = None
     voices: list[_VoiceState] = []
     reads: list[tuple[_VoiceState, int]] = []
     readings: dict[str, tuple | None] = {}  # each distinct data token, read once
-    bar_fractions: dict[tuple, Fraction] = {}
+    bar_fractions: dict[tuple, tuple[int, int]] = {}
     bar_index = 0
     seen_any_event = False
     events_in_bar = 0
@@ -486,7 +482,7 @@ def parse_kern(file_content: str, meta: MovementMeta | None = None) -> EncodedMo
     for st in voices:
         if st.tie is not None:
             logger.warning("%s: unterminated tie at end of file", src)
-            _flush_tie(st, src)
+            _flush_tie(st, src, st.clock)
 
     # kern spines run low to high: Cello, Viola, Violin 2, Violin 1
     by_voice = dict(zip((Voice.CELLO, Voice.VIOLA, Voice.VIOLIN2, Voice.VIOLIN1), voices))
@@ -506,8 +502,14 @@ def movement_to_json(movement: EncodedMovement) -> dict:
         "meta": None if meta is None else {**vars(meta), "composer": int(meta.composer)},
         "voices": {
             t.voice.value: [
-                {**vars(e), "duration": str(e.duration), "onset": str(e.onset)}
-                for e in t.events
+                {
+                    "absolute_pitch": p,
+                    "pitch_class": pitch_class_of(p),
+                    "duration": str(Fraction(d, t.onset_den)),
+                    "bar_index": b,
+                    "onset": str(Fraction(o, t.onset_den)),
+                }
+                for p, d, b, o in zip(t.pitches, t.durations, t.bars, t.onsets)
             ]
             for t in movement.voices
         },

@@ -23,13 +23,13 @@ from quartet_attrib.features import (
     DevelopmentThresholds,
     LengthMismatch,
     SegmentConfig,
+    _INT64_EXACT,
     _voice_data,
     feature_names,
 )
 from quartet_attrib.score import (
     VOICE_ORDER,
     EncodedMovement,
-    Event,
     MalformedKern,
     MissingMeter,
     Voice,
@@ -42,7 +42,7 @@ from quartet_attrib.selection import (
     TraceEntry,
     _as_array,
 )
-from synth import track_from_events
+from synth import Event, events, track_from_events
 
 MODE_OF_CLASS = (0, 1, 2, 1, 2, 0, 3, 0, 1, 2, 1, 2)
 MODE_LABELS = ("perfect", "minor", "major", "dimaug")
@@ -131,7 +131,20 @@ def overlap_count(fractions: Sequence, t) -> int:
 
 def notes_of(movement, voice):
     track = [t for t in movement.voices if t.voice.value == voice][0]
-    return [e for e in track.events if not e.is_rest]
+    return [e for e in events(track) if not e.is_rest]
+
+
+def duration_columns_oracle(track):
+    """(dur_den, dur_num, dur_float) of a voice's notes as features._voice_data
+    reads them, built from Fractions: each duration reduced to its integer
+    ratio, put over the lcm of the reduced denominators, the numerators in
+    int64 while the voice stays within _INT64_EXACT, else Python ints."""
+    fracs = [Fraction(d, track.onset_den) for p, d in zip(track.pitches, track.durations) if p]
+    den = math.lcm(*(f.denominator for f in fracs))
+    nums = [f.numerator * (den // f.denominator) for f in fracs]
+    exact = len(nums) * max([den, *nums]) <= _INT64_EXACT
+    floats = [f.numerator / f.denominator for f in fracs]
+    return den, np.array(nums, dtype=np.int64 if exact else object), np.array(floats, dtype=float)
 
 
 def mean(xs):
@@ -162,7 +175,7 @@ def basic_summary_oracle(movement):
         out[f"basic|sd_pitch|{v}"] = sample_sd(pcs)
     starts = []
     for track in movement.voices:
-        starts.append({e.onset: e.is_rest for e in track.events})
+        starts.append({e.onset: e.is_rest for e in events(track)})
     union = set()
     for d in starts:
         union |= set(d)
@@ -704,6 +717,7 @@ _DUR_RE = re.compile(r"(\d+)(?:%(\d+))?(\.*)")
 _PITCH_RE = re.compile(r"([a-gA-G]+)(#+|-+|n)?")
 _PC_BASE = {"c": 0, "d": 2, "e": 4, "f": 5, "g": 7, "a": 9, "b": 11}
 _MANIPULATORS = ("*-", "*^", "*v", "*x", "*+")
+_CLOCK_DIGITS = 1000
 
 
 def _number(digits, lineno):
@@ -751,6 +765,7 @@ class _OracleVoice:
     meter: tuple | None = None
     events: list = field(default_factory=list)
     clock: Fraction = Fraction(0)
+    den: int = 1  # the lcm of the voice's bar-fraction denominators so far
     bar_start: Fraction = Fraction(0)
     tie: Event | None = None
 
@@ -797,6 +812,9 @@ def _process_token(tok, st, bar_index, lineno, src):
     frac = Fraction(num * st.meter[1], den * st.meter[0])
     onset = st.clock
     st.clock = onset + frac
+    st.den = math.lcm(st.den, frac.denominator)
+    if max(st.den, st.clock * st.den) >= 10**_CLOCK_DIGITS:
+        raise MalformedKern(f"line {lineno}: voice clock needs more than {_CLOCK_DIGITS} digits")
     opens, closes, cont = "[" in sub, "]" in sub, "_" in sub
 
     if st.tie is not None:

@@ -1,6 +1,7 @@
 """Synthetic movements, kern sources and toy datasets shared by the tests."""
 
 import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,6 @@ import numpy as np
 from quartet_attrib.score import (
     Composer,
     EncodedMovement,
-    Event,
     MovementMeta,
     VOICE_ORDER,
     VoiceTrack,
@@ -35,15 +35,39 @@ def make_meta(path="synth.krn", composer=Composer.MOZART, quartet="q1", movement
     )
 
 
+@dataclass(frozen=True)
+class Event:
+    """One event of a voice as a record, for tests that state events by hand."""
+
+    absolute_pitch: int  # 0 for rests
+    pitch_class: int  # 0 for rests, else 1..12 (1 = C)
+    duration: Fraction  # fraction of one bar; merged ties may exceed 1
+    bar_index: int
+    onset: Fraction  # bar index plus within-bar offset at the event start
+
+    @property
+    def is_rest(self) -> bool:
+        return self.absolute_pitch == 0
+
+
+def events(track):
+    """A VoiceTrack's events as Event records."""
+    den = track.onset_den
+    return tuple(
+        Event(p, pitch_class_of(p), Fraction(d, den), b, Fraction(t, den))
+        for p, d, b, t in zip(track.pitches, track.durations, track.bars, track.onsets)
+    )
+
+
 def track_from_events(voice, events):
-    """The VoiceTrack holding ``events`` as columns, its onsets over the lcm
-    of their denominators; each event's pitch class follows from its pitch."""
+    """The VoiceTrack holding ``events`` as columns, durations and onsets
+    over the lcm of their denominators."""
     events = tuple(events)
-    den = math.lcm(*(e.onset.denominator for e in events))
+    den = math.lcm(*(f.denominator for e in events for f in (e.duration, e.onset)))
     return VoiceTrack(
         voice=voice,
         pitches=tuple(e.absolute_pitch for e in events),
-        durations=tuple(e.duration for e in events),
+        durations=tuple(int(e.duration * den) for e in events),
         bars=tuple(e.bar_index for e in events),
         onsets=tuple(int(e.onset * den) for e in events),
         onset_den=den,
@@ -105,21 +129,10 @@ def transpose_movement(movement, semitones):
     """Shift every note by a fixed number of semitones (rests untouched)."""
     tracks = []
     for track in movement.voices:
-        events = []
-        for e in track.events:
-            ap = 0 if e.is_rest else e.absolute_pitch + semitones
-            if ap and not 1 <= ap <= 132:
-                raise ValueError("transposition leaves the pitch range")
-            events.append(
-                Event(
-                    absolute_pitch=ap,
-                    pitch_class=pitch_class_of(ap),
-                    duration=e.duration,
-                    bar_index=e.bar_index,
-                    onset=e.onset,
-                )
-            )
-        tracks.append(track_from_events(track.voice, events))
+        pitches = tuple(p and p + semitones for p in track.pitches)
+        if any(p and not 1 <= p <= 132 for p in pitches):
+            raise ValueError("transposition leaves the pitch range")
+        tracks.append(replace(track, pitches=pitches))
     return EncodedMovement(meta=movement.meta, voices=tuple(tracks))
 
 

@@ -29,7 +29,7 @@ from quartet_attrib.evaluation import (
 )
 from quartet_attrib.features import FeatureMatrix, FeatureName
 from quartet_attrib.glm import HosmerLemeshowResult, PriorConfig
-from quartet_attrib.score import Composer, Event, MovementMeta, movement_to_json
+from quartet_attrib.score import Composer, MovementMeta, movement_to_json
 
 
 def toy_matrix(rng, n=12, p=5, signal_scale=2.5, quartet_size=2, categories=None):
@@ -497,7 +497,7 @@ def test_json_keys_are_the_dataclass_fields():
     dump = movement_to_json(synth.random_movement(rng, meta=synth.make_meta()))
     assert dump["meta"].keys() == names(MovementMeta)
     events = [e for voice in dump["voices"].values() for e in voice]
-    assert events and all(e.keys() == names(Event) for e in events)
+    assert events and all(e.keys() == names(synth.Event) for e in events)
 
 
 def test_cv_config_validation():

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import random
 import weakref
 from fractions import Fraction
 
@@ -27,13 +28,10 @@ from quartet_attrib.features import (
     parse_label,
     recapitulation_features,
 )
-from quartet_attrib import score
 from quartet_attrib.score import (
     VOICE_ORDER,
     EncodedMovement,
     VoiceTrack,
-    load_corpus,
-    movement_to_json,
     parse_kern,
 )
 
@@ -207,7 +205,7 @@ class TestBasicSummary:
             ((40, 0, 41), (0, 10, 20), 40),
         )
         tracks = tuple(
-            VoiceTrack(v, p, (Fraction(1, 4),) * len(p), (0,) * len(p), t, den)
+            VoiceTrack(v, p, (den // 4,) * len(p), (0,) * len(p), t, den)
             for v, (p, t, den) in zip(VOICE_ORDER, columns)
         )
         mv = EncodedMovement(synth.make_meta(), tracks)
@@ -469,6 +467,63 @@ class TestHugeDurationDenominators:
                 x > 0 for k, x in recap.items() if k.startswith("recapitulation|count_t0.7|dur")
             )
         assert overlaps > 0
+
+
+class TestDurationColumns:
+    """_voice_data divides the notes' duration numerators and the clock
+    denominator by their gcd: dur_den, dur_num (values and dtype) and the
+    dur_float bytes equal the reference built from reduced Fractions."""
+
+    @staticmethod
+    def assert_matches(mv):
+        data = voice_data(mv)
+        dtypes = []
+        for track in mv.voices:
+            vd = data[track.voice.value]
+            den, nums, floats = oracles.duration_columns_oracle(track)
+            assert vd.dur_den == den
+            assert vd.dur_num.dtype == nums.dtype
+            assert vd.dur_num.tolist() == nums.tolist()
+            assert vd.dur_float.tobytes() == floats.tobytes()
+            dtypes.append(nums.dtype)
+        return dtypes
+
+    @staticmethod
+    def movement(seed, den, rest_prob=0.2, n=(0, 40)):
+        """Random columns over den; each voice's durations share a random
+        divisor of den, so the gcd reduction has work to do."""
+        rnd = random.Random(seed)
+        tracks = []
+        for v in VOICE_ORDER:
+            k = rnd.randint(*n)
+            pitches = [0 if rnd.random() < rest_prob else rnd.randint(1, 132) for _ in range(k)]
+            unit = math.gcd(den, rnd.randint(1, den))
+            durations = [unit * rnd.randint(1, 3 * den // unit + 1) for _ in range(k)]
+            onsets = [0, *itertools.accumulate(durations)][:k]
+            columns = tuple(pitches), tuple(durations), (0,) * k, tuple(onsets)
+            tracks.append(VoiceTrack(v, *columns, den))
+        return EncodedMovement(synth.make_meta(), tuple(tracks))
+
+    def test_random_integer_columns(self):
+        rnd = random.Random(21)
+        for seed in range(60):
+            den = math.prod(rnd.choice([1, 2, 3, 4, 5, 7, 9, 11, 16]) for _ in range(3))
+            self.assert_matches(self.movement(seed, den))
+
+    @pytest.mark.parametrize("den", [2**30, 3**45, 10**30], ids=["2^30", "3^45", "10^30"])
+    def test_voices_past_int64_exact(self, den):
+        """The object path, up to numerators no int64 holds."""
+        assert object in self.assert_matches(self.movement(7, den, n=(5, 30)))
+
+    def test_voices_of_rests_only(self):
+        assert self.assert_matches(self.movement(4, 12, rest_prob=1.0)) == [np.int64] * 4
+
+    @pytest.mark.parametrize("primes", [(3, 5, 7), (3, 5, 7, 11, 13, 17, 19), (23, 29, 31, 37)])
+    def test_tuplet_texts(self, primes):
+        tuplets = tuple(Fraction(1, 4 * k) for k in (1, 2, *primes))
+        for seed in range(4):
+            text = synth.tuplet_kern(np.random.default_rng(seed), tuplets)
+            self.assert_matches(parse_kern(text))
 
 
 class TestPrefixTables:
@@ -894,26 +949,6 @@ class TestOnePass:
             for mv in corpus
         ]
         assert 0 < len(calls["tables"]) < len(corpus) * 4 * 3  # some voices are too short
-
-    def test_the_extract_path_builds_no_event(self, tmp_path, monkeypatch):
-        """Parsing, the families and the pool read each voice's columns: no
-        Event record is built unless a track's events are asked for."""
-        built, real = [], score.Event
-
-        def event(*fields):
-            built.append(fields)
-            return real(*fields)
-
-        monkeypatch.setattr(score, "Event", event)
-        manifest = synth.write_tiny_corpus(tmp_path / "corpus", seed=3)
-        for build in (extract_all, build_development_pool):
-            movements, errors = load_corpus(tmp_path / "corpus", manifest)
-            build(movements, SMALL)
-            assert errors == []
-        assert built == []
-        mv = next(load_corpus(tmp_path / "corpus", manifest)[0])
-        movement_to_json(mv)  # a dump reads the events
-        assert len(built) == sum(len(t.pitches) for t in mv.voices)
 
     @pytest.mark.parametrize("build", ["extract_all", "build_development_pool"])
     def test_one_movement_at_a_time(self, build):

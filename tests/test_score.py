@@ -57,8 +57,8 @@ class TestK157Golden:
     def test_rest_voices_hold_whole_bar_rests(self):
         mv = parse_kern(synth.k157_excerpt_kern())
         cello = mv.voice(Voice.CELLO)
-        assert all(e.is_rest for e in cello.events)
-        assert all(e.duration == 1 for e in cello.events)
+        assert all(e.is_rest for e in synth.events(cello))
+        assert all(e.duration == 1 for e in synth.events(cello))
         assert notes(mv, Voice.CELLO, "pitch_class") == []
 
     def test_deterministic(self):
@@ -69,7 +69,7 @@ class TestK157Golden:
 class TestTokenHandling:
     def test_whole_bar_rest(self):
         mv = parse_kern(melody_file(["=1", "1r"]))
-        ev = mv.voice(Voice.VIOLIN1).events[0]
+        ev = synth.events(mv.voice(Voice.VIOLIN1))[0]
         assert ev.absolute_pitch == 0 and ev.pitch_class == 0
         assert ev.duration == Fraction(1)
 
@@ -91,14 +91,14 @@ class TestTokenHandling:
     def test_chord_keeps_top_note(self, token, expected):
         mv = parse_kern(melody_file(["=1", token, "2.r"]))
         solo = parse_kern(melody_file(["=1", f"4{expected}", "2.r"]))
-        got = mv.voice(Voice.VIOLIN1).events[0]
-        want = solo.voice(Voice.VIOLIN1).events[0]
+        got = synth.events(mv.voice(Voice.VIOLIN1))[0]
+        want = synth.events(solo.voice(Voice.VIOLIN1))[0]
         assert got.absolute_pitch == want.absolute_pitch
 
     @pytest.mark.parametrize("token", ["4c 8c", "8c 4c", "8.c 4c", "4c 16.c"])
     def test_chord_on_one_top_pitch_keeps_longest_note(self, token):
         mv = parse_kern(melody_file(["=1", token, "2.r"]))
-        assert mv.voice(Voice.VIOLIN1).events[0].duration == Fraction(1, 4)
+        assert synth.events(mv.voice(Voice.VIOLIN1))[0].duration == Fraction(1, 4)
 
     def test_grace_notes_dropped(self):
         mv = parse_kern(melody_file(["=1", "4c", "ccq", "4d", "2e"]))
@@ -107,7 +107,7 @@ class TestTokenHandling:
 
     def test_tie_merged_within_bar(self):
         mv = parse_kern(melody_file(["=1", "[4c", "4c]", "2d"]))
-        events = [e for e in mv.voice(Voice.VIOLIN1).events]
+        events = synth.events(mv.voice(Voice.VIOLIN1))
         assert [float(e.duration) for e in events] == [0.5, 0.5]
         assert events[0].pitch_class == 1
 
@@ -115,20 +115,28 @@ class TestTokenHandling:
         tokens = ["=1", "4c", "4d", "[2e", "=2", "2e_", "2e]"]
         with caplog.at_level(logging.WARNING):
             mv = parse_kern(melody_file(tokens))
-        events = mv.voice(Voice.VIOLIN1).events
+        events = synth.events(mv.voice(Voice.VIOLIN1))
         assert [float(e.duration) for e in events] == [0.25, 0.25, 1.5]
         assert events[-1].onset == Fraction(1, 2)
         assert any("exceeds one bar" in r.message for r in caplog.records)
+
+    def test_broken_tie_ends_where_the_next_event_starts(self, caplog):
+        # the breaking triplet also grows the voice's clock denominator
+        with caplog.at_level(logging.WARNING):
+            mv = parse_kern(melody_file(["=1", "[4c", "12d", "12e", "12f", "2g"]))
+        durs = [e.duration for e in synth.events(mv.voice(Voice.VIOLIN1))]
+        assert durs == [Fraction(1, 4)] + [Fraction(1, 12)] * 3 + [Fraction(1, 2)]
+        assert any("tie broken" in r.message for r in caplog.records)
 
     def test_accidentals_shift_pitch(self):
         sharp = parse_kern(melody_file(["=1", "4c#", "2.r"]))
         flat = parse_kern(melody_file(["=1", "4d-", "2.r"]))
         natural = parse_kern(melody_file(["=1", "4cn", "2.r"]))
         assert (
-            sharp.voice(Voice.VIOLIN1).events[0].absolute_pitch
-            == flat.voice(Voice.VIOLIN1).events[0].absolute_pitch
+            synth.events(sharp.voice(Voice.VIOLIN1))[0].absolute_pitch
+            == synth.events(flat.voice(Voice.VIOLIN1))[0].absolute_pitch
         )
-        assert natural.voice(Voice.VIOLIN1).events[0].pitch_class == 1
+        assert synth.events(natural.voice(Voice.VIOLIN1))[0].pitch_class == 1
 
     def test_dotted_and_tuplet_durations(self):
         mv = parse_kern(melody_file(["=1", "2.c", "12d", "12e", "12f"]))
@@ -196,7 +204,7 @@ class TestErrors:
     def test_bar_sum_mismatch_logged_not_fatal(self, caplog):
         with caplog.at_level(logging.WARNING):
             mv = parse_kern(melody_file(["=1", "4c", "4d", "=2", "4e", "4f", "4g", "4a"]))
-        assert len(mv.voice(Voice.VIOLIN1).events) == 6
+        assert len(synth.events(mv.voice(Voice.VIOLIN1))) == 6
         assert any("sums to" in r.message for r in caplog.records)
 
     def test_pickup_bar_not_flagged(self, caplog):
@@ -213,7 +221,7 @@ class TestErrors:
         with caplog.at_level(logging.WARNING):
             mv = parse_kern(four_spine(body))
         assert not any("sums to" in r.message for r in caplog.records)
-        events = mv.voice(Voice.VIOLIN1).events
+        events = synth.events(mv.voice(Voice.VIOLIN1))
         assert events[0].bar_index == 0 and events[1].bar_index == 1
 
 
@@ -251,13 +259,13 @@ class TestSpineStructure:
             mv = parse_kern(self._meter_on_split(first_bar))
         assert not any("sums to" in r.message for r in caplog.records)
         for track in mv.voices:
-            assert [e.duration for e in track.events] == [1, 1]
-            assert [e.onset for e in track.events] == [0, 1]
+            assert [e.duration for e in synth.events(track)] == [1, 1]
+            assert [e.onset for e in synth.events(track)] == [0, 1]
 
     def test_meter_on_manipulator_line_is_the_first_meter(self):
         mv = parse_kern(self._meter_on_split([]))
         for track in mv.voices:
-            assert [(e.duration, e.bar_index) for e in track.events] == [(1, 1)]
+            assert [(e.duration, e.bar_index) for e in synth.events(track)] == [(1, 1)]
 
     def test_meter_on_split_of_a_kern_spine(self):
         # the splitting spine has no meter of its own on that line; it gets
@@ -274,7 +282,7 @@ class TestSpineStructure:
         ]
         mv = parse_kern(four_spine(body))
         for track in mv.voices:
-            assert [e.duration for e in track.events] == [1, 1]
+            assert [e.duration for e in synth.events(track)] == [1, 1]
 
     @staticmethod
     def _meters_differ_across_a_split():
@@ -293,7 +301,7 @@ class TestSpineStructure:
         with caplog.at_level(logging.WARNING):
             mv = parse_kern(self._meters_differ_across_a_split())
         assert not any("sums to" in r.message for r in caplog.records)
-        assert [e.duration for e in mv.voice(Voice.VIOLIN1).events] == [1]
+        assert [e.duration for e in synth.events(mv.voice(Voice.VIOLIN1))] == [1]
 
     def test_spine_order_maps_low_to_high(self):
         body = [
@@ -317,7 +325,7 @@ class TestTrackViews:
     def test_pitch_class_consistency(self):
         mv = parse_kern(synth.k157_excerpt_kern())
         for track in mv.voices:
-            for e in track.events:
+            for e in synth.events(track):
                 if e.absolute_pitch:
                     assert e.pitch_class == (e.absolute_pitch - 1) % 12 + 1
                 else:
@@ -330,23 +338,23 @@ class TestTrackViews:
 
     def test_columns_of_unequal_length_are_refused(self):
         with pytest.raises(ValueError, match="equal lengths"):
-            score.VoiceTrack(Voice.VIOLIN1, (49, 51), (Fraction(1, 4),) * 2, (0,), (0, 1), 4)
+            score.VoiceTrack(Voice.VIOLIN1, (49, 51), (1, 1), (0,), (0, 1), 4)
 
     def test_onsets_cumulative(self):
         mv = parse_kern(melody_file(["=1", "4c", "4d", "2e"]))
-        onsets = [e.onset for e in mv.voice(Voice.VIOLIN1).events]
+        onsets = [e.onset for e in synth.events(mv.voice(Voice.VIOLIN1))]
         assert onsets == [Fraction(0), Fraction(1, 4), Fraction(1, 2)]
 
     def test_onsets_second_bar_pattern(self):
         # a bar of 0.375/0.125/0.25/0.25 starting one bar in: onsets 1.0..1.75
         tokens = ["=1", "4c", "4d", "4e", "4f", "=2", "4.g", "8a", "4b", "4cc"]
         mv = parse_kern(melody_file(tokens))
-        onsets = [float(e.onset) for e in mv.voice(Voice.VIOLIN1).events][4:]
+        onsets = [float(e.onset) for e in synth.events(mv.voice(Voice.VIOLIN1))][4:]
         assert onsets == [1.0, 1.375, 1.5, 1.75]
 
     def test_onsets_include_rests(self):
         mv = parse_kern(melody_file(["=1", "4c", "4r", "2d"]))
-        events = mv.voice(Voice.VIOLIN1).events
+        events = synth.events(mv.voice(Voice.VIOLIN1))
         assert [e.is_rest for e in events] == [False, True, False]
         assert [e.onset for e in events] == [Fraction(0), Fraction(1, 4), Fraction(1, 2)]
 
@@ -361,10 +369,10 @@ class TestTrackViews:
             tied += text.count("[")
             for track in parse_kern(text).voices:
                 clock = Fraction(0)
-                for e in track.events:
+                for e in synth.events(track):
                     assert e.onset == clock
                     clock += e.duration
-                assert any(e.is_rest for e in track.events)
+                assert any(e.is_rest for e in synth.events(track))
         assert tied
 
 
@@ -475,10 +483,10 @@ class TestRealisticDecorations:
         assert notes(mv, Voice.VIOLIN2, "pitch_class")[:3] == [3, 5, 6]
         durs = notes(mv, Voice.VIOLIN2, "duration")
         assert durs[0] == Fraction(1, 8)
-        tied = [e for e in mv.voice(Voice.VIOLIN2).events if e.duration == Fraction(1, 2)]
+        tied = [e for e in synth.events(mv.voice(Voice.VIOLIN2)) if e.duration == Fraction(1, 2)]
         assert tied, "tie across barline merged to a half-note duration"
         assert len(notes(mv, Voice.CELLO, "pitch_class")) == 5
-        assert v1.events[0].absolute_pitch > mv.voice(Voice.CELLO).events[0].absolute_pitch
+        assert v1.pitches[0] > mv.voice(Voice.CELLO).pitches[0]
 
     def test_grace_and_groupetto_dropped(self):
         rows = [
@@ -565,6 +573,15 @@ MALFORMED = [
     pytest.param(four_spine(["4c\t4c\t4%" + "3" * 5000 + "c\t4c"]), id="long-tuplet"),
     pytest.param(
         four_spine(["4c\t4c\t4c\t4c"], meter="*M" + "3" * 5000 + "/4"), id="long-meter"
+    ),
+    # a Violin 1 bar of two 3000-digit recips: a clock too long to print
+    pytest.param(
+        four_spine(
+            ["=1\t=1\t=1\t=1"]
+            + [f"{'1r' if d == '1' else '.'}\t.\t.\t1{'0' * 2998}{d}c" for d in "13"]
+            + ["=2\t=2\t=2\t=2"]
+        ),
+        id="long-clock",
     ),
 ]
 
