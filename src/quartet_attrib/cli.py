@@ -213,7 +213,6 @@ def _cv_config(args) -> CVConfig:
         restarts=args.restarts,
         filter_mode=_resolve(args, "filter", "per-fold"),
         bic_form=args.bic,
-        leakage_audit=_resolve(args, "leakage_audit", False),
         n_jobs=_resolve(args, "jobs", 1),
     )
 
@@ -241,9 +240,9 @@ def _print_cv_summary(result: CVResult) -> None:
 def cmd_cv(args) -> int:
     config = _cv_config(args)
     pool = None
-    if config.leakage_audit and not (args.corpus and args.manifest):
+    if args.leakage_audit and not (args.corpus and args.manifest):
         raise SystemExit("error: --leakage-audit needs --corpus/--manifest")
-    if config.leakage_audit and args.features:
+    if args.leakage_audit and args.features:
         # the pool alone: the matrix comes from the CSV, read first so that
         # a wrong CSV argument stops the command before the corpus is parsed
         matrix = _matrix_from_args(args)
@@ -258,7 +257,7 @@ def cmd_cv(args) -> int:
                 "error: --leakage-audit needs the --features rows to be the "
                 "parsed --manifest movements, in the same order"
             )
-    elif config.leakage_audit:
+    elif args.leakage_audit:
         matrix, pool, _ = _extract(args)
     else:
         matrix = _matrix_from_args(args)
@@ -268,7 +267,7 @@ def cmd_cv(args) -> int:
     write_fold_csv(result, out / "folds.csv")
     write_probability_csv(result, out / "probabilities.csv")
     write_stability_csv(selection_stability(result), out / "stability.csv")
-    run = {"cv": config.to_json(), "features": args.features, "meta": args.meta}
+    run = {"cv": result.config, "features": args.features, "meta": args.meta}
     _write_json(out / "run_config.json", _run_config("cv", args, run))
     _print_cv_summary(result)
     return 0

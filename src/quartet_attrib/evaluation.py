@@ -56,30 +56,23 @@ class FeatureScope(str, Enum):
 
 
 REDUCED_CATEGORIES = ("basic", "interval")
-DEFAULT_GRID = tuple(round(i / 100, 2) for i in range(101))
+#: The cutoffs a tuned fold chooses from: 0, 0.01, ..., 1.
+CUTOFF_GRID = tuple(round(i / 100, 2) for i in range(101))
 
 
 @dataclass(frozen=True)
 class CVConfig:
     scheme: Scheme = Scheme.LOO
     cutoff_policy: CutoffPolicy = CutoffPolicy.FIXED
-    grid: tuple[float, ...] = DEFAULT_GRID
     feature_scope: FeatureScope = FeatureScope.FULL
     prior: PriorConfig = field(default_factory=PriorConfig)
     seed: int = 0
     restarts: int = 10
     filter_mode: str = "per-fold"  # or "global": filter once before the folds
     bic_form: str = "paper"
-    leakage_audit: bool = False  # recompute development thresholds per training fold
     n_jobs: int = 1
 
     def __post_init__(self):
-        if not self.grid:
-            raise ValueError("cutoff grid must not be empty")
-        if list(self.grid) != sorted(set(self.grid)) or not (
-            0 <= self.grid[0] and self.grid[-1] <= 1
-        ):
-            raise ValueError("cutoff grid must be strictly increasing within [0, 1]")
         if self.filter_mode not in ("per-fold", "global"):
             raise ValueError("filter_mode must be 'per-fold' or 'global'")
         if self.restarts < 1:
@@ -90,20 +83,20 @@ class CVConfig:
             raise ValueError(f"bic_form must be one of {tuple(glm.BIC_FORMS)}")
 
     def to_json(self) -> dict:
-        """Every field but ``n_jobs``, each enum as its value.
+        """Every field but ``n_jobs``, each enum as its value, and the
+        cutoff grid as ``grid``.
 
         ``n_jobs`` is left out because it does not change the results:
         runs with ``--jobs 1`` and ``--jobs N`` write the same bytes.
         """
-        return {
-            k: v.value if isinstance(v, Enum) else v
-            for k, v in asdict(self).items()
-            if k != "n_jobs"
-        }
+        out = {k: v.value if isinstance(v, Enum) else v for k, v in asdict(self).items()}
+        del out["n_jobs"]
+        return {**out, "grid": list(CUTOFF_GRID)}
 
 
-def tune_cutoff(train_probs, train_y, grid: Sequence[float] = DEFAULT_GRID) -> float:
-    """Grid cutoff maximising training accuracy (class 1 when prob > cutoff).
+def tune_cutoff(train_probs, train_y) -> float:
+    """The CUTOFF_GRID cutoff maximising training accuracy (class 1 when
+    prob > cutoff).
 
     Ties prefer the cutoff closest to 0.5, then the smaller cutoff.
     """
@@ -111,9 +104,9 @@ def tune_cutoff(train_probs, train_y, grid: Sequence[float] = DEFAULT_GRID) -> f
     y = np.asarray(train_y, dtype=float)
     if len(probs) == 0:
         raise ValueError("cannot tune a cutoff on empty training data")
-    correct = ((probs > np.asarray(grid, dtype=float)[:, None]).astype(float) == y).sum(axis=1)
+    correct = ((probs > np.asarray(CUTOFF_GRID)[:, None]).astype(float) == y).sum(axis=1)
     best = correct.max()
-    candidates = [c for c, k in zip(grid, correct) if k == best]
+    candidates = [c for c, k in zip(CUTOFF_GRID, correct) if k == best]
     return min(candidates, key=lambda c: (round(abs(c - 0.5), 12), c))
 
 
@@ -290,13 +283,13 @@ def _run_fold(matrix, y, config, pool, fold, fold_index) -> FoldRecord:
 
     try:
         fm = matrix
-        if config.leakage_audit:
+        if pool is not None:
             fm, _ = pool.counted(fm, train_idx)
         seed = _fold_seed(config.seed, fold_index)
         result, X = _select(fm, y, train_idx, config, seed, config.filter_mode == "global")
         model = result.model
         if config.cutoff_policy == CutoffPolicy.TUNED:
-            cutoff = tune_cutoff(glm.predict_prob(model, X[train_idx]), y[train_idx], config.grid)
+            cutoff = tune_cutoff(glm.predict_prob(model, X[train_idx]), y[train_idx])
         else:
             cutoff = 0.5
         probs = glm.predict_prob(model, X[test_idx])
@@ -308,7 +301,7 @@ def _run_fold(matrix, y, config, pool, fold, fold_index) -> FoldRecord:
             predicted=tuple(int(p) for p in predicted),
             selected=result.selected,
         )
-    except (ValueError, ArithmeticError) as exc:  # numerical or data failure: misclassified
+    except np.linalg.LinAlgError as exc:  # a numerical failure: misclassified
         logger.warning("fold %s failed: %s: %s", fold.fold_id, type(exc).__name__, exc)
         return FoldRecord(
             **shared,
@@ -345,18 +338,17 @@ def run_cv(
     chooses its cutoff and predicts the held-out movement(s).  With
     filter_mode="per-fold" the near-zero-variance filter is recomputed
     inside each training fold; "global" filters once up front.  A fold
-    that fails with a numerical or data error (ValueError or
-    ArithmeticError) is recorded as misclassified; any other exception is
-    a programming error and propagates.  A leakage audit recomputes the
-    development counts on each training fold, with the thresholds read as
-    the pool was built to read them; without its pool it raises
-    ``ConfigurationError`` before any fold, as do a source path that two
-    rows share, a matrix without rows and a training fold of fewer than
-    two rows.  Rows without a source path are told apart by index.  A
-    parallel run starts at most one worker process per fold.
+    whose linear algebra fails (``np.linalg.LinAlgError``) is recorded as
+    misclassified; any other exception propagates.  Given
+    ``development_pool``, the run is a leakage audit: each training fold
+    recomputes the development counts from its own rows, with the
+    thresholds read as the pool was built to read them, and the result's
+    config records ``leakage_audit``.  A source path that two rows share,
+    a matrix without rows and a training fold of fewer than two rows raise
+    ``ConfigurationError`` before any fold.  Rows without a source path
+    are told apart by index.  A parallel run starts at most one worker
+    process per fold.
     """
-    if config.leakage_audit and development_pool is None:
-        raise ConfigurationError("leakage_audit requires the development sd pool")
     paths = Counter(meta.source_path for meta in matrix.rows if meta.source_path)
     for path, count in paths.items():
         if count > 1:
@@ -385,9 +377,8 @@ def run_cv(
             records = list(pool_exec.map(_run_worker_fold, tasks))
     else:
         records = [_run_fold(*shared, *task) for task in tasks]
-    return CVResult(
-        scheme=config.scheme.value, config=config.to_json(), folds=tuple(records)
-    )
+    recorded = {**config.to_json(), "leakage_audit": development_pool is not None}
+    return CVResult(scheme=config.scheme.value, config=recorded, folds=tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +513,7 @@ def fit_full_model(matrix: FeatureMatrix, config: CVConfig) -> FullModelReport:
 
     A CV fold's select step run on all rows: the variance filter runs once,
     as both filter modes keep the same columns on all rows, and the CV-only
-    settings (scheme, cutoff, filter mode, leakage audit, jobs) go unread.
+    settings (scheme, cutoff, filter mode, jobs) go unread.
 
     The bundle holds a coefficient table (estimates, standard errors, Wald
     p-values) and a Hosmer-Lemeshow sweep over the group counts 20..100

@@ -110,6 +110,9 @@ class FeatureName:
 
 
 def parse_label(label: str) -> FeatureName:
+    """The FeatureName whose label is ``label``; a label that would not
+    read back exactly (a repeated or misplaced token, ``m=08``) is a
+    ValueError."""
     parts = label.split("|")
     if len(parts) < 2 or parts[0] not in CATEGORIES:
         raise ValueError(f"unparseable feature label {label!r}")
@@ -123,13 +126,16 @@ def parse_label(label: str) -> FeatureName:
             track = token
         else:
             voice = token
-    return FeatureName(
+    name = FeatureName(
         category=category,
         descriptor=descriptor,
         voice=voice,
         track=track,
         segment_length=segment_length,
     )
+    if name.label != label:
+        raise ValueError(f"feature label {label!r} does not read back (as {name.label!r})")
+    return name
 
 
 _BASIC_DESCRIPTORS = ("note_count", "mean_duration", "sd_duration", "mean_pitch", "sd_pitch")

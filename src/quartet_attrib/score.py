@@ -174,11 +174,14 @@ def _token_pitch(sub: str, lineno: int) -> int:
     return absolute
 
 
-#: A voice's clock denominator and clock (its latest onset plus duration)
-#: must stay below this, so that every onset and duration of an accepted
-#: parse prints within Python's 4300-digit limit on int to str conversion.
+#: A voice's clock denominator must stay below 10**_CLOCK_DIGITS and its
+#: clock (its latest onset plus duration) below _MAX_BARS bars, so that
+#: every onset and duration of an accepted parse prints within Python's
+#: 4300-digit limit on int to str conversion, and every float taken from
+#: durations (in bars: means, squares, window variances) stays finite.
 _CLOCK_DIGITS = 1000
 _CLOCK_LIMIT = 10**_CLOCK_DIGITS
+_MAX_BARS = 10**100
 
 
 @dataclass
@@ -274,24 +277,19 @@ def _read_token(tok: str, lineno: int) -> tuple | None:
 
 
 def _process_token(
-    tok: str, reading: tuple, st: _VoiceState, bar_index: int, lineno: int, src: str,
-    bar_fractions: dict[tuple, tuple[int, int]],
+    tok: str, reading: tuple, st: _VoiceState, bar_index: int, lineno: int, src: str
 ) -> None:
-    """Advance one voice by one read token; bar_fractions holds each bar
-    fraction built so far in this parse, reduced, by (num, den, meter)."""
+    """Advance one voice by one read token."""
     pitch, num, den, opens, closes, cont, zero = reading
     meter = st.meter
     if meter is None:
         raise MissingMeter(f"line {lineno}: note before any time signature")
     if zero:
         raise MalformedKern(f"line {lineno}: zero duration in {tok!r}")
-    key = (num, den, meter)
-    frac = bar_fractions.get(key)
-    if frac is None:
-        num, den = num * meter[1], den * meter[0]
-        g = math.gcd(num, den)
-        frac = bar_fractions[key] = (num // g, den // g)
-    num, step = frac
+    # the token's length in bars, num/step in lowest terms
+    num, step = num * meter[1], den * meter[0]
+    g = math.gcd(num, step)
+    num, step = num // g, step // g
     if st.den % step:
         grow = step // math.gcd(st.den, step)
         st.marks.append((len(st.onsets), st.den))
@@ -301,8 +299,10 @@ def _process_token(
     onset = st.clock
     length = num * (st.den // step)
     st.clock += length
-    if st.clock >= _CLOCK_LIMIT or st.den >= _CLOCK_LIMIT:
+    if st.den >= _CLOCK_LIMIT:
         raise MalformedKern(f"line {lineno}: voice clock needs more than {_CLOCK_DIGITS} digits")
+    if st.clock >= _MAX_BARS and st.clock >= _MAX_BARS * st.den:  # the first test is cheap
+        raise MalformedKern(f"line {lineno}: voice lasts 10**100 bars or more")
 
     tie = st.tie
     if tie is not None:
@@ -381,15 +381,15 @@ def parse_kern(file_content: str, meta: MovementMeta | None = None) -> EncodedMo
     spines as they stand before the manipulation.
 
     Raises MalformedKern, WrongVoiceCount or MissingMeter on structural
-    problems, and MalformedKern when a voice's clock outgrows _CLOCK_DIGITS
-    digits.  Irregular bar sums are logged, not fatal.
+    problems, and MalformedKern when a voice's clock denominator outgrows
+    _CLOCK_DIGITS digits or the voice lasts _MAX_BARS bars.  Irregular bar
+    sums are logged, not fatal.
     """
     src = meta.source_path if meta is not None else "<string>"
     cols: list[int | None] | None = None
     voices: list[_VoiceState] = []
     reads: list[tuple[_VoiceState, int]] = []
     readings: dict[str, tuple | None] = {}  # each distinct data token, read once
-    bar_fractions: dict[tuple, tuple[int, int]] = {}
     bar_index = 0
     seen_any_event = False
     events_in_bar = 0
@@ -473,7 +473,7 @@ def parse_kern(file_content: str, meta: MovementMeta | None = None) -> EncodedMo
                 reading = readings[tok] = _read_token(tok, lineno)
             if reading is None:
                 continue  # grace note
-            _process_token(tok, reading, st, bar_index, lineno, src, bar_fractions)
+            _process_token(tok, reading, st, bar_index, lineno, src)
             events_in_bar += 1
             seen_any_event = True
 

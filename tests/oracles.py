@@ -718,6 +718,7 @@ _PITCH_RE = re.compile(r"([a-gA-G]+)(#+|-+|n)?")
 _PC_BASE = {"c": 0, "d": 2, "e": 4, "f": 5, "g": 7, "a": 9, "b": 11}
 _MANIPULATORS = ("*-", "*^", "*v", "*x", "*+")
 _CLOCK_DIGITS = 1000
+_MAX_BARS = 10**100
 
 
 def _number(digits, lineno):
@@ -813,8 +814,10 @@ def _process_token(tok, st, bar_index, lineno, src):
     onset = st.clock
     st.clock = onset + frac
     st.den = math.lcm(st.den, frac.denominator)
-    if max(st.den, st.clock * st.den) >= 10**_CLOCK_DIGITS:
+    if st.den >= 10**_CLOCK_DIGITS:
         raise MalformedKern(f"line {lineno}: voice clock needs more than {_CLOCK_DIGITS} digits")
+    if st.clock >= _MAX_BARS:
+        raise MalformedKern(f"line {lineno}: voice lasts 10**100 bars or more")
     opens, closes, cont = "[" in sub, "]" in sub, "_" in sub
 
     if st.tie is not None:

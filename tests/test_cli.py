@@ -181,6 +181,20 @@ class TestCorpusErrors:
             fh.writelines(row + "\n" for row in extra_rows)
         return ["--corpus", str(corpus), "--manifest", str(manifest), "--m-lengths", "8"]
 
+    def test_a_voice_too_long_for_float_durations_is_a_parse_error(self, tmp_path, capsys):
+        # a Cello note of 10**400 whole notes would overflow the duration floats
+        args = self.corpus(tmp_path, ["long.krn,1,hq9,set9,1"])
+        meter, end = "\t".join(["*M4/4"] * 4), "\t".join(["*-"] * 4)
+        note = "1%1" + "0" * 400 + "c\t4c\t4c\t4c"
+        text = f"**kern\t**kern\t**kern\t**kern\n{meter}\n{note}\n{end}\n"
+        (Path(args[1]) / "long.krn").write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["extract", *args, "--dump-movements", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error parsing long.krn: line 3: voice lasts 10**100 bars or more\n"
+        )
+        assert not out.exists()
+
     def test_manifest_row_with_a_bad_movement_number_names_its_line(self, tmp_path, capsys):
         args = self.corpus(tmp_path, ["broken.krn,1,hq9,set9,x"])
         manifest = args[3]

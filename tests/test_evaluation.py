@@ -9,6 +9,7 @@ import oracles
 import synth
 from quartet_attrib import selection as selection_mod
 from quartet_attrib.evaluation import (
+    CUTOFF_GRID,
     AgreementReport,
     CVConfig,
     CVResult,
@@ -28,7 +29,7 @@ from quartet_attrib.evaluation import (
     write_probability_csv,
 )
 from quartet_attrib.features import FeatureMatrix, FeatureName
-from quartet_attrib.glm import HosmerLemeshowResult, PriorConfig
+from quartet_attrib.glm import FeatureMisalignment, HosmerLemeshowResult, PriorConfig
 from quartet_attrib.score import Composer, MovementMeta, movement_to_json
 
 
@@ -73,20 +74,21 @@ class TestTuneCutoff:
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(20)
-        grid = tuple(round(i / 100, 2) for i in range(101))
         for _ in range(20):
             probs = rng.random(100)
             y = (rng.random(100) < 0.5).astype(int)
-            got = tune_cutoff(probs, y, grid)
-            accs = {c: np.mean((probs > c).astype(int) == y) for c in grid}
+            got = tune_cutoff(probs, y)
+            assert got in CUTOFF_GRID
+            accs = {c: np.mean((probs > c).astype(int) == y) for c in CUTOFF_GRID}
             assert accs[got] == max(accs.values())
 
+    def test_the_grid_is_hundredths(self):
+        assert CUTOFF_GRID == tuple(i / 100 for i in range(101))
+
     def test_downward_tie_break(self):
-        # cutoffs 0.4 and 0.6 equal accuracy and equidistant from 0.5
-        probs = [0.45, 0.55]
-        y = [1, 0]  # impossible: every cutoff gets exactly 1 of 2 right
-        got = tune_cutoff(probs, y, (0.4, 0.6))
-        assert got == 0.4
+        # 1 of 2 right for every cutoff below 0.455 or from 0.545 on, 0 of 2
+        # between: 0.45 and 0.55 tie, equidistant from 0.5, and 0.45 wins
+        assert tune_cutoff([0.455, 0.545], [1, 0]) == 0.45
 
 
 class TestRunCV:
@@ -256,17 +258,19 @@ class TestRunCV:
         assert math.isnan(f.probabilities[0])
         assert f.error == "LinAlgError: synthetic failure"
 
-    def test_programming_error_in_a_fold_propagates(self, monkeypatch):
+    @pytest.mark.parametrize("error", [TypeError, ValueError, FeatureMisalignment])
+    def test_programming_error_in_a_fold_propagates(self, monkeypatch, error):
+        # only a failed linear algebra step scores a fold as misclassified
         rng = np.random.default_rng(28)
         matrix = toy_matrix(rng, n=8, p=3)
 
         def broken(*args, **kwargs):
-            raise TypeError("synthetic bug")
+            raise error("synthetic bug")
 
         import quartet_attrib.evaluation as ev
 
         monkeypatch.setattr(ev.selection, "icm_select", broken)
-        with pytest.raises(TypeError, match="synthetic bug"):
+        with pytest.raises(error, match="synthetic bug"):
             run_cv(matrix, CVConfig(scheme=Scheme.LOO, seed=3, **FAST))
 
     def test_label_symmetry_with_flat_intercept_prior(self):
@@ -464,10 +468,12 @@ def test_json_keys_are_the_dataclass_fields():
     matrix = toy_matrix(rng, n=8, p=3)
     config = CVConfig(scheme=Scheme.LOQO, cutoff_policy=CutoffPolicy.TUNED, n_jobs=2, **FAST)
     payload = config.to_json()
-    assert payload.keys() == names(CVConfig) - {"n_jobs"}
+    assert payload.keys() == names(CVConfig) - {"n_jobs"} | {"grid"}
+    assert payload["grid"] == list(CUTOFF_GRID)
     assert [type(payload[k]) for k in ("scheme", "cutoff_policy", "feature_scope")] == [str] * 3
     assert payload["scheme"] == "loqo" and payload["cutoff_policy"] == "tuned"
     result = run_cv(matrix, dataclasses.replace(config, n_jobs=1))
+    assert result.config == {**payload, "leakage_audit": False}
     assert all(f.keys() == names(FoldRecord) for f in result.to_json()["folds"])
 
     y = np.array([int(meta.composer) for meta in matrix.rows])
@@ -502,11 +508,7 @@ def test_json_keys_are_the_dataclass_fields():
 
 def test_cv_config_validation():
     with pytest.raises(ValueError):
-        CVConfig(grid=(0.5, 0.2))
-    with pytest.raises(ValueError):
         CVConfig(filter_mode="sometimes")
-    with pytest.raises(ValueError, match="grid must not be empty"):
-        CVConfig(grid=())
     with pytest.raises(ValueError, match="restarts"):
         CVConfig(restarts=0)
     for jobs in (0, -3):
@@ -584,28 +586,21 @@ class TestLeakageAudit:
         rng = np.random.default_rng(41)
         matrix, pool = self._corpus_matrix(rng)
         config = CVConfig(scheme=Scheme.LOO, seed=1, restarts=2,
-                          prior=PriorConfig(scale_factor=0.6), leakage_audit=True)
+                          prior=PriorConfig(scale_factor=0.6))
         result = run_cv(matrix, config, development_pool=pool)
         assert result.n == matrix.n
         assert not any(f.failed for f in result.folds)
+        assert result.config["leakage_audit"] is True
 
     def test_parallel_leakage_audit_matches_serial(self):
         rng = np.random.default_rng(41)
         matrix, pool = self._corpus_matrix(rng)
         config = CVConfig(scheme=Scheme.LOO, seed=1, restarts=2,
-                          prior=PriorConfig(scale_factor=0.6), leakage_audit=True)
+                          prior=PriorConfig(scale_factor=0.6))
         a = run_cv(matrix, config, development_pool=pool)
         b = run_cv(matrix, dataclasses.replace(config, n_jobs=2), development_pool=pool)
         assert not any(f.failed for f in a.folds)
         assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(b.to_json(), sort_keys=True)
-
-    def test_leakage_audit_requires_pool(self):
-        rng = np.random.default_rng(42)
-        matrix, _ = self._corpus_matrix(rng)
-        config = CVConfig(scheme=Scheme.LOO, seed=1, restarts=2,
-                          prior=PriorConfig(scale_factor=0.6), leakage_audit=True)
-        with pytest.raises(ConfigurationError, match="development sd pool"):
-            run_cv(matrix, config, development_pool=None)
 
 
 class TestTunedCutoffEdge:

@@ -103,6 +103,14 @@ class TestRegistry:
             assert back.segment_length == fn.segment_length
 
     @pytest.mark.parametrize(
+        "label",
+        ["basic|note_count|Violin2|Violin1", "basic|mean_duration|m=3|Violin1", "basic|a|m=08"],
+    )
+    def test_a_label_that_does_not_read_back_is_refused(self, label):
+        with pytest.raises(ValueError, match="does not read back"):
+            parse_label(label)
+
+    @pytest.mark.parametrize(
         "config", [CONFIG, SMALL, SegmentConfig(lengths=(12,))], ids=["paper", "small", "one"]
     )
     def test_families_fill_the_registry_in_its_order(self, config):

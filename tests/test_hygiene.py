@@ -6,7 +6,9 @@ and read only by ``parse_label``: no f-string in the package builds one.
 The CLI runs on numpy and ``scipy.special``: importing it loads no
 ``scipy.stats``.  Every defaulted parameter of a function or method in
 ``src/`` is set by some call in ``src/``, apart from the few listed in
-``UNSET_DEFAULTS``: an option only tests set belongs in ``tests/oracles.py``."""
+``UNSET_DEFAULTS``: an option only tests set belongs in ``tests/oracles.py``.
+The same holds for every defaulted field of a public dataclass, apart from
+those listed in ``UNSET_FIELDS``."""
 
 import ast
 import os
@@ -54,6 +56,13 @@ UNSET_DEFAULTS = {
 }
 
 
+#: (module, dataclass, field) whose default no call in ``src/`` overrides.
+UNSET_FIELDS = {
+    ("glm", "PriorConfig", "intercept_scale"):
+        "tests widen it to approximate the unpenalised maximum likelihood estimate",
+}
+
+
 def _defaulted(func: ast.FunctionDef) -> set[str]:
     a = func.args
     positional = a.posonlyargs + a.args
@@ -74,20 +83,39 @@ def _calls_by_name(trees) -> dict[str, list[ast.Call]]:
     return calls
 
 
-def _set_by_calls(func: ast.FunctionDef, calls: dict[str, list[ast.Call]]) -> set[str]:
+def _set_by_calls(
+    name: str, positional: list[str], kwonly: list[str], calls: dict[str, list[ast.Call]]
+) -> set[str]:
+    """The parameters (``positional``, then keyword-only ``kwonly``) that
+    some call by ``name`` passes."""
+    out = set()
+    for node in calls.get(name, ()):
+        if any(isinstance(arg, ast.Starred) for arg in node.args) or any(
+            kw.arg is None for kw in node.keywords
+        ):
+            return {*positional, *kwonly}
+        out.update(positional[: len(node.args)])
+        out.update(kw.arg for kw in node.keywords)
+    return out
+
+
+def _set_params(func: ast.FunctionDef, calls: dict[str, list[ast.Call]]) -> set[str]:
     """The parameters of func that some call by its name passes."""
     positional = [arg.arg for arg in func.args.posonlyargs + func.args.args]
     if positional[:1] in (["self"], ["cls"]):  # a method: the call binds it
         positional = positional[1:]
-    out = set()
-    for node in calls.get(func.name, ()):
-        if any(isinstance(arg, ast.Starred) for arg in node.args) or any(
-            kw.arg is None for kw in node.keywords
+    return _set_by_calls(func.name, positional, [a.arg for a in func.args.kwonlyargs], calls)
+
+
+def _public_dataclasses(tree: ast.Module):
+    """(class, its fields in order, the defaulted ones) of each public
+    dataclass defined at module level."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_") and any(
+            ast.unparse(d).split("(")[0].endswith("dataclass") for d in cls.decorator_list
         ):
-            return set(positional) | {arg.arg for arg in func.args.kwonlyargs}
-        out.update(positional[: len(node.args)])
-        out.update(kw.arg for kw in node.keywords)
-    return out
+            body = [n for n in cls.body if isinstance(n, ast.AnnAssign)]
+            yield cls, [n.target.id for n in body], {n.target.id for n in body if n.value}
 
 
 def _label_fstrings(tree: ast.Module) -> list[int]:
@@ -132,6 +160,18 @@ def test_every_defaulted_parameter_is_set_by_the_package():
     for module, tree in trees.items():
         for func in ast.walk(tree):  # methods and nested functions too
             if isinstance(func, ast.FunctionDef):
-                for name in _defaulted(func) - _set_by_calls(func, calls):
+                for name in _defaulted(func) - _set_params(func, calls):
                     unset.add((module.removesuffix(".py"), func.name, name))
     assert unset == UNSET_DEFAULTS.keys(), sorted(unset ^ UNSET_DEFAULTS.keys())
+
+
+def test_every_defaulted_config_field_is_set_by_the_package():
+    trees = _trees()
+    calls = _calls_by_name(trees.values())
+    unset = {
+        (module.removesuffix(".py"), cls.name, name)
+        for module, tree in trees.items()
+        for cls, fields, defaulted in _public_dataclasses(tree)
+        for name in defaulted - _set_by_calls(cls.name, fields, [], calls)
+    }
+    assert unset == UNSET_FIELDS.keys(), sorted(unset ^ UNSET_FIELDS.keys())

@@ -583,6 +583,8 @@ MALFORMED = [
         ),
         id="long-clock",
     ),
+    # a Cello note of 10**400 whole notes: a voice too long for float durations
+    pytest.param(four_spine(["1%1" + "0" * 400 + "c\t4c\t4c\t4c"]), id="long-voice"),
 ]
 
 
