@@ -22,6 +22,7 @@ from .evaluation import (
     CVConfig,
     CVResult,
     CutoffPolicy,
+    FILTER_MODES,
     FeatureScope,
     Scheme,
     compare_runs,
@@ -161,14 +162,13 @@ def _run_config(command: str, args, extra: dict) -> dict:
 
 def cmd_extract(args) -> int:
     # with --dump-movements, each movement's dump is kept by its file name:
-    # its source file's name plus ".json" (or its index, counted up to the
-    # first clash); a name taken twice stops the command once the
-    # extraction has succeeded, before anything is written
+    # its source file's name plus ".json"; a name taken twice stops the
+    # command once the extraction has succeeded, before anything is written
     dumps, clashes = {}, []
 
     def dump(mv):
         path = mv.meta.source_path
-        name = f"{Path(path).name or f'movement{len(dumps)}'}.json"
+        name = f"{Path(path).name}.json"
         if name in dumps:
             clashes.append(
                 f"error: --dump-movements would write both {dumps[name][0]} "
@@ -246,17 +246,11 @@ def cmd_cv(args) -> int:
         # the pool alone: the matrix comes from the CSV, read first so that
         # a wrong CSV argument stops the command before the corpus is parsed
         matrix = _matrix_from_args(args)
-        seg, paths = SegmentConfig(args.m_lengths), []
+        seg = SegmentConfig(args.m_lengths)
         pool = _corpus_pass(
             args,
             lambda movements: build_development_pool(movements, seg, args.threshold_reading),
-            lambda mv: paths.append(mv.meta.source_path),
         )
-        if [r.source_path for r in matrix.rows] != paths:
-            raise SystemExit(
-                "error: --leakage-audit needs the --features rows to be the "
-                "parsed --manifest movements, in the same order"
-            )
     elif args.leakage_audit:
         matrix, pool, _ = _extract(args)
     else:
@@ -390,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--scheme", choices=[s.value for s in Scheme])
     p.add_argument("--cutoff", choices=[c.value for c in CutoffPolicy])
-    p.add_argument("--filter", choices=["global", "per-fold"])
+    p.add_argument("--filter", choices=FILTER_MODES)
     p.add_argument("--leakage-audit", action="store_true",
                    help="recompute development thresholds per training fold")
     p.add_argument("--jobs", type=int)

@@ -56,6 +56,8 @@ class FeatureScope(str, Enum):
 
 
 REDUCED_CATEGORIES = ("basic", "interval")
+#: Where the near-zero-variance filter runs: in each training fold, or once before the folds.
+FILTER_MODES = ("per-fold", "global")
 #: The cutoffs a tuned fold chooses from: 0, 0.01, ..., 1.
 CUTOFF_GRID = tuple(round(i / 100, 2) for i in range(101))
 
@@ -68,13 +70,13 @@ class CVConfig:
     prior: PriorConfig = field(default_factory=PriorConfig)
     seed: int = 0
     restarts: int = 10
-    filter_mode: str = "per-fold"  # or "global": filter once before the folds
+    filter_mode: str = "per-fold"  # one of FILTER_MODES
     bic_form: str = "paper"
     n_jobs: int = 1
 
     def __post_init__(self):
-        if self.filter_mode not in ("per-fold", "global"):
-            raise ValueError("filter_mode must be 'per-fold' or 'global'")
+        if self.filter_mode not in FILTER_MODES:
+            raise ValueError(f"filter_mode must be one of {FILTER_MODES}")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.n_jobs < 1:
@@ -344,15 +346,20 @@ def run_cv(
     recomputes the development counts from its own rows, with the
     thresholds read as the pool was built to read them, and the result's
     config records ``leakage_audit``.  A source path that two rows share,
-    a matrix without rows and a training fold of fewer than two rows raise
+    a pool whose movements are not the matrix rows in the same order, a
+    matrix without rows and a training fold of fewer than two rows raise
     ``ConfigurationError`` before any fold.  Rows without a source path
     are told apart by index.  A parallel run starts at most one worker
     process per fold.
     """
-    paths = Counter(meta.source_path for meta in matrix.rows if meta.source_path)
-    for path, count in paths.items():
+    paths = tuple(meta.source_path for meta in matrix.rows)
+    for path, count in Counter(filter(None, paths)).items():
         if count > 1:
             raise ConfigurationError(f"the matrix repeats the movement {path!r}")
+    if development_pool is not None and development_pool.paths != paths:
+        raise ConfigurationError(
+            "the development pool's movements must be the matrix rows, in the same order"
+        )
     folds = _make_folds(matrix, config.scheme)
     if not folds:
         raise ConfigurationError("the matrix has no rows, so there is no fold to run")

@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .score import Composer, EncodedMovement, MovementMeta, VOICE_ORDER
+from .score import EncodedMovement, MovementMeta, VOICE_ORDER, read_manifest
 
 CATEGORIES = ("basic", "interval", "exposition", "development", "recapitulation")
 TRACKS = ("pitch", "duration")
@@ -294,26 +294,8 @@ class FeatureMatrix:
 
     @classmethod
     def from_csv(cls, features_path, meta_path) -> "FeatureMatrix":
-        metas: dict[str, MovementMeta] = {}
-        with open(meta_path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            missing = {"source_path", "composer", "quartet_id", "movement_number"} - set(
-                reader.fieldnames or []
-            )
-            if missing:
-                raise ValueError(f"metadata sidecar is missing columns: {sorted(missing)}")
-            for row in reader:
-                meta = MovementMeta(
-                    composer=Composer(int(row["composer"])),
-                    quartet_id=row["quartet_id"],
-                    set_id=row.get("set_id", ""),
-                    movement_number=int(row["movement_number"]),
-                    source_path=row["source_path"],
-                )
-                if meta.source_path in metas:
-                    raise ValueError(f"metadata sidecar repeats the row {meta.source_path!r}")
-                metas[meta.source_path] = meta
-        with open(features_path, newline="", encoding="utf-8") as fh:
+        metas = {meta.source_path: meta for meta in read_manifest(meta_path)}
+        with open(features_path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader)
             if not header or header[0] != "source_path":
@@ -712,14 +694,15 @@ class DevelopmentSdPool:
 
     Each key keeps its pooled sds in one stable sorted order, the row of
     each sd and each row's window count.  Rows align with the corpus used
-    to build the pool, so thresholds can be recomputed on training folds
-    only (leakage-audit mode) by masking the held-out rows.
+    to build the pool, whose source paths ``paths`` records, so thresholds
+    can be recomputed on training folds only (leakage-audit mode) by
+    masking the held-out rows.
     """
 
     lengths: tuple[int, ...]
     quantiles: tuple[float, ...]
     reading: str  # how thresholds() reads the pooled sds: "prose" or "literal"
-    n: int  # pooled movements
+    paths: tuple[str, ...]  # each row's source path ("" without metadata)
     sds: dict  # key -> every row's sds, sorted (stable: ties by row, then window)
     rows: dict  # key -> the int32 row of each sd
     sizes: dict  # key -> each row's window count
@@ -727,7 +710,8 @@ class DevelopmentSdPool:
     def thresholds(self, rows=None) -> DevelopmentThresholds:
         """Thresholds from the pooled sds of ``rows`` (all rows by default),
         read as the pool's ``reading``."""
-        keep = np.ones(self.n, dtype=bool) if rows is None else np.isin(np.arange(self.n), rows)
+        keep = np.zeros(len(self.paths), dtype=bool)
+        keep[slice(None) if rows is None else rows] = True
         table = {}
         for key, sds in self.sds.items():
             kept = keep[self.rows[key]]
@@ -750,14 +734,14 @@ class DevelopmentSdPool:
         """Threshold-count feature block for all pooled movements: per key and
         quantile, each row's count of sds at or above the threshold; NaN for
         a row without windows or a NaN threshold."""
-        nq = len(self.quantiles)
-        out = np.full((self.n, len(self.sds) * nq), np.nan)
+        nq, n = len(self.quantiles), len(self.paths)
+        out = np.full((n, len(self.sds) * nq), np.nan)
         for k, (key, sds) in enumerate(self.sds.items()):
             has = self.sizes[key] > 0
             for qi, t in enumerate(thresholds.get(*key)):
                 if not np.isnan(t):
                     above = self.rows[key][np.searchsorted(sds, t):]
-                    out[has, k * nq + qi] = np.bincount(above, minlength=self.n)[has]
+                    out[has, k * nq + qi] = np.bincount(above, minlength=n)[has]
         return out
 
     def counted(
@@ -775,19 +759,20 @@ class DevelopmentSdPool:
 
 
 def _pooled(
-    movements: Iterable[dict[str, _VoiceData]], lengths: Sequence[int], reading: str
+    movements: Iterable[tuple[str, dict[str, _VoiceData]]], lengths: Sequence[int], reading: str
 ) -> DevelopmentSdPool:
-    """The pool of the window sds of ``movements``' per-voice data, taken
-    one movement at a time; the reading is checked before the first."""
+    """The pool of the window sds of ``movements``' (source path, per-voice
+    data) pairs, taken one movement at a time; the reading is checked
+    before the first."""
     if reading not in THRESHOLD_READINGS:
         raise ValueError(f"reading must be one of {THRESHOLD_READINGS}")
     parts = {(v, m, track): [] for v in VOICE_LABELS for m in lengths for track in TRACKS}
-    L, n = max(lengths), 0
-    for data in movements:
+    L, paths = max(lengths), []
+    for path, data in movements:
         for (v, m, track), arrays in parts.items():
             sds = data[v].window_sds(track, m, L)
             arrays.append(sds if sds is not None else np.empty(0, dtype=float))
-        n += 1
+        paths.append(path)
     sorted_sds, rows, sizes = {}, {}, {}
     for key in list(parts):
         arrays = parts.pop(key)
@@ -796,9 +781,9 @@ def _pooled(
         del arrays  # this key's per-movement arrays are freed before its sort
         order = np.argsort(pooled, kind="stable")
         sorted_sds[key] = pooled[order]
-        rows[key] = np.repeat(np.arange(n, dtype=np.int32), sizes[key])[order]
+        rows[key] = np.repeat(np.arange(len(paths), dtype=np.int32), sizes[key])[order]
     return DevelopmentSdPool(
-        lengths=tuple(lengths), quantiles=DEV_QUANTILES, reading=reading, n=n,
+        lengths=tuple(lengths), quantiles=DEV_QUANTILES, reading=reading, paths=tuple(paths),
         sds=sorted_sds, rows=rows, sizes=sizes,
     )
 
@@ -808,7 +793,8 @@ def build_development_pool(
 ) -> DevelopmentSdPool:
     """The development pool of ``corpus``, any iterable of movements, taken
     one movement at a time without listing it."""
-    return _pooled(map(_voice_data, corpus), config.lengths, reading)
+    pairs = ((mv.meta.source_path if mv.meta else "", _voice_data(mv)) for mv in corpus)
+    return _pooled(pairs, config.lengths, reading)
 
 
 def development_features(
@@ -879,7 +865,7 @@ def extract_all(
         row[[position[lbl] for lbl in feats]] = list(feats.values())
         metas.append(movement.meta)
         rows.append(row)
-        return data
+        return movement.meta.source_path, data
 
     pool = _pooled(map(threshold_free, corpus), config.lengths, threshold_reading)
     if not rows:

@@ -532,26 +532,28 @@ def _parse_composer(text: str) -> Composer:
 
 
 def read_manifest(manifest_path: str | Path) -> list[MovementMeta]:
-    """Read the corpus manifest CSV (path, composer, quartet_id, set_id, movement_number).
+    """Read a manifest CSV (path, composer, quartet_id, set_id, movement_number).
 
-    A row that does not read raises ValueError naming the manifest and the
-    row's line."""
+    The path column is ``source_path`` when the file has one, as the
+    ``movement_meta.csv`` sidecar does, and ``path`` otherwise.  A file that
+    lacks a column, or a row that does not read, raises ValueError naming
+    the file (and the row's line)."""
     metas: list[MovementMeta] = []
     seen: set[str] = set()
-    with open(manifest_path, newline="", encoding="utf-8") as fh:
+    with open(manifest_path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh, restval="")
-        missing = {"path", "composer", "quartet_id", "movement_number"} - set(
-            reader.fieldnames or []
-        )
+        header = set(reader.fieldnames or [])
+        path_column = "source_path" if "source_path" in header else "path"
+        missing = {path_column, "composer", "quartet_id", "movement_number"} - header
         if missing:
-            raise ValueError(f"manifest is missing columns: {sorted(missing)}")
+            raise ValueError(f"manifest {manifest_path} is missing columns: {sorted(missing)}")
         for row in reader:
-            path = row["path"].strip()
+            path = row[path_column].strip()
             if not path:
                 continue
             try:
                 if path in seen:
-                    raise ValueError(f"duplicate manifest path {path!r}")
+                    raise ValueError(f"duplicate path {path!r}")
                 seen.add(path)
                 metas.append(
                     MovementMeta(
@@ -590,7 +592,7 @@ def load_corpus(
             if not path.is_absolute():
                 path = root / path
             try:
-                content = path.read_text(encoding="utf-8", errors="replace")
+                content = path.read_text(encoding="utf-8-sig", errors="replace")
                 movement = parse_kern(content, meta=meta)
             except (OSError, KernError) as exc:
                 errors.append((meta.source_path, str(exc)))

@@ -1,3 +1,4 @@
+import codecs
 import json
 import os
 import subprocess
@@ -59,6 +60,26 @@ class TestExtract:
         assert (out / "thresholds.json").exists()
         assert (out / "movement_meta.csv").exists()
         assert json.loads((out / "run_config.json").read_text())["command"] == "extract"
+
+    def test_byte_order_marks_are_read_past(self, tmp_path):
+        # as spreadsheet programs save "CSV UTF-8"
+        corpus = tmp_path / "corpus"
+        manifest = synth.write_tiny_corpus(corpus, seed=5)
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        args = ["extract", "--corpus", str(corpus), "--m-lengths", "8"]
+        assert main([*args, "--manifest", str(manifest), "--out", str(plain)]) == 0
+        for path in (manifest, corpus / "mq1_1.krn"):
+            path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert main([*args, "--manifest", str(manifest), "--out", str(marked)]) == 0
+        csvs = ("features.csv", "movement_meta.csv")
+        for name in csvs:
+            assert (marked / name).read_bytes() == (plain / name).read_bytes()
+            path = marked / name
+            path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        want = FeatureMatrix.from_csv(*(plain / name for name in csvs))
+        got = FeatureMatrix.from_csv(*(marked / name for name in csvs))
+        assert got.rows == want.rows and got.columns == want.columns
+        assert got.values.tobytes() == want.values.tobytes()
 
     def test_deterministic_outputs(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -651,7 +672,7 @@ class TestCvEntryPoints:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: metadata sidecar is missing columns: ['composer']\n"
+            f"error: manifest {mp} is missing columns: ['composer']\n"
         )
         assert not (tmp_path / "o" / "cv_result.json").exists()
 
@@ -675,7 +696,27 @@ class TestCvEntryPoints:
         rc = main(["cv", "--features", str(fp), "--meta", str(mp), *self.MODEL,
                    "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: metadata sidecar repeats the row {path!r}\n"
+        assert capsys.readouterr().err == f"error: manifest {mp} line 3: duplicate path {path!r}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("composer", "2", "unknown composer label '2'"),
+            ("movement_number", "x", "invalid literal for int() with base 10: 'x'"),
+        ],
+    )
+    def test_meta_row_that_does_not_read_names_its_line(
+        self, tmp_path, capsys, column, value, message
+    ):
+        fp, mp = toy_feature_csvs(tmp_path)
+        header, *rows = [line.split(",") for line in mp.read_text().splitlines()]
+        rows[2][header.index(column)] = value
+        mp.write_text("\n".join(",".join(r) for r in [header, *rows]) + "\n")
+        rc = main(["cv", "--features", str(fp), "--meta", str(mp), *self.MODEL,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: manifest {mp} line 4: {message}\n"
         assert not (tmp_path / "o").exists()
 
     def test_leakage_audit_features_need_meta(self, tmp_path, capsys):

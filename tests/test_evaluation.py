@@ -28,7 +28,13 @@ from quartet_attrib.evaluation import (
     write_fold_csv,
     write_probability_csv,
 )
-from quartet_attrib.features import FeatureMatrix, FeatureName
+from quartet_attrib.features import (
+    FeatureMatrix,
+    FeatureName,
+    SegmentConfig,
+    build_development_pool,
+    extract_all,
+)
 from quartet_attrib.glm import FeatureMisalignment, HosmerLemeshowResult, PriorConfig
 from quartet_attrib.score import Composer, MovementMeta, movement_to_json
 
@@ -57,6 +63,7 @@ def toy_matrix(rng, n=12, p=5, signal_scale=2.5, quartet_size=2, categories=None
 
 
 FAST = dict(restarts=2, prior=PriorConfig(scale_factor=0.6))
+SEG = SegmentConfig(lengths=(8, 10))
 NO_ROWS = "the matrix has no rows, so there is no fold to run"
 TOO_FEW = "rows; every training fold needs at least two"
 
@@ -519,8 +526,8 @@ def test_cv_config_validation():
 
 
 class TestLeakageAudit:
-    def _corpus_matrix(self, rng, n=8, reading="prose"):
-        movements = [
+    def _movements(self, rng, n=8):
+        return [
             synth.random_movement(
                 rng,
                 n_notes=(25, 40),
@@ -533,12 +540,26 @@ class TestLeakageAudit:
             )
             for i in range(n)
         ]
-        from quartet_attrib.features import SegmentConfig, extract_all
 
-        matrix, pool, _ = extract_all(
-            movements, SegmentConfig(lengths=(8, 10)), threshold_reading=reading
-        )
+    def _corpus_matrix(self, rng, n=8, reading="prose"):
+        matrix, pool, _ = extract_all(self._movements(rng, n), SEG, threshold_reading=reading)
         return matrix, pool
+
+    @pytest.mark.parametrize("pooled", ["reversed", "one-short"])
+    def test_misaligned_pool_fails_before_any_fold(self, monkeypatch, pooled):
+        movements = self._movements(np.random.default_rng(47))
+        matrix = extract_all(movements, SEG).matrix
+        others = movements[::-1] if pooled == "reversed" else movements[:-1]
+        pool = build_development_pool(others, SEG)
+
+        def no_fold(*args):
+            raise AssertionError("a fold ran")
+
+        import quartet_attrib.evaluation as ev
+
+        monkeypatch.setattr(ev, "_run_fold", no_fold)
+        with pytest.raises(ConfigurationError, match="in the same order"):
+            run_cv(matrix, CVConfig(scheme=Scheme.LOO, **FAST), development_pool=pool)
 
     @pytest.mark.parametrize("reading", ["prose", "literal"])
     def test_all_rows_reproduce_the_extraction(self, reading):

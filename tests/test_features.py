@@ -992,6 +992,7 @@ class TestOnePass:
         want_pool = build_development_pool(corpus, SMALL, reading)
         want_thr = want_pool.thresholds()
         assert repr(thresholds) == repr(want_thr) and pool.sds.keys() == want_thr.table.keys()
+        assert pool.paths == want_pool.paths == tuple(meta.source_path for meta in matrix.rows)
         counted = want_pool.count_columns(want_thr)
         for i, mv in enumerate(corpus):
             want = {
@@ -1021,4 +1022,9 @@ class TestOnePass:
 
     def test_empty_pool_has_no_rows(self):
         pool = build_development_pool([], SMALL)
-        assert pool.n == 0 and len(pool.sds) == 4 * len(SMALL.lengths) * 2
+        assert pool.paths == () and len(pool.sds) == 4 * len(SMALL.lengths) * 2
+
+    def test_pool_records_each_movement_source_path_in_order(self):
+        corpus = self.corpus(37, n=3)
+        corpus[1] = EncodedMovement(meta=None, voices=corpus[1].voices)
+        assert build_development_pool(corpus, SMALL).paths == ("p0.krn", "", "p2.krn")
