@@ -13,11 +13,11 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from typing import Iterable, NamedTuple, Sequence
+from typing import ClassVar, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -271,6 +271,13 @@ class FeatureMatrix:
         return [j for j, c in enumerate(self.columns) if c.category in wanted]
 
     def to_csv(self, features_path, meta_path) -> None:
+        """Write the values and the rows' metadata, joined on source path; a
+        blank, padded or repeated path would not read back, so it is refused."""
+        seen: set[str] = set()
+        for i, path in enumerate(meta.source_path for meta in self.rows):
+            if not path or path != path.strip() or path in seen:
+                raise ValueError(f"row {i} has a blank, padded or repeated source path {path!r}")
+            seen.add(path)
         with open(features_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["source_path", *self.labels])
@@ -296,9 +303,11 @@ class FeatureMatrix:
     def from_csv(cls, features_path, meta_path) -> "FeatureMatrix":
         metas = {meta.source_path: meta for meta in read_manifest(meta_path)}
         with open(features_path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if not header or header[0] != "source_path":
+            reader = filter(None, csv.reader(fh))  # blank lines are skipped
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"feature CSV {features_path} is empty")
+            if header[0] != "source_path":
                 raise ValueError("feature CSV must start with a source_path column")
             columns = tuple(parse_label(lbl) for lbl in header[1:])
             rows: list[MovementMeta] = []
@@ -341,25 +350,7 @@ def _format_value(x: float) -> str:
 _INT64_EXACT = 1 << 26
 
 
-class _Prefix(NamedTuple):
-    """Running sums along the rows of a track's table.
-
-    Row i of the table holds the min(L, N) values of the track from note i
-    on, padded past the voice's end, so column m - 1 of row i sums the
-    length-m window that starts at note i; a length-m read (m <= N) takes
-    rows 0..N-m only and never reaches the padding.  Every cell is the sum of
-    at most one window of the voice (duration padding is 0, pitch values
-    lie in 1..12), so the _INT64_EXACT bound, which covers every window's
-    exact variance terms, covers the int64 tables; past it the duration
-    table holds Python ints, which are exact.
-    """
-
-    s1: np.ndarray  # the window's values
-    s2: np.ndarray  # their squares
-    matches: np.ndarray  # its positions equal to the opening window's
-
-
-@dataclass
+@dataclass(frozen=True)
 class _VoiceData:
     pcs: np.ndarray  # pitch classes 1..12, rests removed
     abs_pitch: np.ndarray  # absolute pitches 1..132
@@ -373,84 +364,86 @@ class _VoiceData:
     onsets: tuple[int, ...]
     rests: np.ndarray
     onset_den: int
-    # (track, L) -> running sums and ("sds", track, m) -> window sds, each built once
-    memo: dict = field(default_factory=dict, repr=False)
+    # track -> row i, column m - 1: matches of the length-m window at note i
+    # with the opening window; (track, m) -> each length-m window's sd, None
+    # when the voice is shorter than m.  See _voice_data.
+    matches: dict
+    sds: dict
 
     @property
     def m_notes(self) -> int:
         return len(self.pcs)
 
-    def running(self, track: str, L: int):
-        """The running sums of the "pitch" or "duration" track (a _Prefix),
-        or the running count of minor thirds ("minor_third"), for windows
-        of up to L notes; the voice needs at least one note."""
-        key = (track, L)
-        if key not in self.memo:
-            self.memo[key] = _running_sums(self, track, L)
-        return self.memo[key]
 
-    def window_sds(self, track: str, m: int, L: int) -> np.ndarray | None:
-        """Standard deviation of each of the track's length-m windows (m <= L),
-        via the exact variance identity: the variance of k/den values is
-        (m * sum(k^2) - (sum k)^2) over (den^2 * m * (m - 1)).  Computed in
-        integers (int64, or Python ints in an object array) with the
-        quotient rounded once, it is bitwise identical for any reordering of
-        equal value multisets, so location tie-breaking is exact.  None when
-        the voice is shorter than m."""
-        key = ("sds", track, m)
-        if key not in self.memo:
-            n = self.m_notes - m + 1
-            sds = None
-            if n > 0:
-                sums = self.running(track, L)
-                s1, s2 = sums.s1[:n, m - 1], sums.s2[:n, m - 1]
-                den = 1 if track == "pitch" else self.dur_den
-                var = (m * s2 - s1 * s1) / (den * den * m * (m - 1))
-                sds = np.sqrt(var.astype(float))
-            self.memo[key] = sds
-        return self.memo[key]
-
-
-def _running_sums(vd: _VoiceData, track: str, L: int):
-    """Build the table behind ``_VoiceData.running`` and sum along its rows."""
-    seq = {"pitch": vd.pcs, "duration": vd.dur_num, "minor_third": vd.abs_pitch}[track]
-    width = min(L, len(seq))  # no window is longer than the voice
+def _windows(seq: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
+    """Row i holds the min(L, N) values of ``seq`` (N >= 1 of them) from
+    index i on, L the longest of ``lengths``, zero-padded past the end."""
+    width = min(max(lengths), len(seq))  # no window is longer than the voice
     padded = np.concatenate([seq, np.zeros(width - 1, dtype=seq.dtype)])
-    table = np.lib.stride_tricks.sliding_window_view(padded, width)
-    if track == "minor_third":
-        return np.cumsum(np.abs(table - table[:, :1]) % 12 == 3, axis=1)
-    if track == "pitch":
-        table = (table - table[:, :1]) % 12 + 1  # relative to the window's first note
-    return _Prefix(
-        np.cumsum(table, axis=1),
-        np.cumsum(table * table, axis=1),
-        np.cumsum(table == table[0], axis=1),
-    )
+    return np.lib.stride_tricks.sliding_window_view(padded, width)
 
 
-def _voice_data(movement: EncodedMovement) -> dict[str, _VoiceData]:
-    """Per-voice arrays of the window features, from each voice's columns;
-    the feature families and the pool read only these."""
+def _minor_third_counts(abs_pitch: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
+    """Row i, column m - 1: the notes of the length-m window at note i a
+    minor-third class from the window's first note."""
+    table = _windows(abs_pitch, lengths)
+    return np.cumsum(np.abs(table - table[:, :1]) % 12 == 3, axis=1)
+
+
+def _voice_data(movement: EncodedMovement, lengths: Sequence[int]) -> dict[str, _VoiceData]:
+    """Per-voice arrays of the window features, from each voice's columns,
+    with the tables for the segment ``lengths`` built once, only for a voice
+    with a window of the shortest length; the families and the pool read
+    only these.
+
+    A track's ``_windows`` table is summed along its rows, so column m - 1
+    of row i sums the length-m window at note i; a length-m read takes rows
+    0..N-m only and never reaches the padding.  A window's sd comes from the
+    exact variance identity, (m * sum(k^2) - (sum k)^2) / (den^2 * m * (m - 1))
+    for k/den values, in integers with the quotient rounded once: bitwise
+    identical for any reordering of equal value multisets, so location
+    tie-breaking is exact.  Every running sum is the sum of at most one
+    window (duration padding is 0, pitch values lie in 1..12), so the
+    _INT64_EXACT bound, which covers every window's exact variance terms,
+    covers the int64 sums; past it the duration sums are exact Python ints.
+    """
     out = {}
     for track in movement.voices:
         pitches = np.array(track.pitches, dtype=np.int64)
         rests = pitches == 0
         abs_pitch = pitches[~rests]
+        pcs = (abs_pitch - 1) % 12 + 1
         nums = list(compress(track.durations, track.pitches))  # the notes'
         # over the lcm of the notes' reduced denominators, which divides onset_den
         g = math.gcd(track.onset_den, *nums)
         den = track.onset_den // g
         nums = [n // g for n in nums]
         in_int64 = len(nums) * max([den, *nums]) <= _INT64_EXACT
+        dur_num = np.array(nums, dtype=np.int64 if in_int64 else object)
+        matches, sds = {}, {(name, m): None for name in TRACKS for m in lengths}
+        if len(nums) >= min(lengths):
+            for name, seq, scale in (("pitch", pcs, 1), ("duration", dur_num, den)):
+                table = _windows(seq, lengths)
+                if name == "pitch":
+                    table = (table - table[:, :1]) % 12 + 1  # relative to the window's first note
+                s1, s2 = np.cumsum(table, axis=1), np.cumsum(table * table, axis=1)
+                matches[name] = np.cumsum(table == table[0], axis=1)
+                for m in lengths:
+                    if (n := len(nums) - m + 1) > 0:
+                        k1, k2 = s1[:n, m - 1], s2[:n, m - 1]
+                        var = (m * k2 - k1 * k1) / (scale * scale * m * (m - 1))
+                        sds[name, m] = np.sqrt(var.astype(float))
         out[track.voice.value] = _VoiceData(
-            pcs=(abs_pitch - 1) % 12 + 1,
+            pcs=pcs,
             abs_pitch=abs_pitch,
             dur_float=np.array([n / den for n in nums], dtype=float),
-            dur_num=np.array(nums, dtype=np.int64 if in_int64 else object),
+            dur_num=dur_num,
             dur_den=den,
             onsets=track.onsets,
             rests=rests,
             onset_den=track.onset_den,
+            matches=matches,
+            sds=sds,
         )
     return out
 
@@ -546,16 +539,17 @@ def minor_third_segment_features(
     class distance from the window's first note, summarised by seven order
     statistics plus counts of all-zero and high-proportion segments.
     """
-    high, L = MINOR_THIRD_HIGH, max(config.lengths)
-    values = []
+    high, values = MINOR_THIRD_HIGH, []
     for v in VOICE_LABELS:
         vd = data[v]
+        if vd.m_notes >= min(config.lengths):
+            table = _minor_third_counts(vd.abs_pitch, config.lengths)
         for m in config.lengths:
             n = vd.m_notes - m + 1
             if n <= 0:
                 values += [_NAN] * len(_MINOR3_DESCRIPTORS)
                 continue
-            counts = vd.running("minor_third", L)[:n, m - 1]
+            counts = table[:n, m - 1]
             props = counts / (m - 1)
             values += [
                 float(props.min()),
@@ -596,7 +590,6 @@ def _overlap_features(
     """Overlap of each voice's opening segment against its later segments:
     those starting at or before ceil(M/2) with ``first_half``, else all.
     A voice with fewer than two such segments is masked."""
-    L = max(config.lengths)
     values = []
     for v in VOICE_LABELS:
         vd = data[v]
@@ -608,7 +601,7 @@ def _overlap_features(
                 if last_start < 2:
                     values += [_NAN] * len(OVERLAP_DESCS)
                     continue
-                matches = vd.running(track, L).matches[1:last_start, m - 1]
+                matches = vd.matches[track][1:last_start, m - 1]
                 values += _overlap_stats(matches, m, total)
     return _named(category, values, config)
 
@@ -672,7 +665,7 @@ def weighted_quantile(values: Sequence, weights: Sequence, q):
 class DevelopmentThresholds:
     """Thresholds s(q) per (voice, segment length, track), ordered by quantile."""
 
-    quantiles: tuple[float, ...]
+    quantiles: ClassVar[tuple[float, ...]] = DEV_QUANTILES
     table: dict
 
     def get(self, voice: str, m: int, track: str) -> tuple[float, ...]:
@@ -699,8 +692,8 @@ class DevelopmentSdPool:
     masking the held-out rows.
     """
 
+    quantiles: ClassVar[tuple[float, ...]] = DEV_QUANTILES
     lengths: tuple[int, ...]
-    quantiles: tuple[float, ...]
     reading: str  # how thresholds() reads the pooled sds: "prose" or "literal"
     paths: tuple[str, ...]  # each row's source path ("" without metadata)
     sds: dict  # key -> every row's sds, sorted (stable: ties by row, then window)
@@ -728,7 +721,7 @@ class DevelopmentSdPool:
                 # literal reading: plain quantiles of the scaled values
                 picks = np.percentile(v * w, [100.0 * q for q in self.quantiles])
             table[key] = tuple(float(x) for x in picks)
-        return DevelopmentThresholds(quantiles=self.quantiles, table=table)
+        return DevelopmentThresholds(table=table)
 
     def count_columns(self, thresholds: DevelopmentThresholds) -> np.ndarray:
         """Threshold-count feature block for all pooled movements: per key and
@@ -767,10 +760,10 @@ def _pooled(
     if reading not in THRESHOLD_READINGS:
         raise ValueError(f"reading must be one of {THRESHOLD_READINGS}")
     parts = {(v, m, track): [] for v in VOICE_LABELS for m in lengths for track in TRACKS}
-    L, paths = max(lengths), []
+    paths = []
     for path, data in movements:
         for (v, m, track), arrays in parts.items():
-            sds = data[v].window_sds(track, m, L)
+            sds = data[v].sds[track, m]
             arrays.append(sds if sds is not None else np.empty(0, dtype=float))
         paths.append(path)
     sorted_sds, rows, sizes = {}, {}, {}
@@ -783,7 +776,7 @@ def _pooled(
         sorted_sds[key] = pooled[order]
         rows[key] = np.repeat(np.arange(len(paths), dtype=np.int32), sizes[key])[order]
     return DevelopmentSdPool(
-        lengths=tuple(lengths), quantiles=DEV_QUANTILES, reading=reading, paths=tuple(paths),
+        lengths=tuple(lengths), reading=reading, paths=tuple(paths),
         sds=sorted_sds, rows=rows, sizes=sizes,
     )
 
@@ -793,7 +786,9 @@ def build_development_pool(
 ) -> DevelopmentSdPool:
     """The development pool of ``corpus``, any iterable of movements, taken
     one movement at a time without listing it."""
-    pairs = ((mv.meta.source_path if mv.meta else "", _voice_data(mv)) for mv in corpus)
+    pairs = (
+        (mv.meta.source_path if mv.meta else "", _voice_data(mv, config.lengths)) for mv in corpus
+    )
     return _pooled(pairs, config.lengths, reading)
 
 
@@ -807,11 +802,11 @@ def development_features(
     counts of windows at or above each corpus-level threshold come from
     ``DevelopmentSdPool.count_columns``.
     """
-    L, values = max(config.lengths), []
+    values = []
     for v in VOICE_LABELS:
         for m in config.lengths:
             for track in TRACKS:
-                sds = data[v].window_sds(track, m, L)
+                sds = data[v].sds[track, m]
                 if sds is None:
                     values += [_NAN] * len(_DEV_MAXIMA)
                     continue
@@ -854,7 +849,7 @@ def extract_all(
     def threshold_free(movement):
         if movement.meta is None:
             raise ValueError("every movement needs metadata for matrix assembly")
-        data = _voice_data(movement)
+        data = _voice_data(movement, config.lengths)
         feats = basic_summary(movement, data)
         feats.update(pairwise_interval_features(data))
         feats.update(minor_third_segment_features(data, config))

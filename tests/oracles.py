@@ -406,6 +406,8 @@ def weighted_quantile_loop_oracle(values, weights, q):
 def thresholds_from_json(payload):
     """DevelopmentThresholds back from its thresholds.json form."""
     quantiles = tuple(float(q) for q in payload["quantiles"])
+    if quantiles != DevelopmentThresholds.quantiles:
+        raise ValueError(f"thresholds.json quantiles {quantiles} are not the library's")
     table = {}
     for track, by_m in payload["thresholds"].items():
         for m, by_voice in by_m.items():
@@ -413,13 +415,14 @@ def thresholds_from_json(payload):
                 table[(voice, int(m), track)] = tuple(
                     float(by_q[f"{q:.2f}"]) for q in quantiles
                 )
-    return DevelopmentThresholds(quantiles=quantiles, table=table)
+    return DevelopmentThresholds(table=table)
 
 
 # ---------------------------------------------------------------------------
 # Per-length window reference: the library's per-voice data, with each
 # length-m window matrix built on its own and summed again, where the library
-# reads every length from one prefix-sum table per voice and track.
+# reads every length from one prefix-sum table per voice and track, built
+# once for the whole length set.
 # ---------------------------------------------------------------------------
 
 
@@ -481,7 +484,7 @@ def minor_third_counts_reference(vd, m):
 def window_sds_by_row(movements, lengths):
     """(voice, m, track) -> one array of window sds per movement, in the
     library pool's key order; empty where the voice is shorter than m."""
-    data = [_voice_data(mv) for mv in movements]
+    data = [_voice_data(mv, lengths) for mv in movements]
     out = {}
     for v in VOICES:
         for m in lengths:

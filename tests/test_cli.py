@@ -687,6 +687,24 @@ class TestCvEntryPoints:
         assert err.startswith("error: ") and repr(first.split(",")[0]) in err
         assert not (tmp_path / "o" / "cv_result.json").exists()
 
+    def test_blank_lines_in_the_feature_csv_are_skipped(self, tmp_path):
+        _, csvs, _ = self.corpus_and_csvs(tmp_path)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["cv", *csvs, *self.MODEL, "--out", str(a)]) == 0
+        features = Path(csvs[1])
+        header, first, *rows = features.read_text().splitlines()
+        features.write_text("\n".join([header, "", first, *rows]) + "\n\n")
+        assert main(["cv", *csvs, *self.MODEL, "--out", str(b)]) == 0
+        assert (a / "cv_result.json").read_bytes() == (b / "cv_result.json").read_bytes()
+
+    def test_empty_feature_csv_fails_with_an_error(self, tmp_path, capsys):
+        _, csvs, _ = self.corpus_and_csvs(tmp_path)
+        Path(csvs[1]).write_text("")
+        rc = main(["cv", *csvs, *self.MODEL, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: feature CSV {csvs[1]} is empty\n"
+        assert not (tmp_path / "o").exists()
+
     def test_repeated_meta_rows_fail(self, tmp_path, capsys):
         fp, mp = toy_feature_csvs(tmp_path)
         header, first, *rows = mp.read_text().splitlines()

@@ -1,12 +1,16 @@
 import dataclasses
 import json
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
 
 import oracles
 import synth
+from quartet_attrib import evaluation
 from quartet_attrib import selection as selection_mod
 from quartet_attrib.evaluation import (
     CUTOFF_GRID,
@@ -613,7 +617,13 @@ class TestLeakageAudit:
         assert not any(f.failed for f in result.folds)
         assert result.config["leakage_audit"] is True
 
-    def test_parallel_leakage_audit_matches_serial(self):
+    @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+    def test_parallel_leakage_audit_matches_serial(self, method, monkeypatch):
+        """The workers' results do not depend on how they are started."""
+        context = multiprocessing.get_context(method)
+        monkeypatch.setattr(
+            evaluation, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=context)
+        )
         rng = np.random.default_rng(41)
         matrix, pool = self._corpus_matrix(rng)
         config = CVConfig(scheme=Scheme.LOO, seed=1, restarts=2,

@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -40,7 +41,6 @@ SMALL = SegmentConfig(lengths=(8, 10))
 
 #: Generic thresholds used when a test needs development counts without a corpus.
 FLAT_THRESHOLDS = DevelopmentThresholds(
-    quantiles=(0.70, 0.80, 0.90, 0.95),
     table={
         (v, m, track): (0.5, 1.0, 2.0, 3.0)
         for v in ("Violin1", "Violin2", "Viola", "Cello")
@@ -50,9 +50,10 @@ FLAT_THRESHOLDS = DevelopmentThresholds(
 )
 
 
-def voice_data(mv):
-    """A movement's shared per-voice data, which every feature family reads."""
-    return features._voice_data(mv)
+def voice_data(mv, lengths=CONFIG.lengths):
+    """A movement's shared per-voice data, which every feature family reads,
+    with its window tables for ``lengths`` (any subset of them can be read)."""
+    return features._voice_data(mv, lengths)
 
 
 def development_with_counts(mv, thresholds, config):
@@ -60,7 +61,7 @@ def development_with_counts(mv, thresholds, config):
     given thresholds, taken from a one-movement pool."""
     pool = build_development_pool([mv], config)
     counts = dict(zip(oracles.count_labels(config.lengths), pool.count_columns(thresholds)[0]))
-    return {**development_features(voice_data(mv), config), **counts}
+    return {**development_features(voice_data(mv, config.lengths), config), **counts}
 
 
 def close(a, b, tol=1e-12):
@@ -430,7 +431,6 @@ class TestHugeDurationDenominators:
     bit."""
 
     THRESHOLDS = DevelopmentThresholds(
-        quantiles=FLAT_THRESHOLDS.quantiles,
         table={
             key: (0.5, 1.0, 2.0, 3.0) if key[2] == "pitch" else (0.02, 0.04, 0.06, 0.08)
             for key in FLAT_THRESHOLDS.table
@@ -536,9 +536,9 @@ class TestDurationColumns:
 
 class TestPrefixTables:
     """Every segment length read from one prefix-sum table per voice and
-    track equals the per-length reference of tests/oracles.py bit for bit:
-    window sds, the opening window's matches up to both overlap cut-offs,
-    and minor-third counts."""
+    track, built for the whole length set, equals the per-length reference
+    of tests/oracles.py bit for bit: window sds, the opening window's
+    matches up to both overlap cut-offs, and minor-third counts."""
 
     LENGTHS = [CONFIG.lengths, (2, 5, 13), (13, 2, 5), (3,), (18, 8), (8, 5000)]
 
@@ -560,7 +560,7 @@ class TestPrefixTables:
         for mv in self.movements():
             for lengths in self.LENGTHS:
                 L = max(lengths)
-                for vd in voice_data(mv).values():  # fresh tables for every length set
+                for vd in voice_data(mv, lengths).values():  # fresh tables for every length set
                     seen["below_shortest"] |= 0 < vd.m_notes < min(lengths)
                     seen["between"] |= min(lengths) <= vd.m_notes < L
                     seen["one_note"] |= vd.m_notes == 1
@@ -569,7 +569,7 @@ class TestPrefixTables:
                     for m in lengths:
                         n = vd.m_notes - m + 1
                         for track in ("pitch", "duration"):
-                            got = vd.window_sds(track, m, L)
+                            got = vd.sds[track, m]
                             want = oracles.window_sds_reference(vd, track, m)
                             if want is None:
                                 assert got is None and n <= 0
@@ -579,33 +579,39 @@ class TestPrefixTables:
                             for last in (min(half, n), n):  # exposition, recapitulation
                                 if last < 2:
                                     continue
-                                got = vd.running(track, L).matches[1:last, m - 1]
+                                got = vd.matches[track][1:last, m - 1]
                                 want = oracles.overlap_matches_reference(vd, track, m, last)
                                 assert got.dtype == want.dtype and np.array_equal(got, want)
                                 seen["match_tie"] |= (got == got.max()).sum() > 1
                         if n > 0:
-                            got = vd.running("minor_third", L)[:n, m - 1]
+                            got = features._minor_third_counts(vd.abs_pitch, lengths)[:n, m - 1]
                             want = oracles.minor_third_counts_reference(vd, m)
                             assert got.dtype == want.dtype and np.array_equal(got, want)
         assert all(seen.values()), seen
 
     def test_tables_are_no_wider_than_the_voice(self):
         """A table holds one row per note and at most one column per note,
-        however long the longest segment length."""
+        however long the longest segment length; a voice without a window
+        of the shortest length has no match tables and no sds."""
         for mv in self.movements():
-            for vd in voice_data(mv).values():
-                for track in ("pitch", "duration", "minor_third"):
-                    for L in (2, 18, 5000):
-                        if vd.m_notes:
-                            table = vd.running(track, L)
-                            table = table if track == "minor_third" else table.s1
-                            assert table.shape == (vd.m_notes, min(L, vd.m_notes))
+            for lengths in ((2,), (18, 2), (2, 5000)):
+                for vd in voice_data(mv, lengths).values():
+                    has_window = vd.m_notes >= 2
+                    assert set(vd.matches) == (set(features.TRACKS) if has_window else set())
+                    assert {k for k, sds in vd.sds.items() if sds is not None} <= {
+                        (track, m) for track in features.TRACKS for m in lengths if m <= vd.m_notes
+                    }
+                    tables = list(vd.matches.values())
+                    if vd.m_notes:
+                        tables.append(features._minor_third_counts(vd.abs_pitch, lengths))
+                    for table in tables:
+                        assert table.shape == (vd.m_notes, min(max(lengths), vd.m_notes))
 
     def test_families_on_the_edge_cases_equal_the_scalar_oracles(self):
         for mv in self.movements():
             for lengths in self.LENGTHS:
                 config = SegmentConfig(lengths)
-                data = voice_data(mv)
+                data = voice_data(mv, lengths)
                 # the oracle's Python-sum means and sds round apart from numpy's
                 for family, oracle, tol in (
                     (exposition_features, oracles.exposition_oracle, 0.0),
@@ -827,6 +833,21 @@ class TestMatrixIO:
         with pytest.raises(ValueError, match=r"'r1\.krn' has 4 fields, the header has 5"):
             FeatureMatrix.from_csv(fp, mp)
 
+    @pytest.mark.parametrize(
+        "paths",
+        [("r0.krn", ""), ("r0.krn", " "), ("r0.krn", " r1.krn"), ("r1.krn", "r0.krn", "r0.krn")],
+        ids=["empty", "blank", "padded", "repeated"],
+    )
+    def test_rows_that_would_not_read_back_are_refused_before_writing(self, tmp_path, paths):
+        """The sidecar reader strips paths and skips blank ones, and the
+        feature reader refuses a repeated row."""
+        rows = [synth.make_meta(path=path, quartet=f"q{i}") for i, path in enumerate(paths)]
+        matrix = FeatureMatrix(rows, feature_names(SMALL)[:4], np.ones((len(rows), 4)))
+        message = f"row {len(rows) - 1} has a blank, padded or repeated source path {paths[-1]!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            matrix.to_csv(tmp_path / "f.csv", tmp_path / "m.csv")
+        assert list(tmp_path.iterdir()) == []
+
     def test_select_rows_columns(self):
         rng = np.random.default_rng(30)
         corpus = [synth.random_movement(rng, meta=synth.make_meta(path=f"{i}")) for i in range(4)]
@@ -923,40 +944,49 @@ class TestOnePass:
             for i in range(n)
         ]
 
-    def test_voice_data_and_tables_built_once_per_movement(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "build, tracks",
+        [
+            ("extract_all", ("pitch", "duration", "minor3")),
+            ("build_development_pool", ("pitch", "duration")),  # it reads no minor third
+        ],
+        ids=["extract_all", "build_development_pool"],
+    )
+    def test_voice_data_and_tables_built_once_per_movement(self, monkeypatch, build, tracks):
         corpus = self.corpus(32)
-        calls = {"voice_data": 0, "tables": []}
-        real_data, real_sums = features._voice_data, features._running_sums
+        built, tables = [], []  # every movement's voice data; every table's column
+        real_data, real_windows = features._voice_data, features._windows
 
-        def voice_data(movement):
-            calls["voice_data"] += 1
-            return real_data(movement)
+        def voice_data(movement, lengths):
+            assert lengths == SMALL.lengths
+            built.append(real_data(movement, lengths))
+            return built[-1]
 
-        def running_sums(vd, track, L):
-            calls["tables"].append((calls["voice_data"], id(vd), track, L))
-            return real_sums(vd, track, L)
+        def windows(seq, lengths):
+            assert lengths == SMALL.lengths
+            tables.append(seq)
+            return real_windows(seq, lengths)
 
         monkeypatch.setattr(features, "_voice_data", voice_data)
-        monkeypatch.setattr(features, "_running_sums", running_sums)
-        extract_all(corpus, SMALL)
-        assert calls["voice_data"] == len(corpus)
-        # one table per voice and track, at the longest length, for every
-        # voice with a window: pitch, duration and the minor-third count
-        assert len(calls["tables"]) == len(set(calls["tables"]))
-        assert {L for *_, L in calls["tables"]} == {max(SMALL.lengths)}
-        per_movement = [
-            sorted(track for i, _, track, _ in calls["tables"] if i == k + 1)
-            for k in range(len(corpus))
-        ]
+        monkeypatch.setattr(features, "_windows", windows)
+        getattr(features, build)(corpus, SMALL)
+        assert len(built) == len(corpus)
+        # one table per voice and track for every voice with a window
+        column = {
+            id(getattr(vd, attr)): (k, v, track)
+            for k, data in enumerate(built)
+            for v, vd in data.items()
+            for attr, track in (("pcs", "pitch"), ("dur_num", "duration"), ("abs_pitch", "minor3"))
+        }
         voices = ("Violin1", "Violin2", "Viola", "Cello")
-        assert per_movement == [
-            sorted(
-                ["duration", "minor_third", "pitch"]
-                * sum(len(oracles.notes_of(mv, v)) >= min(SMALL.lengths) for v in voices)
-            )
-            for mv in corpus
-        ]
-        assert 0 < len(calls["tables"]) < len(corpus) * 4 * 3  # some voices are too short
+        assert sorted(column[id(seq)] for seq in tables) == sorted(
+            (k, v, track)
+            for k, mv in enumerate(corpus)
+            for v in voices
+            if len(oracles.notes_of(mv, v)) >= min(SMALL.lengths)
+            for track in tracks
+        )
+        assert 0 < len(tables) < len(corpus) * 4 * len(tracks)  # some voices are too short
 
     @pytest.mark.parametrize("build", ["extract_all", "build_development_pool"])
     def test_one_movement_at_a_time(self, build):
@@ -1011,7 +1041,7 @@ class TestOnePass:
         assert pool.reading == "literal"
 
     def test_unknown_reading_fails_before_any_movement(self, monkeypatch):
-        def voice_data(movement):
+        def voice_data(movement, lengths):
             raise AssertionError("a movement was prepared before the reading was checked")
 
         monkeypatch.setattr(features, "_voice_data", voice_data)

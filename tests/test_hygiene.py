@@ -109,12 +109,16 @@ def _set_params(func: ast.FunctionDef, calls: dict[str, list[ast.Call]]) -> set[
 
 def _public_dataclasses(tree: ast.Module):
     """(class, its fields in order, the defaulted ones) of each public
-    dataclass defined at module level."""
+    dataclass defined at module level; a ClassVar is not a field."""
     for cls in tree.body:
         if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_") and any(
             ast.unparse(d).split("(")[0].endswith("dataclass") for d in cls.decorator_list
         ):
-            body = [n for n in cls.body if isinstance(n, ast.AnnAssign)]
+            body = [
+                n for n in cls.body
+                if isinstance(n, ast.AnnAssign)
+                and not ast.unparse(n.annotation).startswith("ClassVar")
+            ]
             yield cls, [n.target.id for n in body], {n.target.id for n in body if n.value}
 
 
