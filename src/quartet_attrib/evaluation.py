@@ -27,6 +27,7 @@ from .features import (
     parse_label,
 )
 from .glm import PriorConfig
+from .score import Composer
 from .selection import SelectionResult
 
 logger = logging.getLogger(__name__)
@@ -233,15 +234,18 @@ def _make_folds(matrix: FeatureMatrix, scheme: Scheme) -> list[_FoldSpec]:
             _FoldSpec(meta.source_path or f"row{i}", (i,))
             for i, meta in enumerate(matrix.rows)
         ]
-    groups: dict[tuple[int, str], list[int]] = {}
+    groups: dict[tuple[Composer, str], list[int]] = {}
     for i, meta in enumerate(matrix.rows):
         if not meta.quartet_id:
             raise ConfigurationError(
                 "leave-one-quartet-out needs a quartet_id for every movement"
             )
-        groups.setdefault((int(meta.composer), meta.quartet_id), []).append(i)
+        groups.setdefault((Composer(int(meta.composer)), meta.quartet_id), []).append(i)
+    # a quartet id both composers use names its two folds by composer
+    shared = {q for c, q in groups if (Composer(1 - c), q) in groups}
     return [
-        _FoldSpec(quartet_id, tuple(idx)) for (_, quartet_id), idx in groups.items()
+        _FoldSpec(f"{c.name.lower()}/{q}" if q in shared else q, tuple(idx))
+        for (c, q), idx in groups.items()
     ]
 
 

@@ -1,11 +1,12 @@
 """Movement-level feature extraction and corpus feature-matrix assembly.
 
-Five feature families are computed per movement: basic summary, interval,
-exposition, development and recapitulation.  The full set holds 1182
-features (22 + 392 + 240 + 288 + 240).  Sonata-style segment features are
-computed for segment lengths 8..18 on both pitch and duration tracks;
-pitch segments are first re-expressed relative to their opening note so
-transposed phrases compare equal.
+Six feature families are computed per movement, each from the movement's
+prepared data alone, in five categories: basic summary, interval (pairwise
+and minor-third segment), exposition, development and recapitulation.  The
+full set holds 1182 features (22 + 392 + 240 + 288 + 240).  Sonata-style
+segment features are computed for segment lengths 8..18 on both pitch and
+duration tracks; pitch segments are first re-expressed relative to their
+opening note so transposed phrases compare equal.
 """
 
 from __future__ import annotations
@@ -203,9 +204,9 @@ def _labels(lengths: Sequence[int], family: str) -> tuple[str, ...]:
     return _layout(tuple(lengths))[1][family]
 
 
-def _named(family: str, values: list, config: SegmentConfig = SegmentConfig()) -> dict:
+def _named(family: str, values: list, lengths: tuple[int, ...]) -> dict:
     """A family's values, given in its block order, keyed by their labels."""
-    return dict(zip(_labels(config.lengths, family), values, strict=True))
+    return dict(zip(_labels(lengths, family), values, strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +356,6 @@ class _VoiceData:
     pcs: np.ndarray  # pitch classes 1..12, rests removed
     abs_pitch: np.ndarray  # absolute pitches 1..132
     dur_float: np.ndarray
-    # integer numerators over the voice's common denominator; equal
-    # durations have equal numerators, which is all window matching needs
-    dur_num: np.ndarray
-    dur_den: int
     # every event's onset, rests included, as an integer numerator over
     # onset_den, and whether the voice rests there (the track's columns)
     onsets: tuple[int, ...]
@@ -390,15 +387,26 @@ def _minor_third_counts(abs_pitch: np.ndarray, lengths: Sequence[int]) -> np.nda
     return np.cumsum(np.abs(table - table[:, :1]) % 12 == 3, axis=1)
 
 
-def _voice_data(movement: EncodedMovement, lengths: Sequence[int]) -> dict[str, _VoiceData]:
-    """Per-voice arrays of the window features, from each voice's columns,
-    with the tables for the segment ``lengths`` built once, only for a voice
-    with a window of the shortest length; the families and the pool read
-    only these.
+class _MovementData(NamedTuple):
+    """A movement's prepared data, the only input of the families and the
+    pool: its source path ("" without metadata), the segment lengths its
+    window tables were built for, and each voice's data."""
 
-    A track's ``_windows`` table is summed along its rows, so column m - 1
-    of row i sums the length-m window at note i; a length-m read takes rows
-    0..N-m only and never reaches the padding.  A window's sd comes from the
+    source: str
+    lengths: tuple[int, ...]
+    voices: dict[str, _VoiceData]
+
+
+def _voice_data(movement: EncodedMovement, lengths: Sequence[int]) -> _MovementData:
+    """The movement's prepared data: per-voice arrays of the window features,
+    from each voice's columns, with the tables for the segment ``lengths``
+    built once, only for a voice with a window of the shortest length.
+
+    Durations are integer numerators over the voice's common denominator;
+    equal durations have equal numerators, which is all window matching
+    needs.  A track's ``_windows`` table is summed along its rows, so column
+    m - 1 of row i sums the length-m window at note i; a length-m read takes
+    rows 0..N-m only and never reaches the padding.  A window's sd comes from the
     exact variance identity, (m * sum(k^2) - (sum k)^2) / (den^2 * m * (m - 1))
     for k/den values, in integers with the quotient rounded once: bitwise
     identical for any reordering of equal value multisets, so location
@@ -437,15 +445,14 @@ def _voice_data(movement: EncodedMovement, lengths: Sequence[int]) -> dict[str, 
             pcs=pcs,
             abs_pitch=abs_pitch,
             dur_float=np.array([n / den for n in nums], dtype=float),
-            dur_num=dur_num,
-            dur_den=den,
             onsets=track.onsets,
             rests=rests,
             onset_den=track.onset_den,
             matches=matches,
             sds=sds,
         )
-    return out
+    source = movement.meta.source_path if movement.meta is not None else ""
+    return _MovementData(source, tuple(lengths), out)
 
 
 def _sd(x) -> float:
@@ -460,32 +467,30 @@ def _sd(x) -> float:
 # ---------------------------------------------------------------------------
 
 
-def basic_summary(movement: EncodedMovement, data: dict[str, _VoiceData]) -> dict[str, float]:
+def basic_summary(data: _MovementData) -> dict[str, float]:
     """Per-voice note counts and duration/pitch summaries plus the two
-    all-four-voices simultaneity proportions, all from the per-voice data;
-    ``movement`` only names the movement in an EmptyVoice error."""
+    all-four-voices simultaneity proportions."""
     values = []
     for v in VOICE_LABELS:
-        vd = data[v]
+        vd = data.voices[v]
         if not vd.m_notes:
-            source = movement.meta.source_path if movement.meta is not None else "<string>"
-            raise EmptyVoice(f"{source}: voice {v} has no notes")
+            raise EmptyVoice(f"{data.source or '<string>'}: voice {v} has no notes")
         mean_duration, mean_pitch = float(np.mean(vd.dur_float)), float(np.mean(vd.pcs))
         values += [float(vd.m_notes), mean_duration, _sd(vd.dur_float), mean_pitch, _sd(vd.pcs)]
 
     # each voice's onsets as integer numerators over the lcm of the voices'
     # denominators, mapped to its rest flag there (the last event at an onset wins)
-    den = math.lcm(*(vd.onset_den for vd in data.values()))
+    den = math.lcm(*(vd.onset_den for vd in data.voices.values()))
     first, *others = (
         dict(zip(map((den // vd.onset_den).__mul__, vd.onsets), vd.rests.tolist()))
-        for vd in data.values()
+        for vd in data.voices.values()
     )
     n_onsets = len(set(first).union(*others))
     shared = [r for t, r in first.items() if all(t in d and d[t] == r for d in others)]
     all_rest = sum(shared)
     all_note = len(shared) - all_rest
     values += [all_note / n_onsets, all_rest / n_onsets] if n_onsets else [_NAN] * 2
-    return _named("basic", values)
+    return _named("basic", values, data.lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +498,7 @@ def basic_summary(movement: EncodedMovement, data: dict[str, _VoiceData]) -> dic
 # ---------------------------------------------------------------------------
 
 
-def pairwise_interval_features(data: dict[str, _VoiceData]) -> dict[str, float]:
+def pairwise_interval_features(data: _MovementData) -> dict[str, float]:
     """Consecutive-note interval features on the full 1..132 pitch scale.
 
     Per voice: the 12 interval-class proportions, 3 sign proportions,
@@ -503,7 +508,7 @@ def pairwise_interval_features(data: dict[str, _VoiceData]) -> dict[str, float]:
     """
     steps_block, summaries, stats = [], [], {}
     for v in VOICE_LABELS:
-        vd = data[v]
+        vd = data.voices[v]
         if vd.m_notes < 2:
             stats[v] = None
             steps_block += [_NAN] * len(_STEP_DESCRIPTORS)
@@ -527,24 +532,22 @@ def pairwise_interval_features(data: dict[str, _VoiceData]) -> dict[str, float]:
             continue
         (mean_a, sd_a, props_a), (mean_b, sd_b, props_b) = stats[a], stats[b]
         pairs += [mean_a - mean_b, sd_a - sd_b, *(props_a - props_b).tolist()]
-    return _named("pairwise", steps_block + summaries + pairs)
+    return _named("pairwise", steps_block + summaries + pairs, data.lengths)
 
 
-def minor_third_segment_features(
-    data: dict[str, _VoiceData], config: SegmentConfig = SegmentConfig()
-) -> dict[str, float]:
+def minor_third_segment_features(data: _MovementData) -> dict[str, float]:
     """Summary statistics of per-segment minor-third proportions.
 
     Within each length-m window the proportion of notes at a 3-semitone
     class distance from the window's first note, summarised by seven order
     statistics plus counts of all-zero and high-proportion segments.
     """
-    high, values = MINOR_THIRD_HIGH, []
+    high, lengths, values = MINOR_THIRD_HIGH, data.lengths, []
     for v in VOICE_LABELS:
-        vd = data[v]
-        if vd.m_notes >= min(config.lengths):
-            table = _minor_third_counts(vd.abs_pitch, config.lengths)
-        for m in config.lengths:
+        vd = data.voices[v]
+        if vd.m_notes >= min(lengths):
+            table = _minor_third_counts(vd.abs_pitch, lengths)
+        for m in lengths:
             n = vd.m_notes - m + 1
             if n <= 0:
                 values += [_NAN] * len(_MINOR3_DESCRIPTORS)
@@ -560,7 +563,7 @@ def minor_third_segment_features(
                 float((counts == 0).sum()),
                 float((counts * high.denominator >= high.numerator * (m - 1)).sum()),
             ]
-    return _named("minor_third", values, config)
+    return _named("minor_third", values, lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -584,17 +587,15 @@ def _overlap_stats(matches: np.ndarray, m: int, total: int) -> tuple[float, ...]
     return (best / m, (pos + 2) / total, *counts)
 
 
-def _overlap_features(
-    category: str, data: dict[str, _VoiceData], config: SegmentConfig, first_half: bool
-) -> dict[str, float]:
+def _overlap_features(category: str, data: _MovementData, first_half: bool) -> dict[str, float]:
     """Overlap of each voice's opening segment against its later segments:
     those starting at or before ceil(M/2) with ``first_half``, else all.
     A voice with fewer than two such segments is masked."""
     values = []
     for v in VOICE_LABELS:
-        vd = data[v]
+        vd = data.voices[v]
         half = (vd.m_notes + 1) // 2
-        for m in config.lengths:
+        for m in data.lengths:
             total = vd.m_notes - m + 1
             last_start = min(half, total) if first_half else total
             for track in TRACKS:
@@ -603,25 +604,21 @@ def _overlap_features(
                     continue
                 matches = vd.matches[track][1:last_start, m - 1]
                 values += _overlap_stats(matches, m, total)
-    return _named(category, values, config)
+    return _named(category, values, data.lengths)
 
 
-def exposition_features(
-    data: dict[str, _VoiceData], config: SegmentConfig = SegmentConfig()
-) -> dict[str, float]:
+def exposition_features(data: _MovementData) -> dict[str, float]:
     """Overlap of the opening segment against segments in the first half.
 
     The first half covers segments starting at or before ceil(M/2); a voice
     needs at least two segments there, otherwise its cells are masked.
     """
-    return _overlap_features("exposition", data, config, first_half=True)
+    return _overlap_features("exposition", data, first_half=True)
 
 
-def recapitulation_features(
-    data: dict[str, _VoiceData], config: SegmentConfig = SegmentConfig()
-) -> dict[str, float]:
+def recapitulation_features(data: _MovementData) -> dict[str, float]:
     """Overlap of the opening segment against all subsequent segments."""
-    return _overlap_features("recapitulation", data, config, first_half=False)
+    return _overlap_features("recapitulation", data, first_half=False)
 
 
 # ---------------------------------------------------------------------------
@@ -752,20 +749,19 @@ class DevelopmentSdPool:
 
 
 def _pooled(
-    movements: Iterable[tuple[str, dict[str, _VoiceData]]], lengths: Sequence[int], reading: str
+    movements: Iterable[_MovementData], lengths: Sequence[int], reading: str
 ) -> DevelopmentSdPool:
-    """The pool of the window sds of ``movements``' (source path, per-voice
-    data) pairs, taken one movement at a time; the reading is checked
-    before the first."""
+    """The pool of the window sds of ``movements``' prepared data, taken one
+    movement at a time; the reading is checked before the first."""
     if reading not in THRESHOLD_READINGS:
         raise ValueError(f"reading must be one of {THRESHOLD_READINGS}")
     parts = {(v, m, track): [] for v in VOICE_LABELS for m in lengths for track in TRACKS}
     paths = []
-    for path, data in movements:
+    for data in movements:
         for (v, m, track), arrays in parts.items():
-            sds = data[v].sds[track, m]
+            sds = data.voices[v].sds[track, m]
             arrays.append(sds if sds is not None else np.empty(0, dtype=float))
-        paths.append(path)
+        paths.append(data.source)
     sorted_sds, rows, sizes = {}, {}, {}
     for key in list(parts):
         arrays = parts.pop(key)
@@ -786,15 +782,11 @@ def build_development_pool(
 ) -> DevelopmentSdPool:
     """The development pool of ``corpus``, any iterable of movements, taken
     one movement at a time without listing it."""
-    pairs = (
-        (mv.meta.source_path if mv.meta else "", _voice_data(mv, config.lengths)) for mv in corpus
-    )
-    return _pooled(pairs, config.lengths, reading)
+    data = (_voice_data(mv, config.lengths) for mv in corpus)
+    return _pooled(data, config.lengths, reading)
 
 
-def development_features(
-    data: dict[str, _VoiceData], config: SegmentConfig = SegmentConfig()
-) -> dict[str, float]:
+def development_features(data: _MovementData) -> dict[str, float]:
     """Within-window variability features.
 
     Per voice, window length and track: the maximum window standard
@@ -804,15 +796,15 @@ def development_features(
     """
     values = []
     for v in VOICE_LABELS:
-        for m in config.lengths:
+        for m in data.lengths:
             for track in TRACKS:
-                sds = data[v].sds[track, m]
+                sds = data.voices[v].sds[track, m]
                 if sds is None:
                     values += [_NAN] * len(_DEV_MAXIMA)
                     continue
                 pos = int(np.argmax(sds))  # first occurrence on ties
                 values += [float(sds[pos]), (pos + 1) / len(sds)]
-    return _named("development", values, config)
+    return _named("development", values, data.lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -850,17 +842,16 @@ def extract_all(
         if movement.meta is None:
             raise ValueError("every movement needs metadata for matrix assembly")
         data = _voice_data(movement, config.lengths)
-        feats = basic_summary(movement, data)
-        feats.update(pairwise_interval_features(data))
-        feats.update(minor_third_segment_features(data, config))
-        feats.update(exposition_features(data, config))
-        feats.update(development_features(data, config))
-        feats.update(recapitulation_features(data, config))
         row = np.full(len(names), _NAN)  # the pool fills the count columns
-        row[[position[lbl] for lbl in feats]] = list(feats.values())
+        for family in (  # looked up per call, so a family wrapped in the module is called
+            basic_summary, pairwise_interval_features, minor_third_segment_features,
+            exposition_features, development_features, recapitulation_features,
+        ):
+            feats = family(data)
+            row[[position[lbl] for lbl in feats]] = list(feats.values())
         metas.append(movement.meta)
         rows.append(row)
-        return movement.meta.source_path, data
+        return data
 
     pool = _pooled(map(threshold_free, corpus), config.lengths, threshold_reading)
     if not rows:

@@ -24,7 +24,6 @@ from quartet_attrib.features import (
     LengthMismatch,
     SegmentConfig,
     _INT64_EXACT,
-    _voice_data,
     feature_names,
 )
 from quartet_attrib.score import (
@@ -135,10 +134,11 @@ def notes_of(movement, voice):
 
 
 def duration_columns_oracle(track):
-    """(dur_den, dur_num, dur_float) of a voice's notes as features._voice_data
-    reads them, built from Fractions: each duration reduced to its integer
-    ratio, put over the lcm of the reduced denominators, the numerators in
-    int64 while the voice stays within _INT64_EXACT, else Python ints."""
+    """(denominator, numerators, floats) of a voice's note durations as
+    features._voice_data reads them, built from Fractions: each duration
+    reduced to its integer ratio, put over the lcm of the reduced
+    denominators, the numerators in int64 while the voice stays within
+    _INT64_EXACT, else Python ints."""
     fracs = [Fraction(d, track.onset_den) for p, d in zip(track.pitches, track.durations) if p]
     den = math.lcm(*(f.denominator for f in fracs))
     nums = [f.numerator * (den // f.denominator) for f in fracs]
@@ -419,10 +419,10 @@ def thresholds_from_json(payload):
 
 
 # ---------------------------------------------------------------------------
-# Per-length window reference: the library's per-voice data, with each
-# length-m window matrix built on its own and summed again, where the library
-# reads every length from one prefix-sum table per voice and track, built
-# once for the whole length set.
+# Per-length window reference: a voice's notes read from its columns, with
+# each length-m window matrix built on its own and summed again, where the
+# library reads every length from one prefix-sum table per voice and track,
+# built once for the whole length set.
 # ---------------------------------------------------------------------------
 
 
@@ -436,10 +436,20 @@ def relative_windows(pcs, m):
     return (w - w[:, :1]) % 12 + 1
 
 
-def track_windows(vd, track, m):
-    """The voice data's length-m windows of ``track``; None when the voice
-    is shorter."""
-    seq = vd.pcs if track == "pitch" else vd.dur_num
+def note_columns(part, track):
+    """A voice's notes on ``track`` and their denominator: the pitch classes
+    1..12 over 1, or the duration numerators over the denominator of
+    duration_columns_oracle."""
+    if track == "pitch":
+        return np.array([(p - 1) % 12 + 1 for p in part.pitches if p], dtype=np.int64), 1
+    den, nums, _ = duration_columns_oracle(part)
+    return nums, den
+
+
+def track_windows(part, track, m):
+    """The voice's length-m windows of ``track``; None when the voice is
+    shorter."""
+    seq, _ = note_columns(part, track)
     if len(seq) < m:
         return None
     return relative_windows(seq, m) if track == "pitch" else _sliding(seq, m)
@@ -456,16 +466,16 @@ def exact_window_sd(windows, denominator=1):
     return np.sqrt(var.astype(float))
 
 
-def window_sds_reference(vd, track, m):
+def window_sds_reference(part, track, m):
     """The sds of the track's length-m windows; None when the voice is shorter."""
-    w = track_windows(vd, track, m)
-    return None if w is None else exact_window_sd(w, 1 if track == "pitch" else vd.dur_den)
+    w = track_windows(part, track, m)
+    return None if w is None else exact_window_sd(w, note_columns(part, track)[1])
 
 
-def overlap_matches_reference(vd, track, m, last_start):
+def overlap_matches_reference(part, track, m, last_start):
     """Matches of the opening length-m window with the windows starting at
     2..last_start."""
-    w = track_windows(vd, track, m)
+    w = track_windows(part, track, m)
     return (w[1:last_start] == w[0]).sum(axis=1)
 
 
@@ -484,12 +494,12 @@ def minor_third_counts_reference(vd, m):
 def window_sds_by_row(movements, lengths):
     """(voice, m, track) -> one array of window sds per movement, in the
     library pool's key order; empty where the voice is shorter than m."""
-    data = [_voice_data(mv, lengths) for mv in movements]
+    parts = [{part.voice.value: part for part in mv.voices} for mv in movements]
     out = {}
     for v in VOICES:
         for m in lengths:
             for track in ("pitch", "duration"):
-                sds = [window_sds_reference(d[v], track, m) for d in data]
+                sds = [window_sds_reference(p[v], track, m) for p in parts]
                 out[(v, m, track)] = [np.empty(0) if a is None else a for a in sds]
     return out
 

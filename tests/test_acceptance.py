@@ -134,13 +134,13 @@ def test_criterion_3_oracle_equivalence_suite():
         data = voice_data(mv)
         pairs = [
             (pairwise_interval_features(data), oracles.pairwise_oracle(mv)),
-            (minor_third_segment_features(data, config), oracles.minor3_oracle(mv, config.lengths)),
-            (exposition_features(data, config), oracles.exposition_oracle(mv, config.lengths)),
+            (minor_third_segment_features(data), oracles.minor3_oracle(mv, config.lengths)),
+            (exposition_features(data), oracles.exposition_oracle(mv, config.lengths)),
             (
                 development_with_counts(mv, FLAT_THRESHOLDS, config),
                 oracles.development_oracle(mv, FLAT_THRESHOLDS, config.lengths),
             ),
-            (recapitulation_features(data, config), oracles.recapitulation_oracle(mv, config.lengths)),
+            (recapitulation_features(data), oracles.recapitulation_oracle(mv, config.lengths)),
         ]
         for got, want in pairs:
             for key, expect in want.items():
@@ -301,8 +301,8 @@ def test_criterion_6_invariant_suite():
                 )
                 < 1e-12
             )
-        expo = exposition_features(voice_data(mv), config)
-        recap = recapitulation_features(voice_data(mv), config)
+        expo = exposition_features(voice_data(mv))
+        recap = recapitulation_features(voice_data(mv))
         for key, val in expo.items():
             if math.isnan(val):
                 continue
@@ -321,7 +321,7 @@ def test_criterion_6_invariant_suite():
     # overlap-count monotone in t is structural: counts at 0.7 >= 0.9 >= 1
     mono_t = True
     for mv in corpus:
-        recap = recapitulation_features(voice_data(mv), config)
+        recap = recapitulation_features(voice_data(mv))
         for v in ("Violin1", "Cello"):
             for m in config.lengths:
                 for track in ("pitch", "duration"):

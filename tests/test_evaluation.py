@@ -158,6 +158,20 @@ class TestRunCV:
         want = float(np.mean([f.accuracy for f in result.folds]))
         assert result.accuracy == want
 
+    def test_loqo_names_a_quartet_id_both_composers_use_by_composer(self):
+        """Quartet ids 1 and 2 name a Mozart and a Haydn quartet each: their
+        four folds are told apart by composer, and an id one composer alone
+        uses keeps its name."""
+        matrix = toy_matrix(np.random.default_rng(23), n=12, p=3, quartet_size=2)
+        ids = {"q0": "1", "q1": "1", "q2": "2", "q3": "2", "q4": "3", "q5": "4"}
+        rows = tuple(dataclasses.replace(m, quartet_id=ids[m.quartet_id]) for m in matrix.rows)
+        shared = FeatureMatrix(rows=rows, columns=matrix.columns, values=matrix.values)
+        result = run_cv(shared, CVConfig(scheme=Scheme.LOQO, seed=2, **FAST))
+        assert [f.fold_id for f in result.folds] == [
+            "mozart/1", "haydn/1", "mozart/2", "haydn/2", "3", "4"
+        ]
+        assert [len(f.left_out) for f in result.folds] == [2] * 6
+
     def test_loqo_requires_quartet_ids(self):
         rng = np.random.default_rng(24)
         matrix = toy_matrix(rng, n=6, p=3)

@@ -51,8 +51,8 @@ FLAT_THRESHOLDS = DevelopmentThresholds(
 
 
 def voice_data(mv, lengths=CONFIG.lengths):
-    """A movement's shared per-voice data, which every feature family reads,
-    with its window tables for ``lengths`` (any subset of them can be read)."""
+    """A movement's prepared data, which every feature family reads, with
+    its window tables for ``lengths``, the lengths the families label."""
     return features._voice_data(mv, lengths)
 
 
@@ -61,7 +61,7 @@ def development_with_counts(mv, thresholds, config):
     given thresholds, taken from a one-movement pool."""
     pool = build_development_pool([mv], config)
     counts = dict(zip(oracles.count_labels(config.lengths), pool.count_columns(thresholds)[0]))
-    return {**development_features(voice_data(mv, config.lengths), config), **counts}
+    return {**development_features(voice_data(mv, config.lengths)), **counts}
 
 
 def close(a, b, tol=1e-12):
@@ -119,14 +119,14 @@ class TestRegistry:
         registry positions and together fill the registry exactly; the
         registry is grouped by category in CATEGORIES order."""
         mv = synth.random_movement(np.random.default_rng(32), meta=synth.make_meta())
-        data = voice_data(mv)
+        data = voice_data(mv, config.lengths)
         blocks = {
-            "basic_summary": basic_summary(mv, data),
+            "basic_summary": basic_summary(data),
             "pairwise_interval_features": pairwise_interval_features(data),
-            "minor_third_segment_features": minor_third_segment_features(data, config),
-            "exposition_features": exposition_features(data, config),
-            "development_features": development_features(data, config),
-            "recapitulation_features": recapitulation_features(data, config),
+            "minor_third_segment_features": minor_third_segment_features(data),
+            "exposition_features": exposition_features(data),
+            "development_features": development_features(data),
+            "recapitulation_features": recapitulation_features(data),
             "count_labels": oracles.count_labels(config.lengths),
         }
         names = feature_names(config)
@@ -151,17 +151,17 @@ class TestBasicSummary:
             [[49, 51, 53, 53]] * 4,
             [[Fraction(3, 8), Fraction(1, 8), Fraction(1, 4), Fraction(1, 4)]] * 4,
         )
-        feats = basic_summary(mv, voice_data(mv))
+        feats = basic_summary(voice_data(mv))
         assert feats["basic|mean_duration|Violin1"] == 0.25
         assert feats["basic|note_count|Cello"] == 4.0
 
     def test_constant_durations_zero_sd(self):
         mv = synth.movement_from_pitches([[49, 53, 56, 61]] * 4)
-        assert basic_summary(mv, voice_data(mv))["basic|sd_duration|Viola"] == 0.0
+        assert basic_summary(voice_data(mv))["basic|sd_duration|Viola"] == 0.0
 
     def test_identical_onset_patterns(self):
         mv = synth.movement_from_pitches([[49, 51, 53, 54]] * 4)
-        feats = basic_summary(mv, voice_data(mv))
+        feats = basic_summary(voice_data(mv))
         assert feats["basic|simultaneous_notes"] == 1.0
         assert feats["basic|simultaneous_rests"] == 0.0
 
@@ -174,7 +174,7 @@ class TestBasicSummary:
         ]
         pitches = [[49, 51], [53], [56], [61]]
         mv = synth.movement_from_pitches(pitches, durs)
-        feats = basic_summary(mv, voice_data(mv))
+        feats = basic_summary(voice_data(mv))
         # onset 0 shared by all; onset 1/4 only in Violin 1
         assert feats["basic|simultaneous_notes"] == 0.5
 
@@ -182,7 +182,7 @@ class TestBasicSummary:
         rng = np.random.default_rng(10)
         for _ in range(20):
             mv = synth.random_movement(rng)
-            assert_dicts_close(basic_summary(mv, voice_data(mv)), oracles.basic_summary_oracle(mv))
+            assert_dicts_close(basic_summary(voice_data(mv)), oracles.basic_summary_oracle(mv))
 
     def test_simultaneity_across_voice_onset_denominators(self):
         """Triplets, quintuplets, septuplets and eighths, one kind per voice,
@@ -196,8 +196,8 @@ class TestBasicSummary:
             text = synth.tuplet_kern(np.random.default_rng(seed), (), per_voice=per_voice)
             mv = parse_kern(text)
             data = voice_data(mv)
-            assert len({vd.onset_den for vd in data.values()}) == 4
-            got, want = basic_summary(mv, data), oracles.basic_summary_oracle(mv)
+            assert len({vd.onset_den for vd in data.voices.values()}) == 4
+            got, want = basic_summary(data), oracles.basic_summary_oracle(mv)
             for key in ("basic|simultaneous_notes", "basic|simultaneous_rests"):
                 assert got[key] == want[key], key
             shared += got["basic|simultaneous_notes"] > 0
@@ -218,7 +218,7 @@ class TestBasicSummary:
             for v, (p, t, den) in zip(VOICE_ORDER, columns)
         )
         mv = EncodedMovement(synth.make_meta(), tracks)
-        got, want = basic_summary(mv, voice_data(mv)), oracles.basic_summary_oracle(mv)
+        got, want = basic_summary(voice_data(mv)), oracles.basic_summary_oracle(mv)
         # five onsets (0, 1/4, 1/2, 2/3, 3/4): two all-note, one all-rest
         assert got["basic|simultaneous_notes"] == want["basic|simultaneous_notes"] == 2 / 5
         assert got["basic|simultaneous_rests"] == want["basic|simultaneous_rests"] == 1 / 5
@@ -226,7 +226,7 @@ class TestBasicSummary:
     def test_empty_voice_raises(self):
         mv = synth.movement_from_pitches([[49, 51], [0, 0], [49, 51], [49, 51]])
         with pytest.raises(Exception):
-            basic_summary(mv, voice_data(mv))
+            basic_summary(voice_data(mv))
 
 
 class TestPairwiseIntervals:
@@ -285,13 +285,13 @@ class TestMinorThird:
         # D E F F F E G F relative to D: 4 of 7 intervals are 3 semitones
         seq = [51, 53, 54, 54, 54, 53, 56, 54]
         mv = synth.movement_from_pitches([seq] * 4)
-        feats = minor_third_segment_features(voice_data(mv), SegmentConfig(lengths=(8,)))
+        feats = minor_third_segment_features(voice_data(mv, (8,)))
         assert feats["interval|minor3_mean|Violin1|m=8"] == pytest.approx(4 / 7)
         assert feats["interval|minor3_max|Violin1|m=8"] == pytest.approx(4 / 7)
 
     def test_constant_segment_zero(self):
         mv = synth.movement_from_pitches([[50] * 10] * 4)
-        feats = minor_third_segment_features(voice_data(mv), SegmentConfig(lengths=(8,)))
+        feats = minor_third_segment_features(voice_data(mv, (8,)))
         assert feats["interval|minor3_max|Cello|m=8"] == 0.0
         assert feats["interval|minor3_count_zero|Cello|m=8"] == 3.0
 
@@ -299,13 +299,13 @@ class TestMinorThird:
         rng = np.random.default_rng(13)
         for _ in range(15):
             mv = synth.random_movement(rng)
-            got = minor_third_segment_features(voice_data(mv), CONFIG)
+            got = minor_third_segment_features(voice_data(mv))
             want = oracles.minor3_oracle(mv, CONFIG.lengths)
             assert_dicts_close(got, want)
 
     def test_short_voice_masked(self):
         mv = synth.movement_from_pitches([[50, 51, 52, 53, 54]] * 4)
-        feats = minor_third_segment_features(voice_data(mv), SegmentConfig(lengths=(8,)))
+        feats = minor_third_segment_features(voice_data(mv, (8,)))
         assert math.isnan(feats["interval|minor3_mean|Violin1|m=8"])
 
 
@@ -314,7 +314,7 @@ class TestExposition:
         motif = [49, 52, 54, 51, 56, 58, 50, 53]
         voice = motif + motif + [70 + i for i in range(16)]
         mv = synth.movement_from_pitches([voice] * 4)
-        feats = exposition_features(voice_data(mv), SegmentConfig(lengths=(8,)))
+        feats = exposition_features(voice_data(mv, (8,)))
         assert feats["exposition|max_overlap|pitch|Violin1|m=8"] == 1.0
         assert feats["exposition|count_t1|pitch|Violin1|m=8"] >= 1.0
 
@@ -325,7 +325,7 @@ class TestExposition:
         filler = [int(90 + rng.integers(0, 12)) for _ in range(24)]
         voice = motif * 3 + filler
         mv = synth.movement_from_pitches([voice] * 4)
-        feats = exposition_features(voice_data(mv), SegmentConfig(lengths=(8,)))
+        feats = exposition_features(voice_data(mv, (8,)))
         count = feats["exposition|count_t1|pitch|Violin1|m=8"]
         want = oracles.exposition_oracle(mv, (8,))["exposition|count_t1|pitch|Violin1|m=8"]
         assert count == want == 2.0
@@ -334,13 +334,13 @@ class TestExposition:
         rng = np.random.default_rng(15)
         for _ in range(15):
             mv = synth.random_movement(rng)
-            got = exposition_features(voice_data(mv), CONFIG)
+            got = exposition_features(voice_data(mv))
             want = oracles.exposition_oracle(mv, CONFIG.lengths)
             assert_dicts_close(got, want)
 
     def test_too_few_first_half_segments_masked(self):
         mv = synth.movement_from_pitches([[49 + i for i in range(8)]] * 4)
-        feats = exposition_features(voice_data(mv), SegmentConfig(lengths=(8,)))
+        feats = exposition_features(voice_data(mv, (8,)))
         assert math.isnan(feats["exposition|max_overlap|pitch|Violin1|m=8"])
 
 
@@ -350,7 +350,7 @@ class TestRecapitulation:
         middle = [70 + (i * 5) % 13 for i in range(20)]
         voice = motif + middle + motif
         mv = synth.movement_from_pitches([voice] * 4)
-        feats = recapitulation_features(voice_data(mv), SegmentConfig(lengths=(8,)))
+        feats = recapitulation_features(voice_data(mv, (8,)))
         assert feats["recapitulation|max_overlap|pitch|Violin1|m=8"] == 1.0
         assert feats["recapitulation|max_location|pitch|Violin1|m=8"] == 1.0
 
@@ -360,7 +360,7 @@ class TestRecapitulation:
         durs = a_durs + b_durs + a_durs
         pitches = [50 + (i % 7) for i in range(60)]
         mv = synth.movement_from_pitches([pitches] * 4, [durs] * 4)
-        feats = recapitulation_features(voice_data(mv), SegmentConfig(lengths=(8,)))
+        feats = recapitulation_features(voice_data(mv, (8,)))
         assert feats["recapitulation|max_overlap|duration|Violin1|m=8"] == 1.0
         assert feats["recapitulation|max_location|duration|Violin1|m=8"] > 2 / 3
 
@@ -368,7 +368,7 @@ class TestRecapitulation:
         rng = np.random.default_rng(16)
         for _ in range(15):
             mv = synth.random_movement(rng)
-            got = recapitulation_features(voice_data(mv), CONFIG)
+            got = recapitulation_features(voice_data(mv))
             want = oracles.recapitulation_oracle(mv, CONFIG.lengths)
             assert_dicts_close(got, want)
 
@@ -376,8 +376,8 @@ class TestRecapitulation:
         rng = np.random.default_rng(17)
         for _ in range(10):
             mv = synth.random_movement(rng)
-            expo = exposition_features(voice_data(mv), CONFIG)
-            recap = recapitulation_features(voice_data(mv), CONFIG)
+            expo = exposition_features(voice_data(mv))
+            recap = recapitulation_features(voice_data(mv))
             for key, val in expo.items():
                 if "count_t" not in key or math.isnan(val):
                     continue
@@ -393,7 +393,7 @@ class TestDevelopment:
 
     def test_single_segment_location_one(self):
         mv = synth.movement_from_pitches([[49, 51, 53, 54, 56, 58, 59, 61]] * 4)
-        feats = development_features(voice_data(mv), SegmentConfig(lengths=(8,)))
+        feats = development_features(voice_data(mv, (8,)))
         assert feats["development|max_location|pitch|Violin1|m=8"] == 1.0
 
     def test_matches_oracle(self):
@@ -464,9 +464,9 @@ class TestHugeDurationDenominators:
             durs = [e.duration for e in oracles.notes_of(mv, "Violin1")]
             den = math.lcm(*(d.denominator for d in durs))
             assert len(durs) * den > 2**26
-            expo = exposition_features(voice_data(mv), SMALL)
+            expo = exposition_features(voice_data(mv, SMALL.lengths))
             assert_dicts_close(expo, oracles.exposition_oracle(mv, lengths), tol=0.0)
-            recap = recapitulation_features(voice_data(mv), SMALL)
+            recap = recapitulation_features(voice_data(mv, SMALL.lengths))
             assert_dicts_close(recap, oracles.recapitulation_oracle(mv, lengths), tol=0.0)
             dev = development_with_counts(mv, self.THRESHOLDS, SMALL)
             want = oracles.development_oracle(mv, self.THRESHOLDS, lengths)
@@ -479,21 +479,35 @@ class TestHugeDurationDenominators:
 
 class TestDurationColumns:
     """_voice_data divides the notes' duration numerators and the clock
-    denominator by their gcd: dur_den, dur_num (values and dtype) and the
+    denominator by their gcd: the numerators its duration tables are built
+    over (values and dtype), the window sds over the denominator and the
     dur_float bytes equal the reference built from reduced Fractions."""
 
     @staticmethod
     def assert_matches(mv):
-        data = voice_data(mv)
+        seqs = []  # what _windows receives: per voice, its pitch classes, then its numerators
+        real_windows = features._windows
+
+        def windows(seq, lengths):
+            seqs.append(seq)
+            return real_windows(seq, lengths)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(features, "_windows", windows)
+            data = voice_data(mv, (2,))  # tables for every voice of two notes or more
         dtypes = []
         for track in mv.voices:
-            vd = data[track.voice.value]
+            vd = data.voices[track.voice.value]
             den, nums, floats = oracles.duration_columns_oracle(track)
-            assert vd.dur_den == den
-            assert vd.dur_num.dtype == nums.dtype
-            assert vd.dur_num.tolist() == nums.tolist()
             assert vd.dur_float.tobytes() == floats.tobytes()
+            if vd.m_notes >= 2:
+                _, got = seqs.pop(0), seqs.pop(0)
+                assert got.dtype == nums.dtype
+                assert got.tolist() == nums.tolist()
+                want = oracles.window_sds_reference(track, "duration", 2)  # over den
+                assert vd.sds["duration", 2].tobytes() == want.tobytes()
             dtypes.append(nums.dtype)
+        assert seqs == []
         return dtypes
 
     @staticmethod
@@ -553,24 +567,32 @@ class TestPrefixTables:
             out.append(TestHugeDurationDenominators().movement(1, tuplets))
         return out
 
-    def test_tables_equal_the_per_length_reference(self):
+    def test_tables_equal_the_per_length_reference(self, monkeypatch):
         seen = dict.fromkeys(
             ("below_shortest", "between", "one_note", "object", "match_tie", "sd_tie"), False
         )
+        real_windows = features._windows
+
+        def windows(seq, lengths):
+            seen["object"] |= seq.dtype == object  # the duration numerators past int64
+            return real_windows(seq, lengths)
+
+        monkeypatch.setattr(features, "_windows", windows)
         for mv in self.movements():
             for lengths in self.LENGTHS:
                 L = max(lengths)
-                for vd in voice_data(mv, lengths).values():  # fresh tables for every length set
+                data = voice_data(mv, lengths)  # fresh tables for every length set
+                for part in mv.voices:
+                    vd = data.voices[part.voice.value]
                     seen["below_shortest"] |= 0 < vd.m_notes < min(lengths)
                     seen["between"] |= min(lengths) <= vd.m_notes < L
                     seen["one_note"] |= vd.m_notes == 1
-                    seen["object"] |= vd.dur_num.dtype == object
                     half = (vd.m_notes + 1) // 2
                     for m in lengths:
                         n = vd.m_notes - m + 1
                         for track in ("pitch", "duration"):
                             got = vd.sds[track, m]
-                            want = oracles.window_sds_reference(vd, track, m)
+                            want = oracles.window_sds_reference(part, track, m)
                             if want is None:
                                 assert got is None and n <= 0
                                 continue
@@ -580,7 +602,7 @@ class TestPrefixTables:
                                 if last < 2:
                                     continue
                                 got = vd.matches[track][1:last, m - 1]
-                                want = oracles.overlap_matches_reference(vd, track, m, last)
+                                want = oracles.overlap_matches_reference(part, track, m, last)
                                 assert got.dtype == want.dtype and np.array_equal(got, want)
                                 seen["match_tie"] |= (got == got.max()).sum() > 1
                         if n > 0:
@@ -595,7 +617,7 @@ class TestPrefixTables:
         of the shortest length has no match tables and no sds."""
         for mv in self.movements():
             for lengths in ((2,), (18, 2), (2, 5000)):
-                for vd in voice_data(mv, lengths).values():
+                for vd in voice_data(mv, lengths).voices.values():
                     has_window = vd.m_notes >= 2
                     assert set(vd.matches) == (set(features.TRACKS) if has_window else set())
                     assert {k for k, sds in vd.sds.items() if sds is not None} <= {
@@ -610,7 +632,6 @@ class TestPrefixTables:
     def test_families_on_the_edge_cases_equal_the_scalar_oracles(self):
         for mv in self.movements():
             for lengths in self.LENGTHS:
-                config = SegmentConfig(lengths)
                 data = voice_data(mv, lengths)
                 # the oracle's Python-sum means and sds round apart from numpy's
                 for family, oracle, tol in (
@@ -618,10 +639,10 @@ class TestPrefixTables:
                     (recapitulation_features, oracles.recapitulation_oracle, 0.0),
                     (minor_third_segment_features, oracles.minor3_oracle, 1e-12),
                 ):
-                    assert_dicts_close(family(data, config), oracle(mv, lengths), tol)
+                    assert_dicts_close(family(data), oracle(mv, lengths), tol)
                 want = oracles.development_oracle(mv, FLAT_THRESHOLDS, lengths)
                 maxima = {k: x for k, x in want.items() if "count_q" not in k}
-                assert_dicts_close(development_features(data, config), maxima, tol=0.0)
+                assert_dicts_close(development_features(data), maxima, tol=0.0)
 
 
 class TestDevelopmentThresholds:
@@ -922,15 +943,42 @@ class TestMaskingByLength:
         assert matrix.values[0, j] == 5.0
 
 
+class TestPreparedData:
+    """A movement's prepared data is its families' only input: it names the
+    movement and sets the segment lengths the families label."""
+
+    def test_a_family_labels_the_lengths_of_its_data(self):
+        mv = synth.random_movement(np.random.default_rng(60), n_notes=(20, 60))
+        for lengths in ((8,), (18, 8)):
+            data = voice_data(mv, lengths)
+            assert data.lengths == lengths
+            for family in (
+                minor_third_segment_features, exposition_features,
+                development_features, recapitulation_features,
+            ):
+                got = {parse_label(label).segment_length for label in family(data)}
+                assert got == set(lengths), family.__name__
+
+    def test_an_empty_voice_is_named_by_the_source(self):
+        voices = [[49, 51], [0, 0], [49, 51], [49, 51]]
+        mv = synth.movement_from_pitches(voices, meta=synth.make_meta(path="op1.krn"))
+        with pytest.raises(features.EmptyVoice, match="^op1.krn: voice Violin2 has no notes"):
+            basic_summary(voice_data(mv))
+        bare = EncodedMovement(meta=None, voices=mv.voices)
+        assert voice_data(bare).source == ""
+        with pytest.raises(features.EmptyVoice, match="^<string>: voice Violin2"):
+            basic_summary(voice_data(bare))
+
+
 def _threshold_free_features(mv, config):
-    data = voice_data(mv)
+    data = voice_data(mv, config.lengths)
     return {
-        **basic_summary(mv, data),
+        **basic_summary(data),
         **pairwise_interval_features(data),
-        **minor_third_segment_features(data, config),
-        **exposition_features(data, config),
-        **development_features(data, config),
-        **recapitulation_features(data, config),
+        **minor_third_segment_features(data),
+        **exposition_features(data),
+        **development_features(data),
+        **recapitulation_features(data),
     }
 
 
@@ -971,15 +1019,19 @@ class TestOnePass:
         monkeypatch.setattr(features, "_windows", windows)
         getattr(features, build)(corpus, SMALL)
         assert len(built) == len(corpus)
-        # one table per voice and track for every voice with a window
-        column = {
+        # one table per voice and track for every voice with a window; a
+        # voice's duration table is built right after its pitch table
+        known = {
             id(getattr(vd, attr)): (k, v, track)
             for k, data in enumerate(built)
-            for v, vd in data.items()
-            for attr, track in (("pcs", "pitch"), ("dur_num", "duration"), ("abs_pitch", "minor3"))
+            for v, vd in data.voices.items()
+            for attr, track in (("pcs", "pitch"), ("abs_pitch", "minor3"))
         }
+        column = []
+        for seq in tables:
+            column.append(known[id(seq)] if id(seq) in known else (*column[-1][:2], "duration"))
         voices = ("Violin1", "Violin2", "Viola", "Cello")
-        assert sorted(column[id(seq)] for seq in tables) == sorted(
+        assert sorted(column) == sorted(
             (k, v, track)
             for k, mv in enumerate(corpus)
             for v in voices
@@ -987,6 +1039,19 @@ class TestOnePass:
             for track in tracks
         )
         assert 0 < len(tables) < len(corpus) * 4 * len(tracks)  # some voices are too short
+
+    def test_extract_all_calls_each_family_through_the_module(self, monkeypatch):
+        """A family wrapped in the module, as a tracer wraps it, is the one
+        extract_all calls, once per movement."""
+        calls, real = [], features.exposition_features
+
+        def exposition(data):
+            calls.append(data.source)
+            return real(data)
+
+        monkeypatch.setattr(features, "exposition_features", exposition)
+        extract_all(self.corpus(38, n=3), SMALL)
+        assert calls == ["p0.krn", "p1.krn", "p2.krn"]
 
     @pytest.mark.parametrize("build", ["extract_all", "build_development_pool"])
     def test_one_movement_at_a_time(self, build):
