@@ -115,7 +115,7 @@ def _log_priors(beta: np.ndarray, scales: np.ndarray) -> np.ndarray:
 
 
 def _with_diagonal(A: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    D = np.zeros_like(A)
+    D = np.zeros(A.shape)
     r = np.arange(A.shape[-1])
     D[:, r, r] = diag
     return A + D
@@ -123,10 +123,16 @@ def _with_diagonal(A: np.ndarray, diag: np.ndarray) -> np.ndarray:
 
 def _positive_definite(H: np.ndarray) -> np.ndarray:
     # np.linalg.cholesky raises for the whole stack if one member fails;
-    # the gufunc behind it fills a failed member with NaN instead.
+    # the gufunc behind it fills a failed member with NaN instead.  LAPACK
+    # fails a member whose first pivot is not positive, so a member that
+    # passes has a positive L[0, 0].
     with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
         L = _umath_linalg.cholesky_lo(H, signature="d->d")
-    return ~np.isnan(L).all(axis=(1, 2))
+    return ~np.isnan(L[:, 0, 0])
+
+
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
 
 
 def _newton_deltas(H: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -134,7 +140,12 @@ def _newton_deltas(H: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndar
     1e-8 added to its diagonal and flagged."""
     singular = np.zeros(len(H), dtype=bool)
     try:
-        return np.linalg.solve(H, grad[:, :, None])[:, :, 0], singular
+        # np.linalg.solve's own gufunc call and error handling, without its
+        # argument checks
+        with np.errstate(
+            call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"
+        ):
+            return _umath_linalg.solve(H, grad[:, :, None], signature="dd->d")[:, :, 0], singular
     except np.linalg.LinAlgError:
         pass
     delta = np.empty_like(grad)
@@ -164,6 +175,16 @@ def design_stack(design: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return Xt.copy() if rows.shape[1] <= 2 else Xt
 
 
+def _narrow(mask: np.ndarray, sel, *arrays):
+    """sel (row indices, or slice(None) for every row) and the arrays aligned
+    with it, kept where mask holds; returned as they are, uncopied, when mask
+    holds everywhere."""
+    if np.count_nonzero(mask) == len(mask):
+        return (sel, *arrays)
+    sel = np.flatnonzero(mask) if isinstance(sel, slice) else sel[mask]
+    return (sel, *(a[mask] for a in arrays))
+
+
 def posterior_modes(
     Xt: np.ndarray,
     y: np.ndarray,
@@ -185,88 +206,105 @@ def posterior_modes(
     Each member's result is bit-identical to solving it alone, in a stack
     of one with the same memory layout (see ``design_stack``): every product
     is a stacked matmul or LAPACK call, which sums as the unstacked call
-    does, and every reduction runs along one member's own row.
+    does, and every reduction runs along one member's own row.  The live
+    members' arrays are gathered again only when a member stops; a gather
+    on the stack axis keeps each member's layout.
     """
     K, n, m = Xt.shape
     beta = np.array(start, dtype=float)
-    eta = _matvec(Xt, beta)
-    ll = _log_likelihoods(eta, y)
-    obj = ll - _log_priors(beta, scales)
+    ll = np.empty(K)
     converged = np.zeros(K, dtype=bool)
     iterations = np.zeros(K, dtype=int)
     singular = np.zeros(K, dtype=bool)
-    live = np.arange(K)
+    # the live members' design, scales, coefficients, linear predictors,
+    # log-likelihoods and objectives
+    live, X, s, b = np.arange(K), Xt, scales, beta
+    s2 = s**2
+    e = _matvec(X, b)
+    lv = _log_likelihoods(e, y)
+    o = lv - _log_priors(b, s)
 
     for it in range(1, max_iter + 1):
         if not live.size:
             break
-        iterations[live] = it
-        X, b, e, s, o = Xt[live], beta[live], eta[live], scales[live], obj[live]
         XT = X.transpose(0, 2, 1)
         p = expit(e)
         w = p * (1.0 - p)
-        s2b2 = s**2 + b**2
+        b2 = b**2
+        s2b2 = s2 + b2
         grad = _matvec(XT, y - p) - 2.0 * b / s2b2
         xtwx = np.matmul(XT, X * w[:, :, None])
 
         # Exact curvature of the log prior is negative in the tails, where
         # the Hessian may be indefinite; it is only used when positive
         # definite, otherwise the EM surrogate (always positive) steps.
-        exact_curv = 2.0 * (s**2 - b**2) / s2b2**2
+        exact_curv = 2.0 * (s2 - b2) / s2b2**2
         em_curv = 2.0 / s2b2
 
         found = np.zeros(len(live), dtype=bool)
         new_b, new_e = np.empty_like(b), np.empty_like(e)
-        new_ll, new_o, alpha = np.empty_like(o), np.empty_like(o), np.empty_like(o)
+        new_ll, new_o, alpha = np.empty_like(o), np.empty_like(o), np.ones_like(o)
         for curv, need_pd in ((exact_curv, True), (em_curv, False)):
-            idx = np.flatnonzero(~found)
-            if not idx.size:
-                break
-            H = _with_diagonal(xtwx[idx], curv[idx])
+            sel = slice(None) if need_pd else np.flatnonzero(~found)
+            H = _with_diagonal(xtwx[sel], curv[sel])
             if need_pd:
-                pd = _positive_definite(H)
-                idx, H = idx[pd], H[pd]
-            if not idx.size:
+                sel, H = _narrow(_positive_definite(H), sel, H)
+            if not len(H):
                 continue
-            delta, sing = _newton_deltas(H, grad[idx])
-            singular[live[idx[sing]]] = True
-            finite = np.isfinite(delta).all(axis=1)
-            idx, delta = idx[finite], delta[finite]
+            delta, sing = _newton_deltas(H, grad[sel])
+            if sing.any():
+                singular[live[sel][sing]] = True
+            sel, delta = _narrow(np.isfinite(delta).all(axis=1), sel, delta)
             # step sizes 1, 1/2, ... 2^-59 are tried in blocks; each member
             # takes the first (largest) one that does not lower its objective
-            pending = np.arange(len(idx))
             for block in _STEP_BLOCKS:
-                if not pending.size:
+                if not len(delta):
                     break
-                rows = idx[pending]
-                cand = b[rows][:, None, :] + block[None, :, None] * delta[pending][:, None, :]
-                cand_eta = np.matmul(X[rows][:, None], cand[..., None])[..., 0]
-                cand_ll = _log_likelihoods(cand_eta.reshape(-1, n), y).reshape(len(rows), -1)
-                cand_prior = _log_priors(cand.reshape(-1, m), s[rows].repeat(len(block), axis=0))
-                cand_obj = cand_ll - cand_prior.reshape(len(rows), -1)
-                ok = cand_obj >= o[rows][:, None]
+                cand = b[sel][:, None, :] + block[None, :, None] * delta[:, None, :]
+                cand_eta = np.matmul(X[sel][:, None], cand[..., None])[..., 0]
+                cand_ll = _log_likelihoods(cand_eta.reshape(-1, n), y).reshape(len(cand), -1)
+                cand_prior = _log_priors(cand.reshape(-1, m), s[sel].repeat(len(block), axis=0))
+                cand_obj = cand_ll - cand_prior.reshape(len(cand), -1)
+                ok = cand_obj >= o[sel][:, None]
                 hit = ok.any(axis=1)
-                first = ok.argmax(axis=1)[hit]
-                at, take = (np.flatnonzero(hit), first), rows[hit]
-                new_b[take], new_e[take] = cand[at], cand_eta[at]
-                new_ll[take], new_o[take], alpha[take] = cand_ll[at], cand_obj[at], block[first]
-                found[take] = True
-                pending = pending[~hit]
+                if isinstance(sel, slice) and block is _STEP_BLOCKS[0]:
+                    # every member is still in: the full steps are the new
+                    # iterates, replaced below where one lowers the objective
+                    new_b, new_e = cand[:, 0], cand_eta[:, 0]
+                    new_ll, new_o = cand_ll[:, 0], cand_obj[:, 0]
+                    found = hit
+                else:
+                    first = ok.argmax(axis=1)[hit]
+                    (take,) = _narrow(hit, sel)
+                    at = hit, first  # each member that hit, at its first good step
+                    new_b[take], new_e[take] = cand[at], cand_eta[at]
+                    new_ll[take], new_o[take], alpha[take] = cand_ll[at], cand_obj[at], block[first]
+                    found[take] = True
+                sel, delta = _narrow(~hit, sel, delta)
+            if found.all():
+                break
 
         # a member with no ascent direction left at floating-point
-        # resolution stops unconverged
-        idx = np.flatnonzero(found)
-        members = live[idx]
-        new_b, new_e, new_ll, new_o = new_b[idx], new_e[idx], new_ll[idx], new_o[idx]
-        alpha = alpha[idx]
-        change = np.max(np.abs(new_b - b[idx]), axis=1)
-        grad_small = np.max(np.abs(grad[idx]), axis=1) < 1e-8
-        stalled = new_o == o[idx]  # objective flat at float resolution
-        beta[members], eta[members], ll[members], obj[members] = new_b, new_e, new_ll, new_o
-        done = (change < 1e-8) & ((alpha == 1.0) | grad_small | stalled)
-        converged[members[done]] = True
-        live = members[~done]
+        # resolution stops unconverged, where it was
+        lost = ~found
+        if lost.any():
+            new_b[lost], new_ll[lost] = b[lost], lv[lost]
+        done = (np.abs(new_b - b) < 1e-8).all(axis=1)
+        if done.any():
+            grad_small = (np.abs(grad) < 1e-8).all(axis=1)
+            stalled = new_o == o  # objective flat at float resolution
+            done &= found & ((alpha == 1.0) | grad_small | stalled)
+        b, e, lv, o = new_b, new_e, new_ll, new_o
+        stop = done | lost
+        if stop.any():
+            gone = live[stop]
+            beta[gone], ll[gone], iterations[gone] = b[stop], lv[stop], it
+            converged[live[done]] = True
+            keep = ~stop
+            live, X, s, s2 = live[keep], X[keep], s[keep], s2[keep]
+            b, e, lv, o = b[keep], e[keep], lv[keep], o[keep]
 
+    beta[live], ll[live], iterations[live] = b, lv, max_iter
     return Modes(
         beta=beta,
         log_likelihood=ll,

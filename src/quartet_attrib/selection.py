@@ -107,7 +107,7 @@ def icm_select(
 
     for k in range(restarts):
         rng = np.random.default_rng([seed, k])
-        order = rng.permutation(p)
+        order = rng.permutation(p).tolist()  # Python ints: cheaper keys
         selected: set[int] = set()
         current_bic = float("inf")
         beta = np.zeros(p + 1)  # current model's coefficients by design row
@@ -200,7 +200,9 @@ def _fit_subsets(
         by_size.setdefault(len(cols), []).append(i)
     n = len(y)
     for d, members in by_size.items():
-        rows = np.array([_design_rows(subsets[i]) for i in members])
+        chosen = np.array([subsets[i] for i in members], dtype=int).reshape(len(members), d)
+        rows = np.zeros((len(members), d + 1), dtype=int)
+        rows[:, 1:] = chosen + 1  # _design_rows of each member
         modes = glm.posterior_modes(glm.design_stack(design, rows), y, scales[rows], warm[rows])
         bics = glm.bic_value(modes.log_likelihood, d, n, bic_form)
         for i, b, coef in zip(members, bics, modes.beta):

@@ -10,6 +10,7 @@ from scipy.special import expit
 
 import oracles
 import synth
+from quartet_attrib import glm
 from quartet_attrib.glm import (
     FeatureMisalignment,
     FittedModel,
@@ -195,6 +196,34 @@ class TestFit:
             ) == oracles.fit_objective_path(np.asfortranarray(X), y)
 
 
+PRIOR_06 = PriorConfig(scale_factor=0.6)
+
+
+def _stack(X, y, subsets):
+    """The design stack of subsets of X's columns and their prior scales."""
+    design = np.ascontiguousarray(np.column_stack([np.ones(len(y)), X]).T)
+    scales, _ = prior_scales(design[1:].std(axis=1, ddof=1), PRIOR_06)
+    rows = np.array([[0, *(c + 1 for c in cols)] for cols in subsets])
+    return design_stack(design, rows), y, scales[rows]
+
+
+def _stacked_and_solo(X, y, subsets, starts, max_iter):
+    """Solve subsets of X's columns as one stack, each alone in a stack of
+    one, and each as glm.fit solves it; assert that the three agree bit for
+    bit.  Returns the stacked Modes."""
+    stacked = posterior_modes(*_stack(X, y, subsets), starts, max_iter=max_iter)
+    for k, cols in enumerate(subsets):
+        alone = posterior_modes(*_stack(X, y, [cols]), starts[k : k + 1], max_iter=max_iter)
+        solo, _ = oracles.fit_solve(X[:, list(cols)], y, PRIOR_06, starts[k], max_iter)
+        for modes, j in ((stacked, k), (alone, 0)):
+            assert modes.beta[j].tobytes() == solo.beta[0].tobytes()
+            assert modes.log_likelihood[j].tobytes() == solo.log_likelihood[0].tobytes()
+            assert modes.iterations[j] == solo.iterations[0]
+            assert modes.converged[j] == solo.converged[0]
+            assert modes.singular[j] == solo.singular[0]
+    return stacked
+
+
 class TestStackedSolver:
     @pytest.mark.parametrize(
         "n, d, max_iter",
@@ -208,37 +237,64 @@ class TestStackedSolver:
         y[:2] = (0.0, 1.0)
         X[:, 0] = 2 * y - 1 + rng.normal(scale=0.05, size=n)  # separates y
         X[:, 1] = 1.5  # constant
-        prior = PriorConfig(scale_factor=0.6)
         subsets = [(0, 1, 2, 3)[:d]] + [
             tuple(sorted(rng.choice(p, size=d, replace=False))) for _ in range(5)
         ]
         starts = rng.normal(size=(len(subsets), d + 1)) * 3.0
-        design = np.ascontiguousarray(np.column_stack([np.ones(n), X]).T)
-        scales, _ = prior_scales(design[1:].std(axis=1, ddof=1), prior)
-        rows = np.array([[0, *(c + 1 for c in cols)] for cols in subsets])
-        stack = design_stack(design, rows)
-        stacked = posterior_modes(stack, y, scales[rows], starts, max_iter=max_iter)
+        stacked = _stacked_and_solo(X, y, subsets, starts, max_iter)
+        stack, _, scales = _stack(X, y, subsets)
         resolve = functools.cache(
-            lambda k: posterior_modes(stack, y, scales[rows], starts, max_iter=k)
+            lambda k: posterior_modes(stack, y, scales, starts, max_iter=k)
         )
         for k, cols in enumerate(subsets):
-            one = rows[k : k + 1]
-            alone = posterior_modes(
-                design_stack(design, one), y, scales[one], starts[k : k + 1], max_iter=max_iter
-            )
-            solo, _ = oracles.fit_solve(X[:, list(cols)], y, prior, starts[k], max_iter)
-            assert np.array_equal(stacked.beta[k], solo.beta[0])
-            assert np.array_equal(alone.beta[0], solo.beta[0])
-            assert stacked.log_likelihood[k] == alone.log_likelihood[0] == solo.log_likelihood[0]
-            assert stacked.iterations[k] == solo.iterations[0]
-            assert stacked.converged[k] == solo.converged[0]
             path = oracles.objective_path(
-                lambda i: (resolve(i).beta[k], resolve(i).log_likelihood[k], scales[rows[k]]),
+                lambda i: (resolve(i).beta[k], resolve(i).log_likelihood[k], scales[k]),
                 stacked.iterations[k],
             )
             assert path == oracles.fit_objective_path(
-                X[:, list(cols)], y, prior, start=starts[k], max_iter=max_iter
+                X[:, list(cols)], y, PRIOR_06, start=starts[k], max_iter=max_iter
             )
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_a_stack_of_every_stopping_path_matches_fit_bit_for_bit(self, monkeypatch):
+        """One stack whose members stop at iteration 1, step on the EM
+        surrogate, get a non-finite step, are jittered as singular and hit
+        max_iter: each is written back as its solo solve, bit for bit."""
+        rng = np.random.default_rng(23)
+        n, max_iter = 40, 4
+        X = rng.normal(size=(n, 6))
+        y = (rng.random(n) < 0.5).astype(float)
+        y[:2] = (0.0, 1.0)
+        X[:, 0] = 2 * y - 1 + rng.normal(scale=0.05, size=n)  # separates y
+        X[0, 2] = np.nan
+        at_mode = oracles.fit_solve(X[:, [3, 4]], y, PRIOR_06)[0].beta[0]
+        members = {  # subset: start
+            "stops at iteration 1": ((3, 4), at_mode),
+            "EM step": ((3, 5), [0.0, 1e3, 0.0]),  # far in the prior's tail
+            "non-finite step": ((2, 3), [0.0, 0.0, 0.0]),
+            "jittered as singular": ((4, 5), [0.0, 1e200, 0.0]),
+            "hits max_iter": ((0, 3), [0.0, 0.0, 0.0]),
+        }
+        subsets = [cols for cols, _ in members.values()]
+        starts = np.array([start for _, start in members.values()], dtype=float)
+        stacked = _stacked_and_solo(X, y, subsets, starts, max_iter)
+        stop_at_1, em, non_finite, singular, last = range(5)
+        assert stacked.iterations[stop_at_1] == 1 and stacked.converged[stop_at_1]
+        assert stacked.iterations[non_finite] == 1 and not stacked.converged[non_finite]
+        assert stacked.beta[non_finite].tobytes() == starts[non_finite].tobytes()  # stays put
+        assert stacked.singular.tolist() == [k == singular for k in range(5)]
+        assert stacked.iterations[last] == max_iter and not stacked.converged[last]
+        not_pd = []
+        real_pd = glm._positive_definite
+
+        def positive_definite(H):
+            not_pd.append(not real_pd(H).all())
+            return real_pd(H)
+
+        monkeypatch.setattr(glm, "_positive_definite", positive_definite)
+        posterior_modes(*_stack(X, y, [subsets[em]]), starts[em : em + 1], max_iter=max_iter)
+        assert any(not_pd)
 
 
 class TestPredict:
