@@ -198,17 +198,26 @@ def posterior_modes(
     are K x (d + 1).  Every member runs the iteration of ``fit``: a Newton
     step on the exact Hessian when it is positive definite, else on the EM
     surrogate, each with up to 60 step halvings until the penalized
-    objective does not decrease.  A member stops when no step is found,
-    when it converges (no coefficient moves by 1e-8 or more in a full step,
-    or at a flat objective or a gradient below 1e-8), or after max_iter
-    iterations.
+    objective does not decrease.  A member converges when a step moves no
+    coefficient by 1e-8 * max(1, |beta_j|) or more, and the step was the
+    full one, or the objective stayed flat, or every gradient entry is below
+    1e-8.  The bound is relative to each coefficient's size (R's
+    ``glm.fit`` also stops on a relative change), and 1e-8 up to
+    |beta_j| = 1.  A full step inside it that lowers the objective on
+    rounding is not halved: the member converges where it stands.  A member
+    stops unconverged when no step is found, or after max_iter iterations.
 
     Each member's result is bit-identical to solving it alone, in a stack
     of one with the same memory layout (see ``design_stack``): every product
     is a stacked matmul or LAPACK call, which sums as the unstacked call
     does, and every reduction runs along one member's own row.  The live
     members' arrays are gathered again only when a member stops; a gather
-    on the stack axis keeps each member's layout.
+    on the stack axis keeps each member's layout.  That holds on OpenBLAS's
+    SkylakeX kernel.  On its SSE-only Prescott kernel the stacked dot
+    ``y @ eta`` in ``_log_likelihoods`` rounds by each row's 16-byte
+    alignment, which for odd n follows the member's place in the stack, so
+    there the equality holds only where the rounding happens to agree
+    (ROADMAP item 12).
     """
     K, n, m = Xt.shape
     beta = np.array(start, dtype=float)
@@ -232,6 +241,7 @@ def posterior_modes(
         w = p * (1.0 - p)
         b2 = b**2
         s2b2 = s2 + b2
+        tol = 1e-8 * np.maximum(1.0, np.abs(b))
         grad = _matvec(XT, y - p) - 2.0 * b / s2b2
         xtwx = np.matmul(XT, X * w[:, :, None])
 
@@ -281,6 +291,14 @@ def posterior_modes(
                     new_ll[take], new_o[take], alpha[take] = cand_ll[at], cand_obj[at], block[first]
                     found[take] = True
                 sel, delta = _narrow(~hit, sel, delta)
+                if block is _STEP_BLOCKS[0]:
+                    # a full step that moves no coefficient failed on
+                    # rounding alone: the member stands, and converges below
+                    stand = (np.abs(delta) < tol[sel]).all(axis=1)
+                    if stand.any():
+                        (here,) = _narrow(stand, sel)
+                        new_b[here], new_ll[here], found[here] = b[here], lv[here], True
+                        sel, delta = _narrow(~stand, sel, delta)
             if found.all():
                 break
 
@@ -289,7 +307,7 @@ def posterior_modes(
         lost = ~found
         if lost.any():
             new_b[lost], new_ll[lost] = b[lost], lv[lost]
-        done = (np.abs(new_b - b) < 1e-8).all(axis=1)
+        done = (np.abs(new_b - b) < tol).all(axis=1)
         if done.any():
             grad_small = (np.abs(grad) < 1e-8).all(axis=1)
             stalled = new_o == o  # objective flat at float resolution
@@ -325,8 +343,11 @@ def fit(
     X is n x d (d may be 0 for an intercept-only model), y is 0/1.  Each
     feature's prior scale is xi / (2 * sd(x_j)); the intercept gets the
     configured intercept scale.  The mode is ``posterior_modes``' cold
-    solve (zero start, at most 200 iterations) of a stack of one; the last
-    iterate is returned with converged=False if the iterations run out.
+    solve (zero start, at most 200 iterations) of a stack of one: it stops
+    once a step moves no coefficient by 1e-8 * max(1, |beta_j|), and a full
+    step inside that bound that lowers the objective on rounding ends the
+    solve where it stands, without step halving.  The last iterate is
+    returned with converged=False if the iterations run out.
     """
     X, y = check_data(X, y)
     n, d = X.shape

@@ -198,6 +198,16 @@ class TestFit:
 
 PRIOR_06 = PriorConfig(scale_factor=0.6)
 
+#: The modes of test_coefficients_up_to_one_keep_the_absolute_test under the
+#: absolute 1e-8 convergence test: coefficients and log-likelihoods as
+#: float.hex, and iterations.
+PINNED_BETA = [
+    "-0x1.4201a81f21199p-3", "0x1.0949d4113e62dp-3", "-0x1.bbfb2ee419ab6p-5",
+    "-0x1.7bac75c654ba5p-3", "-0x1.1821f96166a01p-5", "-0x1.5732eeb3cffe2p-5",
+]
+PINNED_LL = ["-0x1.a8a175fc855f0p+3", "-0x1.b6243d84ee298p+3"]
+PINNED_ITERATIONS = [5, 4]
+
 
 def _stack(X, y, subsets):
     """The design stack of subsets of X's columns and their prior scales."""
@@ -295,6 +305,100 @@ class TestStackedSolver:
         monkeypatch.setattr(glm, "_positive_definite", positive_definite)
         posterior_modes(*_stack(X, y, [subsets[em]]), starts[em : em + 1], max_iter=max_iter)
         assert any(not_pd)
+
+    def test_a_full_step_inside_the_tolerance_stands_converged(self, monkeypatch):
+        """A member started at its own mode, with a coefficient above 100 (a
+        small-sd column under PRIOR_06): its full Newton step moves no
+        coefficient by 1e-8 of its size and lowers the objective on rounding,
+        so it stops converged at iteration 1, where it stood, after
+        evaluating only the full step.  (The absolute test took 3 iterations
+        and 21 log-likelihood rows here.)"""
+        rng = np.random.default_rng(7)
+        n = 40
+        y = (rng.random(n) < 0.5).astype(float)
+        y[:2] = (0.0, 1.0)
+        X = np.column_stack([1e-3 * (rng.normal(size=n) + 1.2 * y), rng.normal(size=n)])
+        mode = oracles.fit_solve(X, y, PRIOR_06)[0].beta[0]
+        assert np.abs(mode).max() > 100
+        starts = np.array([mode, np.zeros(3)])
+        stacked = _stacked_and_solo(X, y, [(0, 1), (0, 1)], starts, 200)
+        assert stacked.beta[0].tobytes() == mode.tobytes()
+        rows = []
+        real = glm._log_likelihoods
+
+        def log_likelihoods(eta, y):
+            rows.append(len(eta))
+            return real(eta, y)
+
+        monkeypatch.setattr(glm, "_log_likelihoods", log_likelihoods)
+        alone = posterior_modes(*_stack(X, y, [(0, 1)]), starts[:1])
+        assert rows == [1, 1]  # the start, then the full step alone
+        assert alone.iterations[0] == 1 and alone.converged[0]
+        assert alone.beta[0].tobytes() == mode.tobytes()
+
+    def test_coefficients_up_to_one_keep_the_absolute_test(self):
+        """While every |beta_j| stays at or below 1 the tolerance is the
+        absolute 1e-8: where no full step lowers the objective on rounding,
+        the modes are bit for bit those of the absolute test, pinned from it.
+        These bits are the same on the SkylakeX, Haswell, Sandybridge and
+        Prescott OpenBLAS kernels."""
+        rng = np.random.default_rng(20020)
+        X, y = synth.logistic_toy(rng, n=20, p=3, signal=(0.6, -0.4), intercept=0.1)
+        y[:2] = (0.0, 1.0)
+        subsets, starts = [(0, 1), (2, 1)], np.zeros((2, 3))
+        modes = _stacked_and_solo(X, y, subsets, starts, 200)
+        stack = _stack(X, y, subsets)
+        for k in range(1, modes.iterations.max() + 1):
+            assert np.abs(posterior_modes(*stack, starts, max_iter=k).beta).max() <= 1
+        assert [b.hex() for b in modes.beta.ravel()] == PINNED_BETA
+        assert [v.hex() for v in modes.log_likelihood] == PINNED_LL
+        assert modes.iterations.tolist() == PINNED_ITERATIONS
+        assert modes.converged.all() and not modes.singular.any()
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_no_reference_optimizer_raises_a_converged_mode(seed):
+    """From each converged member's mode, scipy's trust-exact with the
+    analytic gradient and Hessian raises the penalized objective by at most
+    1e-11.  The fits mix small-sd columns (|beta| above 100), a separating
+    column and random starts, so members stop after a full step, where they
+    stand, and on a flat objective after step halving.  This bounds the
+    objective only: along a flat ridge the log-likelihood in a BIC moves to
+    first order with the coefficients."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(15, 284)), int(rng.integers(0, 7))
+    p = d + 4
+    X = rng.normal(size=(n, p)) * rng.uniform(0.2, 3.0, size=p)
+    y = (rng.random(n) < 0.5).astype(float)
+    y[:2] = (0.0, 1.0)
+    X[:, 0] = 2 * y - 1 + rng.normal(scale=0.05, size=n)  # separates y
+    X[:, 1:3] = 1e-3 * (rng.normal(size=(n, 2)) + 1.5 * y[:, None])  # small sds
+    subsets = [tuple(rng.choice(p, size=d, replace=False)) for _ in range(6)]
+    subsets[:2] = [(1, 2, 3, 4, 5, 6)[:d], (0, 1, 2, 3, 4, 5)[:d]]
+    starts = np.zeros((6, d + 1))
+    starts[3:] = rng.normal(size=(3, d + 1)) * 3.0
+    stack, _, scales = _stack(X, y, subsets)
+    modes = posterior_modes(stack, y, scales, starts)
+    assert d == 0 or np.abs(modes.beta[0]).max() > 100
+    for Xt, s, beta, ok in zip(stack, scales, modes.beta, modes.converged):
+        if not ok:
+            continue
+        s2 = s**2
+
+        def neg(b):  # the penalized objective, negated, evaluated apart from glm
+            eta = Xt @ b
+            return np.logaddexp(0.0, eta).sum() - y @ eta + np.log1p((b / s) ** 2).sum()
+
+        def neg_grad(b):
+            return -(Xt.T @ (y - expit(Xt @ b)) - 2.0 * b / (s2 + b**2))
+
+        def neg_hess(b):
+            q = expit(Xt @ b)
+            curv = 2.0 * (s2 - b**2) / (s2 + b**2) ** 2
+            return Xt.T @ (Xt * (q * (1.0 - q))[:, None]) + np.diag(curv)
+
+        ref = minimize(neg, beta, jac=neg_grad, hess=neg_hess, method="trust-exact")
+        assert neg(beta) - neg(ref.x) <= 1e-11
 
 
 class TestPredict:
