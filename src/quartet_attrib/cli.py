@@ -27,6 +27,7 @@ from .evaluation import (
     Scheme,
     compare_runs,
     fit_full_model,
+    json_float,
     require_keys,
     run_cv,
     selection_stability,
@@ -84,9 +85,20 @@ def _out_dir(args) -> Path:
 
 
 def _write_json(path: Path, payload) -> None:
+    """payload as strict JSON, each NaN written as null."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_nan_as_null(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _nan_as_null(value):
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _nan_as_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_nan_as_null(v) for v in value]
+    return value
 
 
 def _corpus_pass(args, consume, tap=None):
@@ -268,29 +280,31 @@ def cmd_cv(args) -> int:
 
 
 def render_report(payload: dict) -> str:
-    """Human-readable coefficient table and goodness-of-fit sweep."""
+    """Human-readable coefficient table and goodness-of-fit sweep; a null
+    number, as model.json writes NaN, reads as NaN."""
     require_keys(payload, ("n", "selection", "table", "hosmer", "hosmer_median_p"),
                  "a model report")
     require_keys(payload["selection"], ("selected", "bic"), "a model report's selection")
     lines = []
     lines.append(f"Composer model on {payload['n']} movements")
     lines.append(f"selected features: {len(payload['selection']['selected'])}  "
-                 f"BIC: {payload['selection']['bic']:.6g}")
+                 f"BIC: {json_float(payload['selection']['bic']):.6g}")
     lines.append("")
     lines.append(f"{'Category':<16}{'Feature':<58}{'Estimate':>12}{'Std.Err':>10}{'p-value':>12}")
     for row in payload["table"]:
         lines.append(
             f"{row['category']:<16}{row['feature']:<58}"
-            f"{row['estimate']:>12.4g}{row['se']:>10.3g}{row['p_value']:>12.3g}"
+            f"{json_float(row['estimate']):>12.4g}{json_float(row['se']):>10.3g}"
+            f"{json_float(row['p_value']):>12.3g}"
         )
     lines.append("")
     hosmer = payload["hosmer"]
     if hosmer:
         gs = [h["g"] for h in hosmer]
-        ps = [h["p_value"] for h in hosmer]
+        ps = [json_float(h["p_value"]) for h in hosmer]
         lines.append(
             f"Hosmer-Lemeshow sweep g={min(gs)}..{max(gs)}: "
-            f"median p = {payload['hosmer_median_p']:.4f}, min p = {min(ps):.4f}"
+            f"median p = {json_float(payload['hosmer_median_p']):.4f}, min p = {min(ps):.4f}"
         )
     else:
         lines.append("Hosmer-Lemeshow sweep: no feasible group count")

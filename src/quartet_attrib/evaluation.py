@@ -207,13 +207,18 @@ class CVResult:
         for f in payload["folds"]:
             require_keys(f, required, "a CV fold record")
         names = {f.name for f in fields(FoldRecord)}
-        folds = tuple(
-            FoldRecord(
-                **{k: tuple(v) if isinstance(v, list) else v for k, v in f.items() if k in names}
-            )
-            for f in payload["folds"]
-        )
-        return cls(scheme=payload["scheme"], config=payload.get("config", {}), folds=folds)
+        folds = []
+        for f in payload["folds"]:
+            record = {k: tuple(v) if isinstance(v, list) else v for k, v in f.items() if k in names}
+            record["probabilities"] = tuple(map(json_float, record["probabilities"]))
+            record["cutoff"] = json_float(record["cutoff"])
+            folds.append(FoldRecord(**record))
+        return cls(scheme=payload["scheme"], config=payload.get("config", {}), folds=tuple(folds))
+
+
+def json_float(value) -> float:
+    """A number read from JSON output, where NaN is written as null."""
+    return float("nan") if value is None else value
 
 
 def require_keys(payload, keys: Sequence[str], what: str) -> None:
@@ -228,10 +233,16 @@ class _FoldSpec(NamedTuple):
     indices: tuple[int, ...]
 
 
+def _movement_id(path: str, row: int) -> str:
+    """A movement's source path, or ``row{row}`` when it has none: its LOO
+    fold id."""
+    return path or f"row{row}"
+
+
 def _make_folds(matrix: FeatureMatrix, scheme: Scheme) -> list[_FoldSpec]:
     if scheme == Scheme.LOO:
         return [
-            _FoldSpec(meta.source_path or f"row{i}", (i,))
+            _FoldSpec(_movement_id(meta.source_path, i), (i,))
             for i, meta in enumerate(matrix.rows)
         ]
     groups: dict[tuple[Composer, str], list[int]] = {}
@@ -443,15 +454,26 @@ def _side(a, b) -> str:
     return "less" if a < b else "equal" if a == b else "greater"
 
 
+def _movement_rows(run: CVResult) -> dict:
+    """(true, prob, pred) of each movement of run, by movement id."""
+    rows = {}
+    for idx, path, true, prob, pred, _ in run.iter_movements():
+        key = _movement_id(path, idx)
+        if key in rows:
+            raise MismatchedCorpora(f"a run holds the movement {key!r} twice")
+        rows[key] = (true, prob, pred)
+    return rows
+
+
 def compare_runs(a: CVResult, b: CVResult) -> AgreementReport:
     """Per-movement agreement between two runs on the same movements.
 
     Probabilities are rounded to the nearest hundredth before the equality
     comparison.  Rows with an unavailable probability (failed folds) drop
-    out of all three probability buckets.
+    out of all three probability buckets.  Movements are matched by id (see
+    ``_movement_id``); a run that holds one twice raises MismatchedCorpora.
     """
-    rows_a = {path: (true, prob, pred) for _, path, true, prob, pred, _ in a.iter_movements()}
-    rows_b = {path: (true, prob, pred) for _, path, true, prob, pred, _ in b.iter_movements()}
+    rows_a, rows_b = _movement_rows(a), _movement_rows(b)
     if set(rows_a) != set(rows_b):
         raise MismatchedCorpora("the two runs cover different movement sets")
     paths = sorted(rows_a)

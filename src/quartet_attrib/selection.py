@@ -93,23 +93,22 @@ def icm_select(
     order whose BIC beats the current BIC is accepted.  The fits after it
     are dropped and the sweep resumes right after it, so every decision is
     the one a candidate-by-candidate search would make.
+
+    A restart stops after its first sweep that changes nothing, and
+    ``passes`` counts the confirming quiet sweep without running it: that
+    sweep would find every candidate cached and accept nothing.
     """
     X, labels = _as_array(matrix)
-    if X.shape[0] != len(y):
-        raise ValueError("matrix and y disagree on n")
     if restarts < 1:
         raise ValueError("need at least one restart")
     X, y = glm.check_data(X, y)
-    n, p = X.shape
+    p = X.shape[1]
     # design rows [1 | X]^T, gathered per candidate; their sds are the
     # column sds glm.fit computes for any subset
     design, sds = glm.design_rows(X)
     scales, _ = glm.prior_scales(sds, prior)
 
-    # (bic, restart, model, sweeps, trace) of the best restart so far
-    best: tuple | None = None
-    restart_bics: list[float] = []
-
+    states = []  # (bic, restart, model, passes, trace) of each restart
     for k in range(restarts):
         rng = np.random.default_rng([seed, k])
         order = rng.permutation(p).tolist()  # Python ints: cheaper keys
@@ -119,9 +118,9 @@ def icm_select(
         cache: dict[tuple[int, ...], float] = {}
         entries: list[TraceEntry] = []
         sweeps = 0
-        quiet = 0
+        changed = True
 
-        while quiet < 2:
+        while changed:
             sweeps += 1
             changed = False
             pos = 0
@@ -130,12 +129,10 @@ def icm_select(
                 size = CHUNK if current_bic < float("inf") else 1
                 chunk = order[pos : pos + size]
                 keys = [tuple(sorted(selected ^ {j})) for j in chunk]
-                fresh = [i for i, key in enumerate(keys) if key not in cache]
-                solved = _fit_subsets([keys[i] for i in fresh], design, y, scales, beta, bic_form)
-                fits = dict(zip(fresh, solved))
-                for i, j in enumerate(chunk):
-                    key = keys[i]
-                    cand_bic, coef = fits[i] if i in fits else (cache[key], None)
+                fresh = [key for key in keys if key not in cache]
+                fits = _fit_subsets(fresh, design, y, scales, beta, bic_form)
+                for i, (j, key) in enumerate(zip(chunk, keys)):
+                    cand_bic, coef = fits[key] if key in fits else (cache[key], None)
                     cache[key] = cand_bic
                     if not cand_bic < current_bic - ACCEPT_TOL:
                         continue
@@ -155,23 +152,20 @@ def icm_select(
                     selected = set(key)
                     current_bic = cand_bic
                     beta = np.zeros(p + 1)
-                    beta[_design_rows(key)] = coef
+                    beta[[0, *(c + 1 for c in key)]] = coef  # the intercept, then each column
                     changed = True
-                    pos += i + 1  # the fits after the accepted move are dropped
                     break
-                else:
-                    pos += len(chunk)
-            quiet = 0 if changed else quiet + 1
+                # resume after the last candidate tried; fits after an accepted one are dropped
+                pos += i + 1
 
         cols = tuple(sorted(selected))
         model = glm.fit(X[:, cols], y, prior=prior, feature_names=[labels[j] for j in cols])
-        restart_bics.append(glm.bic(model, bic_form))
-        state = (restart_bics[-1], k, model, sweeps, tuple(entries) if trace else None)
-        if best is None or state[:2] < best[:2]:
-            best = state
+        # passes counts the confirming quiet sweep, which is not run
+        states.append(
+            (glm.bic(model, bic_form), k, model, sweeps + 1, tuple(entries) if trace else None)
+        )
 
-    assert best is not None
-    bic, restart, model, passes, winner_trace = best
+    bic, restart, model, passes, winner_trace = min(states, key=lambda s: s[:2])
     return SelectionResult(
         selected=model.feature_names,
         bic=bic,
@@ -179,14 +173,9 @@ def icm_select(
         orderings_seed=seed,
         passes=passes,
         model=model,
-        restart_bics=tuple(restart_bics),
+        restart_bics=tuple(s[0] for s in states),
         trace=winner_trace,
     )
-
-
-def _design_rows(cols) -> np.ndarray:
-    """Design rows of a subset: the intercept, then each column."""
-    return np.concatenate(([0], np.asarray(cols, dtype=int) + 1))
 
 
 def _fit_subsets(
@@ -196,20 +185,17 @@ def _fit_subsets(
     scales: np.ndarray,
     warm: np.ndarray,
     bic_form: str,
-) -> list[tuple[float, np.ndarray]]:
+) -> dict[tuple[int, ...], tuple[float, np.ndarray]]:
     """BIC and coefficients of each subset's posterior mode, warm-started
-    from warm; subsets of one size are solved as one stack."""
-    out: list = [None] * len(subsets)
-    by_size: dict[int, list[int]] = {}
-    for i, cols in enumerate(subsets):
-        by_size.setdefault(len(cols), []).append(i)
-    n = len(y)
+    from warm, by subset; subsets of one size are solved as one stack."""
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+    for cols in subsets:
+        by_size.setdefault(len(cols), []).append(cols)
+    out = {}
     for d, members in by_size.items():
-        chosen = np.array([subsets[i] for i in members], dtype=int).reshape(len(members), d)
-        rows = np.zeros((len(members), d + 1), dtype=int)
-        rows[:, 1:] = chosen + 1  # _design_rows of each member
+        rows = np.zeros((len(members), d + 1), dtype=int)  # the intercept, then each column
+        rows[:, 1:] = np.array(members, dtype=int) + 1
         modes = glm.posterior_modes(glm.design_stack(design, rows), y, scales[rows], warm[rows])
-        bics = glm.bic_value(modes.log_likelihood, d, n, bic_form)
-        for i, b, coef in zip(members, bics, modes.beta):
-            out[i] = (float(b), coef)
+        bics = glm.bic_value(modes.log_likelihood, d, len(y), bic_form)
+        out.update(zip(members, zip(map(float, bics), modes.beta)))
     return out

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import synth
+from quartet_attrib import evaluation
 from quartet_attrib.cli import main
 from quartet_attrib.features import FeatureMatrix, FeatureName
 from quartet_attrib.score import Composer
@@ -520,6 +521,44 @@ class TestFitAndReport:
         assert rc == 0
         assert (out / "report.txt").read_bytes() == (out2 / "report.txt").read_bytes()
 
+
+    def test_json_outputs_are_strict_and_nan_reads_back(self, tmp_path, monkeypatch, capsys):
+        """model.json of a fit on fewer than 20 movements (no Hosmer-Lemeshow
+        group count) and cv_result.json of a run with a failed fold hold
+        null, not a bare NaN; report and compare read null back as NaN."""
+
+        def strict(path):
+            def refuse(name):
+                raise ValueError(f"{path.name} holds a bare {name}")
+
+            return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+
+        fp, mp = toy_feature_csvs(tmp_path)
+        args = ["--features", str(fp), "--meta", str(mp), "--restarts", "2", "--out"]
+        assert main(["fit", *args, str(tmp_path / "fit")]) == 0
+        model = strict(tmp_path / "fit" / "model.json")
+        assert model["hosmer"] == [] and model["hosmer_median_p"] is None
+        out = tmp_path / "report"
+        assert main(["report", "--model", str(tmp_path / "fit" / "model.json"), "--out", str(out)]) == 0
+        assert (out / "report.txt").read_bytes() == (tmp_path / "fit" / "report.txt").read_bytes()
+
+        real, calls = evaluation.selection.icm_select, []
+
+        def flaky(*a, **kw):
+            calls.append(None)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("synthetic failure")
+            return real(*a, **kw)
+
+        monkeypatch.setattr(evaluation.selection, "icm_select", flaky)
+        assert main(["cv", *args, str(tmp_path / "cv")]) == 0
+        cv_result = tmp_path / "cv" / "cv_result.json"
+        (failed,) = [f for f in strict(cv_result)["folds"] if f["failed"]]
+        assert failed["probabilities"] == [None] and failed["cutoff"] is None
+        capsys.readouterr()
+        assert main(["compare", str(cv_result), str(cv_result), "--out", str(tmp_path / "cmp")]) == 0
+        assert "movements compared: 10" in capsys.readouterr().out
+        strict(tmp_path / "cmp" / "compare.json")
 
     def test_report_and_compare_name_the_keys_a_wrong_file_lacks(self, tmp_path, capsys):
         fp, mp = toy_feature_csvs(tmp_path)

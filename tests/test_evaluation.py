@@ -432,6 +432,24 @@ class TestCompareRuns:
         assert rep.class_["greater_pct"] == 25.0
         assert rep.by_composer["mozart"]["class_equal_pct"] == 50.0
 
+    def test_movements_without_a_source_path_are_told_apart_by_row(self):
+        matrix = toy_matrix(np.random.default_rng(32), n=8, p=3)
+        rows = tuple(dataclasses.replace(meta, source_path="") for meta in matrix.rows)
+        matrix = dataclasses.replace(matrix, rows=rows)
+        result = run_cv(matrix, CVConfig(scheme=Scheme.LOO, seed=7, **FAST))
+        assert [f.fold_id for f in result.folds] == [f"row{i}" for i in range(8)]
+        rep = compare_runs(result, result)
+        assert rep.n == 8
+        assert rep.by_composer["mozart"]["n"] == rep.by_composer["haydn"]["n"] == 4
+
+    def test_a_run_that_repeats_a_movement_is_refused(self):
+        one = FoldRecord("0", (0,), ("p0",), (0,), (0.2,), 0.5, (0,), ())
+        unique = CVResult(scheme="loo", config={}, folds=(one,))
+        repeated = CVResult(scheme="loo", config={}, folds=(one, one))
+        for a, b in ((unique, repeated), (repeated, unique)):
+            with pytest.raises(MismatchedCorpora, match="'p0' twice"):
+                compare_runs(a, b)
+
     def test_mismatched_corpora(self):
         f1 = (FoldRecord("0", (0,), ("p0",), (0,), (0.2,), 0.5, (0,), ()),)
         f2 = (FoldRecord("0", (0,), ("px",), (0,), (0.2,), 0.5, (0,), ()),)

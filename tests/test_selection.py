@@ -199,7 +199,11 @@ def _oracle_cases():
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
-def test_batched_search_matches_one_fit_per_candidate_oracle(monkeypatch):
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 64])
+def test_batched_search_matches_one_fit_per_candidate_oracle(monkeypatch, chunk):
+    """Every case has p <= 30, so only the chunk sizes below 30 make a sweep
+    span several chunks."""
+    monkeypatch.setattr(selection, "CHUNK", chunk)
     seen = {"nonconverged": 0, "em_fallback": 0}
     real_modes, real_pd = glm.posterior_modes, glm._positive_definite
 
