@@ -35,9 +35,6 @@ from .selection import SelectionResult, icm_select
 from .evaluation import (
     CVConfig,
     CVResult,
-    CutoffPolicy,
-    FeatureScope,
-    Scheme,
     compare_runs,
     fit_full_model,
     run_cv,
@@ -49,19 +46,16 @@ __all__ = [
     "Composer",
     "CVConfig",
     "CVResult",
-    "CutoffPolicy",
     "DevelopmentThresholds",
     "EncodedMovement",
     "FeatureMatrix",
     "FeatureName",
-    "FeatureScope",
     "FittedModel",
     "KernError",
     "MalformedKern",
     "MissingMeter",
     "MovementMeta",
     "PriorConfig",
-    "Scheme",
     "SegmentConfig",
     "SelectionResult",
     "Voice",

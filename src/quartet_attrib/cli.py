@@ -15,16 +15,14 @@ import logging
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
 from .evaluation import (
+    MODES,
     CVConfig,
     CVResult,
-    CutoffPolicy,
-    FILTER_MODES,
-    FeatureScope,
-    Scheme,
     compare_runs,
     fit_full_model,
     json_float,
@@ -43,35 +41,19 @@ from .features import (
     extract_all,
     THRESHOLD_READINGS,
 )
-from .glm import BIC_FORMS, PriorConfig
+from .glm import PriorConfig
 from .score import load_corpus, movement_to_json
 
 logger = logging.getLogger(__name__)
 
 SEED_ENV = "QUARTET_ATTRIB_SEED"
 
-#: Per-dataset policies for one-command reproduction runs.
+#: Per-dataset policies, keyed by CVConfig field (and ``xi``, the prior scale
+#: factor); a setting that a preset leaves out keeps CVConfig's default.
 PRESETS = {
-    "hm285": {"xi": 0.6, "scheme": "loo", "cutoff": "tuned", "scope": "full", "filter": "global"},
-    "hm107": {"xi": 0.6, "scheme": "loo", "cutoff": "fixed", "scope": "full", "filter": "global"},
+    "hm285": {"xi": 0.6, "cutoff_policy": "tuned", "filter_mode": "global"},
+    "hm107": {"xi": 0.6, "cutoff_policy": "fixed", "filter_mode": "global"},
 }
-
-
-def _resolve(args, key, fallback):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    preset = PRESETS.get(getattr(args, "preset", None) or "", {})
-    if key in preset:
-        return preset[key]
-    return fallback
-
-
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV)
-    return int(env) if env else 0
 
 
 def _parse_lengths(text: str) -> tuple[int, ...]:
@@ -216,16 +198,21 @@ def _matrix_from_args(args) -> FeatureMatrix:
 
 
 def _cv_config(args) -> CVConfig:
+    """The flags given over the preset over CVConfig's defaults; without
+    ``--seed`` the seed comes from $QUARTET_ATTRIB_SEED when it is set, and
+    the prior scale factor falls back to 0.6."""
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    env = os.environ.get(SEED_ENV)
+    if "seed" not in given and env:
+        try:
+            given["seed"] = int(env)
+        except ValueError:
+            raise ValueError(f"${SEED_ENV} must be an integer, not {env!r}") from None
+    settings = {**PRESETS.get(args.preset, {}), **given}
+    names = {f.name for f in fields(CVConfig)} & settings.keys()
     return CVConfig(
-        scheme=Scheme(_resolve(args, "scheme", "loo")),
-        cutoff_policy=CutoffPolicy(_resolve(args, "cutoff", "fixed")),
-        feature_scope=FeatureScope(_resolve(args, "scope", "full")),
-        prior=PriorConfig(scale_factor=_resolve(args, "xi", 0.6)),
-        seed=_resolve_seed(args),
-        restarts=args.restarts,
-        filter_mode=_resolve(args, "filter", "per-fold"),
-        bic_form=args.bic,
-        n_jobs=_resolve(args, "jobs", 1),
+        prior=PriorConfig(scale_factor=settings.get("xi", 0.6)),
+        **{k: settings[k] for k in names},
     )
 
 
@@ -312,8 +299,8 @@ def render_report(payload: dict) -> str:
 
 
 def cmd_fit(args) -> int:
-    matrix = _matrix_from_args(args)
     config = _cv_config(args)
+    matrix = _matrix_from_args(args)
     report = fit_full_model(matrix, config)
     out = _out_dir(args)
     payload = report.to_json()
@@ -373,10 +360,11 @@ def _add_matrix_args(p: argparse.ArgumentParser) -> None:
 def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=sorted(PRESETS))
     p.add_argument("--xi", type=float, help="prior scale factor (default 0.6)")
-    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--restarts", type=int, help=f"ICM restarts (default {CVConfig.restarts})")
     p.add_argument("--seed", type=int, help=f"RNG seed (falls back to ${SEED_ENV}, then 0)")
-    p.add_argument("--scope", choices=[s.value for s in FeatureScope])
-    p.add_argument("--bic", choices=list(BIC_FORMS), default="paper")
+    p.add_argument("--scope", dest="feature_scope", choices=MODES["feature_scope"])
+    p.add_argument("--bic", dest="bic_form", choices=MODES["bic_form"],
+                   help=f"BIC penalty form (default {CVConfig.bic_form})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,12 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cv", help="cross-validated classification")
     _add_matrix_args(p)
     _add_model_args(p)
-    p.add_argument("--scheme", choices=[s.value for s in Scheme])
-    p.add_argument("--cutoff", choices=[c.value for c in CutoffPolicy])
-    p.add_argument("--filter", choices=FILTER_MODES)
+    p.add_argument("--scheme", choices=MODES["scheme"])
+    p.add_argument("--cutoff", dest="cutoff_policy", choices=MODES["cutoff_policy"])
+    p.add_argument("--filter", dest="filter_mode", choices=MODES["filter_mode"])
     p.add_argument("--leakage-audit", action="store_true",
                    help="recompute development thresholds per training fold")
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", dest="n_jobs", type=int, metavar="JOBS")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cv)
 

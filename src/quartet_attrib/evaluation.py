@@ -14,7 +14,6 @@ import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from enum import Enum
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -41,58 +40,57 @@ class MismatchedCorpora(ValueError):
     """Two runs cover different movement sets and cannot be compared."""
 
 
-class Scheme(str, Enum):
-    LOO = "loo"
-    LOQO = "loqo"
-
-
-class CutoffPolicy(str, Enum):
-    FIXED = "fixed"  # constant 0.5
-    TUNED = "tuned"  # grid-tuned on the training fold
-
-
-class FeatureScope(str, Enum):
-    FULL = "full"
-    REDUCED = "reduced"  # basic summary + interval features only
-
-
+#: Leave one movement out, or one quartet.
+SCHEMES = ("loo", "loqo")
+#: A constant 0.5 cutoff, or one grid-tuned on the training fold.
+CUTOFF_POLICIES = ("fixed", "tuned")
+#: Every feature, or the basic summary and interval features only.
+FEATURE_SCOPES = ("full", "reduced")
 REDUCED_CATEGORIES = ("basic", "interval")
 #: Where the near-zero-variance filter runs: in each training fold, or once before the folds.
 FILTER_MODES = ("per-fold", "global")
 #: The cutoffs a tuned fold chooses from: 0, 0.01, ..., 1.
 CUTOFF_GRID = tuple(round(i / 100, 2) for i in range(101))
+#: The spellings of each CVConfig mode field.
+MODES = {
+    "scheme": SCHEMES,
+    "cutoff_policy": CUTOFF_POLICIES,
+    "feature_scope": FEATURE_SCOPES,
+    "filter_mode": FILTER_MODES,
+    "bic_form": tuple(glm.BIC_FORMS),
+}
 
 
 @dataclass(frozen=True)
 class CVConfig:
-    scheme: Scheme = Scheme.LOO
-    cutoff_policy: CutoffPolicy = CutoffPolicy.FIXED
-    feature_scope: FeatureScope = FeatureScope.FULL
+    scheme: str = "loo"
+    cutoff_policy: str = "fixed"
+    feature_scope: str = "full"
     prior: PriorConfig = field(default_factory=PriorConfig)
     seed: int = 0
     restarts: int = 10
-    filter_mode: str = "per-fold"  # one of FILTER_MODES
+    filter_mode: str = "per-fold"
     bic_form: str = "paper"
     n_jobs: int = 1
 
     def __post_init__(self):
-        if self.filter_mode not in FILTER_MODES:
-            raise ValueError(f"filter_mode must be one of {FILTER_MODES}")
+        for name, spellings in MODES.items():
+            if getattr(self, name) not in spellings:
+                raise ValueError(f"{name} must be one of {spellings}")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be at least 1")
-        if self.bic_form not in glm.BIC_FORMS:
-            raise ValueError(f"bic_form must be one of {tuple(glm.BIC_FORMS)}")
 
     def to_json(self) -> dict:
-        """Every field but ``n_jobs``, each enum as its value, and the
-        cutoff grid as ``grid``.
+        """Every field but ``n_jobs``, and the cutoff grid as ``grid``.
 
         ``n_jobs`` is left out because it does not change the results:
         runs with ``--jobs 1`` and ``--jobs N`` write the same bytes.
         """
-        out = {k: v.value if isinstance(v, Enum) else v for k, v in asdict(self).items()}
+        out = asdict(self)
         del out["n_jobs"]
         return {**out, "grid": list(CUTOFF_GRID)}
 
@@ -239,8 +237,8 @@ def _movement_id(path: str, row: int) -> str:
     return path or f"row{row}"
 
 
-def _make_folds(matrix: FeatureMatrix, scheme: Scheme) -> list[_FoldSpec]:
-    if scheme == Scheme.LOO:
+def _make_folds(matrix: FeatureMatrix, scheme: str) -> list[_FoldSpec]:
+    if scheme == "loo":
         return [
             _FoldSpec(_movement_id(meta.source_path, i), (i,))
             for i, meta in enumerate(matrix.rows)
@@ -260,8 +258,8 @@ def _make_folds(matrix: FeatureMatrix, scheme: Scheme) -> list[_FoldSpec]:
     ]
 
 
-def _scope_matrix(matrix: FeatureMatrix, scope: FeatureScope) -> FeatureMatrix:
-    if scope == FeatureScope.REDUCED:
+def _scope_matrix(matrix: FeatureMatrix, scope: str) -> FeatureMatrix:
+    if scope == "reduced":
         return matrix.select_columns(matrix.category_indices(REDUCED_CATEGORIES))
     return matrix
 
@@ -305,7 +303,7 @@ def _run_fold(matrix, y, config, pool, fold, fold_index) -> FoldRecord:
         seed = _fold_seed(config.seed, fold_index)
         result, X = _select(fm, y, train_idx, config, seed, config.filter_mode == "global")
         model = result.model
-        if config.cutoff_policy == CutoffPolicy.TUNED:
+        if config.cutoff_policy == "tuned":
             cutoff = tune_cutoff(glm.predict_prob(model, X[train_idx]), y[train_idx])
         else:
             cutoff = 0.5
@@ -400,7 +398,7 @@ def run_cv(
     else:
         records = [_run_fold(*shared, *task) for task in tasks]
     recorded = {**config.to_json(), "leakage_audit": development_pool is not None}
-    return CVResult(scheme=config.scheme.value, config=recorded, folds=tuple(records))
+    return CVResult(scheme=config.scheme, config=recorded, folds=tuple(records))
 
 
 # ---------------------------------------------------------------------------

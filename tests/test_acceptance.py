@@ -19,14 +19,7 @@ import pytest
 import oracles
 import synth
 from quartet_attrib import glm
-from quartet_attrib.evaluation import (
-    CVConfig,
-    CutoffPolicy,
-    FeatureScope,
-    Scheme,
-    fit_full_model,
-    run_cv,
-)
+from quartet_attrib.evaluation import CVConfig, fit_full_model, run_cv
 from quartet_attrib.features import (
     SegmentConfig,
     build_development_pool,
@@ -365,7 +358,7 @@ def test_criterion_6_invariant_suite():
         ],
         small,
     ).matrix
-    cv_cfg = CVConfig(scheme=Scheme.LOO, seed=3, restarts=2, prior=glm.PriorConfig(0.6))
+    cv_cfg = CVConfig(scheme="loo", seed=3, restarts=2, prior=glm.PriorConfig(0.6))
     r1 = run_cv(matrix, cv_cfg)
     r2 = run_cv(matrix, cv_cfg)
     deterministic = json.dumps(r1.to_json(), sort_keys=True) == json.dumps(
@@ -392,8 +385,8 @@ def test_criterion_7_paper_number_reproduction():
     r107 = run_cv(
         m107,
         CVConfig(
-            scheme=Scheme.LOO,
-            cutoff_policy=CutoffPolicy.FIXED,
+            scheme="loo",
+            cutoff_policy="fixed",
             prior=prior,
             seed=seed,
             filter_mode="global",
@@ -404,8 +397,8 @@ def test_criterion_7_paper_number_reproduction():
 
     m285 = extract_all(hm285).matrix
     cfg285 = CVConfig(
-        scheme=Scheme.LOO,
-        cutoff_policy=CutoffPolicy.TUNED,
+        scheme="loo",
+        cutoff_policy="tuned",
         prior=prior,
         seed=seed,
         filter_mode="global",
@@ -419,11 +412,11 @@ def test_criterion_7_paper_number_reproduction():
 
     import dataclasses
 
-    rq = run_cv(m285, dataclasses.replace(cfg285, scheme=Scheme.LOQO))
+    rq = run_cv(m285, dataclasses.replace(cfg285, scheme="loqo"))
     ok &= 0.75 <= rq.accuracy <= 0.83
     details.append(f"HM285_loqo={100 * rq.accuracy:.2f}% (target 79.03)")
 
-    rr = run_cv(m285, dataclasses.replace(cfg285, feature_scope=FeatureScope.REDUCED))
+    rr = run_cv(m285, dataclasses.replace(cfg285, feature_scope="reduced"))
     ok &= 0.76 <= rr.accuracy <= 0.84
     details.append(f"HM285_reduced_loo={100 * rr.accuracy:.2f}% (target 80.35)")
 

@@ -10,8 +10,10 @@ import pytest
 
 import synth
 from quartet_attrib import evaluation
-from quartet_attrib.cli import main
+from quartet_attrib.cli import _write_json, main
+from quartet_attrib.evaluation import CVConfig, run_cv
 from quartet_attrib.features import FeatureMatrix, FeatureName
+from quartet_attrib.glm import PriorConfig
 from quartet_attrib.score import Composer
 
 
@@ -331,6 +333,54 @@ class TestCV:
         assert main(["cv", "--features", str(fp), "--meta", str(mp), "--restarts", "2", "--out", str(o1)]) == 0
         cfg = json.loads((o1 / "run_config.json").read_text())
         assert cfg["cv"]["seed"] == 7
+
+    @pytest.mark.parametrize("command", [["cv"], ["cv", "--jobs", "2"], ["fit"]], ids=" ".join)
+    def test_negative_seed_fails_before_the_matrix_is_read(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # reading the matrix would raise TypeError
+        monkeypatch.setattr("quartet_attrib.cli._matrix_from_args", None)
+        fp, mp = toy_feature_csvs(tmp_path)
+        out = tmp_path / "x"
+        args = ["--features", str(fp), "--meta", str(mp), "--seed", "-2", "--out", str(out)]
+        assert main([*command, *args]) == 1
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("abc", "$QUARTET_ATTRIB_SEED must be an integer, not 'abc'"),
+            ("-2", "seed must be a non-negative integer"),
+        ],
+        ids=["not-an-integer", "negative"],
+    )
+    def test_bad_env_seed_fails_with_an_error_naming_it(
+        self, tmp_path, capsys, monkeypatch, value, message
+    ):
+        monkeypatch.setenv("QUARTET_ATTRIB_SEED", value)
+        fp, mp = toy_feature_csvs(tmp_path)
+        out = tmp_path / "x"
+        args = ["--features", str(fp), "--meta", str(mp), "--restarts", "1", "--out", str(out)]
+        for command in ("cv", "fit"):
+            assert main([command, *args]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        # a --seed flag wins, so the variable is not read
+        assert main(["cv", *args, "--seed", "3"]) == 0
+        assert json.loads((out / "run_config.json").read_text())["cv"]["seed"] == 3
+
+    def test_a_library_run_writes_the_bytes_of_the_command_it_copies(self, tmp_path):
+        fp, mp = toy_feature_csvs(tmp_path)
+        out = tmp_path / "cli"
+        args = ["--features", str(fp), "--meta", str(mp), "--scheme", "loqo", "--cutoff", "tuned"]
+        assert main(["cv", *args, "--restarts", "2", "--seed", "4", "--out", str(out)]) == 0
+        config = CVConfig(
+            scheme="loqo", cutoff_policy="tuned", prior=PriorConfig(0.6), restarts=2, seed=4
+        )
+        result = run_cv(FeatureMatrix.from_csv(fp, mp), config)
+        _write_json(tmp_path / "library.json", result.to_json())
+        assert (tmp_path / "library.json").read_bytes() == (out / "cv_result.json").read_bytes()
 
     def test_loqo_scheme(self, tmp_path):
         fp, mp = toy_feature_csvs(tmp_path)

@@ -18,12 +18,9 @@ from quartet_attrib.evaluation import (
     CVConfig,
     CVResult,
     ConfigurationError,
-    CutoffPolicy,
-    FeatureScope,
     FoldRecord,
     FullModelReport,
     MismatchedCorpora,
-    Scheme,
     compare_runs,
     fit_full_model,
     run_cv,
@@ -106,7 +103,7 @@ class TestRunCV:
     def test_loo_recovers_planted_signal(self):
         rng = np.random.default_rng(21)
         matrix = toy_matrix(rng, n=14, p=4)
-        config = CVConfig(scheme=Scheme.LOO, seed=5, **FAST)
+        config = CVConfig(scheme="loo", seed=5, **FAST)
         result = run_cv(matrix, config)
         assert result.n == 14
         assert len(result.folds) == 14
@@ -117,7 +114,7 @@ class TestRunCV:
     def test_fold_disjointness_and_coverage(self):
         rng = np.random.default_rng(22)
         matrix = toy_matrix(rng, n=10, p=3)
-        result = run_cv(matrix, CVConfig(scheme=Scheme.LOO, seed=1, **FAST))
+        result = run_cv(matrix, CVConfig(scheme="loo", seed=1, **FAST))
         seen = []
         for fold in result.folds:
             assert len(fold.left_out) == 1
@@ -129,7 +126,7 @@ class TestRunCV:
         matrix = toy_matrix(rng, n=8, p=3)
         rows = tuple(dataclasses.replace(m, source_path="") for m in matrix.rows)
         blank = FeatureMatrix(rows=rows, columns=matrix.columns, values=matrix.values)
-        result = run_cv(blank, CVConfig(scheme=Scheme.LOO, seed=1, **FAST))
+        result = run_cv(blank, CVConfig(scheme="loo", seed=1, **FAST))
         assert [f.fold_id for f in result.folds] == [f"row{i}" for i in range(8)]
         assert not any(f.failed for f in result.folds)
 
@@ -146,12 +143,12 @@ class TestRunCV:
 
         monkeypatch.setattr(ev, "_run_fold", no_fold)
         with pytest.raises(ConfigurationError, match="repeats the movement 'mv0.krn'"):
-            run_cv(twice, CVConfig(scheme=Scheme.LOO, **FAST))
+            run_cv(twice, CVConfig(scheme="loo", **FAST))
 
     def test_loqo_groups_by_quartet(self):
         rng = np.random.default_rng(23)
         matrix = toy_matrix(rng, n=12, p=3, quartet_size=3)
-        result = run_cv(matrix, CVConfig(scheme=Scheme.LOQO, seed=2, **FAST))
+        result = run_cv(matrix, CVConfig(scheme="loqo", seed=2, **FAST))
         assert len(result.folds) == 4
         assert all(len(f.left_out) == 3 for f in result.folds)
         # aggregate is the mean of per-fold accuracies, not pooled
@@ -166,7 +163,7 @@ class TestRunCV:
         ids = {"q0": "1", "q1": "1", "q2": "2", "q3": "2", "q4": "3", "q5": "4"}
         rows = tuple(dataclasses.replace(m, quartet_id=ids[m.quartet_id]) for m in matrix.rows)
         shared = FeatureMatrix(rows=rows, columns=matrix.columns, values=matrix.values)
-        result = run_cv(shared, CVConfig(scheme=Scheme.LOQO, seed=2, **FAST))
+        result = run_cv(shared, CVConfig(scheme="loqo", seed=2, **FAST))
         assert [f.fold_id for f in result.folds] == [
             "mozart/1", "haydn/1", "mozart/2", "haydn/2", "3", "4"
         ]
@@ -183,12 +180,12 @@ class TestRunCV:
         rows = tuple(dataclasses.replace(m, quartet_id="") for m in rows)
         bad = FeatureMatrix(rows=rows, columns=matrix.columns, values=matrix.values)
         with pytest.raises(ConfigurationError):
-            run_cv(bad, CVConfig(scheme=Scheme.LOQO, **FAST))
+            run_cv(bad, CVConfig(scheme="loqo", **FAST))
 
     def test_determinism_byte_for_byte(self):
         rng = np.random.default_rng(25)
         matrix = toy_matrix(rng, n=10, p=4)
-        config = CVConfig(scheme=Scheme.LOO, seed=9, cutoff_policy=CutoffPolicy.TUNED, **FAST)
+        config = CVConfig(scheme="loo", seed=9, cutoff_policy="tuned", **FAST)
         a = run_cv(matrix, config)
         b = run_cv(matrix, config)
         assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(b.to_json(), sort_keys=True)
@@ -196,19 +193,19 @@ class TestRunCV:
     def test_seed_changes_orderings(self):
         rng = np.random.default_rng(26)
         matrix = toy_matrix(rng, n=10, p=4)
-        a = run_cv(matrix, CVConfig(scheme=Scheme.LOO, seed=1, **FAST))
-        b = run_cv(matrix, CVConfig(scheme=Scheme.LOO, seed=2, **FAST))
+        a = run_cv(matrix, CVConfig(scheme="loo", seed=1, **FAST))
+        b = run_cv(matrix, CVConfig(scheme="loo", seed=2, **FAST))
         assert a.n == b.n  # results may or may not differ, but both complete
 
     @pytest.mark.parametrize("filter_mode", ["per-fold", "global"])
     @pytest.mark.parametrize(
         "n, scheme, message",
         [
-            (0, Scheme.LOO, NO_ROWS),
-            (0, Scheme.LOQO, NO_ROWS),
-            (1, Scheme.LOO, f"fold 'mv0.krn' trains on 0 of 1 {TOO_FEW}"),
-            (2, Scheme.LOO, f"fold 'mv0.krn' trains on 1 of 2 {TOO_FEW}"),
-            (3, Scheme.LOQO, f"fold 'q0' trains on 1 of 3 {TOO_FEW}"),
+            (0, "loo", NO_ROWS),
+            (0, "loqo", NO_ROWS),
+            (1, "loo", f"fold 'mv0.krn' trains on 0 of 1 {TOO_FEW}"),
+            (2, "loo", f"fold 'mv0.krn' trains on 1 of 2 {TOO_FEW}"),
+            (3, "loqo", f"fold 'q0' trains on 1 of 3 {TOO_FEW}"),
         ],
         ids=["empty-loo", "empty-loqo", "one-loo", "two-loo", "three-loqo"],
     )
@@ -253,7 +250,7 @@ class TestRunCV:
         monkeypatch.setattr(ev, "ProcessPoolExecutor", Inline)
         monkeypatch.setattr(ev, "_worker_shared", None)
         matrix = toy_matrix(np.random.default_rng(29), n=8, p=3)
-        config = CVConfig(scheme=Scheme.LOQO, seed=1, **FAST)
+        config = CVConfig(scheme="loqo", seed=1, **FAST)
         serial = run_cv(matrix, config)
         assert started == []
         result = run_cv(matrix, dataclasses.replace(config, n_jobs=jobs))
@@ -275,7 +272,7 @@ class TestRunCV:
         import quartet_attrib.evaluation as ev
 
         monkeypatch.setattr(ev.selection, "icm_select", flaky)
-        result = run_cv(matrix, CVConfig(scheme=Scheme.LOO, seed=3, **FAST))
+        result = run_cv(matrix, CVConfig(scheme="loo", seed=3, **FAST))
         failed = [f for f in result.folds if f.failed]
         assert len(failed) == 1
         f = failed[0]
@@ -296,7 +293,7 @@ class TestRunCV:
 
         monkeypatch.setattr(ev.selection, "icm_select", broken)
         with pytest.raises(error, match="synthetic bug"):
-            run_cv(matrix, CVConfig(scheme=Scheme.LOO, seed=3, **FAST))
+            run_cv(matrix, CVConfig(scheme="loo", seed=3, **FAST))
 
     def test_label_symmetry_with_flat_intercept_prior(self):
         rng = np.random.default_rng(29)
@@ -306,7 +303,7 @@ class TestRunCV:
             flipped_rows.append(dataclasses.replace(m, composer=Composer(1 - int(m.composer))))
         flipped = FeatureMatrix(rows=tuple(flipped_rows), columns=matrix.columns, values=matrix.values)
         prior = PriorConfig(scale_factor=0.6, intercept_scale=1e6)
-        config = CVConfig(scheme=Scheme.LOO, seed=4, restarts=2, prior=prior)
+        config = CVConfig(scheme="loo", seed=4, restarts=2, prior=prior)
         a = run_cv(matrix, config)
         b = run_cv(flipped, config)
         for fa, fb in zip(a.folds, b.folds):
@@ -319,7 +316,7 @@ class TestRunCV:
         matrix = toy_matrix(rng, n=10, p=4, categories=cats)
         result = run_cv(
             matrix,
-            CVConfig(scheme=Scheme.LOO, feature_scope=FeatureScope.REDUCED, seed=1, **FAST),
+            CVConfig(scheme="loo", feature_scope="reduced", seed=1, **FAST),
         )
         for fold in result.folds:
             for lbl in fold.selected:
@@ -328,7 +325,7 @@ class TestRunCV:
     def test_parallel_folds_match_serial(self):
         rng = np.random.default_rng(31)
         matrix = toy_matrix(rng, n=8, p=3)
-        base = CVConfig(scheme=Scheme.LOO, seed=6, **FAST)
+        base = CVConfig(scheme="loo", seed=6, **FAST)
         par = dataclasses.replace(base, n_jobs=2)
         a = run_cv(matrix, base)
         b = run_cv(matrix, par)
@@ -403,7 +400,7 @@ class TestCompareRuns:
     def test_identical_runs(self):
         rng = np.random.default_rng(32)
         matrix = toy_matrix(rng, n=8, p=3)
-        result = run_cv(matrix, CVConfig(scheme=Scheme.LOO, seed=7, **FAST))
+        result = run_cv(matrix, CVConfig(scheme="loo", seed=7, **FAST))
         rep = compare_runs(result, result)
         assert rep.probability["equal_pct"] == 100.0
         assert rep.class_["equal_pct"] == 100.0
@@ -436,7 +433,7 @@ class TestCompareRuns:
         matrix = toy_matrix(np.random.default_rng(32), n=8, p=3)
         rows = tuple(dataclasses.replace(meta, source_path="") for meta in matrix.rows)
         matrix = dataclasses.replace(matrix, rows=rows)
-        result = run_cv(matrix, CVConfig(scheme=Scheme.LOO, seed=7, **FAST))
+        result = run_cv(matrix, CVConfig(scheme="loo", seed=7, **FAST))
         assert [f.fold_id for f in result.folds] == [f"row{i}" for i in range(8)]
         rep = compare_runs(result, result)
         assert rep.n == 8
@@ -493,7 +490,7 @@ class TestCsvWriters:
     def test_fold_and_probability_csv(self, tmp_path):
         rng = np.random.default_rng(36)
         matrix = toy_matrix(rng, n=6, p=3)
-        result = run_cv(matrix, CVConfig(scheme=Scheme.LOO, seed=2, **FAST))
+        result = run_cv(matrix, CVConfig(scheme="loo", seed=2, **FAST))
         write_fold_csv(result, tmp_path / "folds.csv")
         write_probability_csv(result, tmp_path / "probs.csv")
         folds = (tmp_path / "folds.csv").read_text().strip().splitlines()
@@ -509,7 +506,7 @@ def test_json_keys_are_the_dataclass_fields():
 
     rng = np.random.default_rng(46)
     matrix = toy_matrix(rng, n=8, p=3)
-    config = CVConfig(scheme=Scheme.LOQO, cutoff_policy=CutoffPolicy.TUNED, n_jobs=2, **FAST)
+    config = CVConfig(scheme="loqo", cutoff_policy="tuned", n_jobs=2, **FAST)
     payload = config.to_json()
     assert payload.keys() == names(CVConfig) - {"n_jobs"} | {"grid"}
     assert payload["grid"] == list(CUTOFF_GRID)
@@ -550,15 +547,39 @@ def test_json_keys_are_the_dataclass_fields():
 
 
 def test_cv_config_validation():
-    with pytest.raises(ValueError):
-        CVConfig(filter_mode="sometimes")
     with pytest.raises(ValueError, match="restarts"):
         CVConfig(restarts=0)
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+        CVConfig(seed=-2)
     for jobs in (0, -3):
         with pytest.raises(ValueError, match="n_jobs must be at least 1"):
             CVConfig(n_jobs=jobs)
-    with pytest.raises(ValueError, match="bic_form must be one of"):
-        CVConfig(bic_form="aic")
+
+
+MODE_SPELLINGS = {
+    "scheme": ("loo", "loqo"),
+    "cutoff_policy": ("fixed", "tuned"),
+    "feature_scope": ("full", "reduced"),
+    "filter_mode": ("per-fold", "global"),
+    "bic_form": ("paper", "textbook"),
+}
+
+
+@pytest.mark.parametrize("name", MODE_SPELLINGS)
+def test_a_misspelt_mode_is_refused_by_name(name):
+    spellings = MODE_SPELLINGS[name]
+    for value in ("tunned", spellings[0].upper(), None):
+        with pytest.raises(ValueError) as exc:
+            CVConfig(**{name: value})
+        assert str(exc.value) == f"{name} must be one of {spellings}"
+    for value in spellings:
+        assert getattr(CVConfig(**{name: value}), name) == value
+
+
+def test_fit_full_model_refuses_a_misspelt_scope():
+    matrix = toy_matrix(np.random.default_rng(47), n=24, p=3)
+    with pytest.raises(ValueError, match="^feature_scope must be one of"):
+        fit_full_model(matrix, CVConfig(feature_scope="reduce", **FAST))
 
 
 class TestLeakageAudit:
@@ -595,7 +616,7 @@ class TestLeakageAudit:
 
         monkeypatch.setattr(ev, "_run_fold", no_fold)
         with pytest.raises(ConfigurationError, match="in the same order"):
-            run_cv(matrix, CVConfig(scheme=Scheme.LOO, **FAST), development_pool=pool)
+            run_cv(matrix, CVConfig(scheme="loo", **FAST), development_pool=pool)
 
     @pytest.mark.parametrize("reading", ["prose", "literal"])
     def test_all_rows_reproduce_the_extraction(self, reading):
@@ -642,7 +663,7 @@ class TestLeakageAudit:
     def test_run_cv_with_leakage_audit(self):
         rng = np.random.default_rng(41)
         matrix, pool = self._corpus_matrix(rng)
-        config = CVConfig(scheme=Scheme.LOO, seed=1, restarts=2,
+        config = CVConfig(scheme="loo", seed=1, restarts=2,
                           prior=PriorConfig(scale_factor=0.6))
         result = run_cv(matrix, config, development_pool=pool)
         assert result.n == matrix.n
@@ -658,7 +679,7 @@ class TestLeakageAudit:
         )
         rng = np.random.default_rng(41)
         matrix, pool = self._corpus_matrix(rng)
-        config = CVConfig(scheme=Scheme.LOO, seed=1, restarts=2,
+        config = CVConfig(scheme="loo", seed=1, restarts=2,
                           prior=PriorConfig(scale_factor=0.6))
         a = run_cv(matrix, config, development_pool=pool)
         b = run_cv(matrix, dataclasses.replace(config, n_jobs=2), development_pool=pool)
@@ -671,8 +692,8 @@ class TestTunedCutoffEdge:
         # pure-noise features: selections come back empty, tuning still works
         rng = np.random.default_rng(43)
         matrix = toy_matrix(rng, n=8, p=3, signal_scale=0.0)
-        config = CVConfig(scheme=Scheme.LOO, seed=2, restarts=2,
-                          cutoff_policy=CutoffPolicy.TUNED,
+        config = CVConfig(scheme="loo", seed=2, restarts=2,
+                          cutoff_policy="tuned",
                           prior=PriorConfig(scale_factor=0.6))
         result = run_cv(matrix, config)
         assert result.n == 8

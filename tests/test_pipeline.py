@@ -11,8 +11,6 @@ import pytest
 import synth
 from quartet_attrib.evaluation import (
     CVConfig,
-    CutoffPolicy,
-    Scheme,
     compare_runs,
     fit_full_model,
     run_cv,
@@ -39,7 +37,7 @@ BASE = dict(restarts=2, prior=PriorConfig(scale_factor=0.6), seed=0)
 
 @pytest.fixture(scope="module")
 def loo_result(styled_matrix):
-    return run_cv(styled_matrix, CVConfig(scheme=Scheme.LOO, **BASE))
+    return run_cv(styled_matrix, CVConfig(scheme="loo", **BASE))
 
 
 class TestPlantedCorpus:
@@ -55,7 +53,7 @@ class TestPlantedCorpus:
 
     def test_loqo_close_to_loo(self, styled_matrix, loo_result):
         loo = loo_result
-        loqo = run_cv(styled_matrix, CVConfig(scheme=Scheme.LOQO, **BASE))
+        loqo = run_cv(styled_matrix, CVConfig(scheme="loqo", **BASE))
         assert len(loqo.folds) == 8
         assert loqo.accuracy >= 0.75
         report = compare_runs(loo, loqo)
@@ -64,7 +62,7 @@ class TestPlantedCorpus:
     def test_tuned_cutoff_variant_completes(self, styled_matrix):
         result = run_cv(
             styled_matrix,
-            CVConfig(scheme=Scheme.LOO, cutoff_policy=CutoffPolicy.TUNED, **BASE),
+            CVConfig(scheme="loo", cutoff_policy="tuned", **BASE),
         )
         assert result.accuracy >= 0.8
 
