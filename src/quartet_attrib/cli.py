@@ -35,6 +35,7 @@ from .evaluation import (
 )
 from .features import (
     DEFAULT_SEGMENT_LENGTHS,
+    DevelopmentSdPool,
     FeatureMatrix,
     SegmentConfig,
     build_development_pool,
@@ -57,7 +58,10 @@ PRESETS = {
 
 
 def _parse_lengths(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    try:
+        return SegmentConfig(tuple(int(tok) for tok in text.split(",") if tok.strip())).lengths
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _out_dir(args) -> Path:
@@ -83,16 +87,15 @@ def _nan_as_null(value):
     return value
 
 
-def _corpus_pass(args, consume, tap=None):
+def _corpus_pass(args, consume):
     """Run ``consume`` on the manifest movements as they are parsed and
-    return its result; ``tap`` sees each movement on the way.
+    return its result.
 
     Parse errors are printed once the pass ends, before any other message,
     so a failure reads as if the whole corpus had been parsed first: a
-    parse error without ``--skip-bad`` stops the feed and the command, then
-    a corpus without movements does, then an error of ``consume``.  After
-    a failure the rest of the manifest is parsed only to name every bad
-    file.
+    parse error without ``--skip-bad`` ends the feed and stops the command,
+    then a corpus without movements does, then an error of ``consume``.
+    The rest of the manifest is parsed only to name every bad file.
     """
     corpus_root = Path(args.corpus)
     if not corpus_root.is_dir():
@@ -105,20 +108,16 @@ def _corpus_pass(args, consume, tap=None):
         nonlocal parsed
         for mv in movements:
             if errors and fatal:
-                break
+                return
             parsed += 1
-            if tap is not None:
-                tap(mv)
             yield mv
-        if errors and fatal:
-            raise SystemExit(1)
 
     failure = None
     try:
         result = consume(feed())
-    except (ValueError, SystemExit) as exc:
+    except ValueError as exc:
         failure = exc
-        parsed += sum(1 for _ in movements)
+    parsed += sum(1 for _ in movements)
     for path, msg in errors:
         print(f"error parsing {path}: {msg}", file=sys.stderr)
     if errors and fatal:
@@ -128,16 +127,6 @@ def _corpus_pass(args, consume, tap=None):
     if failure is not None:
         raise failure
     return result
-
-
-def _extract(args, tap=None):
-    """The corpus's extraction (matrix, pool and thresholds), in one pass."""
-    seg = SegmentConfig(args.m_lengths)
-    return _corpus_pass(
-        args,
-        lambda movements: extract_all(movements, seg, threshold_reading=args.threshold_reading),
-        tap,
-    )
 
 
 def _run_config(command: str, args, extra: dict) -> dict:
@@ -170,8 +159,16 @@ def cmd_extract(args) -> int:
             )
         else:
             dumps[name] = (path, movement_to_json(mv))
+        return mv
 
-    matrix, _, thresholds = _extract(args, dump if args.dump_movements else None)
+    def consume(movements):
+        if args.dump_movements:
+            movements = map(dump, movements)
+        return extract_all(
+            movements, SegmentConfig(args.m_lengths), threshold_reading=args.threshold_reading
+        )
+
+    matrix, _, thresholds = _corpus_pass(args, consume)
     if clashes:
         raise SystemExit(clashes[0])
     out = _out_dir(args)
@@ -187,14 +184,31 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _matrix_from_args(args) -> FeatureMatrix:
-    if args.features:
-        if not args.meta:
-            raise SystemExit("error: --meta is required with --features")
-        return FeatureMatrix.from_csv(args.features, args.meta)
-    if args.corpus and args.manifest:
-        return _extract(args).matrix
-    raise SystemExit("error: provide --features/--meta or --corpus/--manifest")
+def _inputs(args, pool: bool) -> tuple[FeatureMatrix, DevelopmentSdPool | None]:
+    """The command's feature matrix and, if ``pool``, the corpus's
+    development pool.  A matrix from --features/--meta is read first, so
+    that a wrong CSV argument stops the command before the corpus is
+    parsed, and the pool is then built alone; otherwise both come from one
+    extraction pass over the corpus."""
+    corpus = args.corpus and args.manifest
+    if pool and not corpus:
+        raise SystemExit("error: --leakage-audit needs --corpus/--manifest")
+    if args.features and not args.meta:
+        raise SystemExit("error: --meta is required with --features")
+    if not (args.features or corpus):
+        raise SystemExit("error: provide --features/--meta or --corpus/--manifest")
+    seg = SegmentConfig(args.m_lengths)
+    if not args.features:
+        extraction = _corpus_pass(
+            args, lambda mvs: extract_all(mvs, seg, threshold_reading=args.threshold_reading)
+        )
+        return extraction.matrix, extraction.pool if pool else None
+    matrix = FeatureMatrix.from_csv(args.features, args.meta)
+    if not pool:
+        return matrix, None
+    return matrix, _corpus_pass(
+        args, lambda mvs: build_development_pool(mvs, seg, args.threshold_reading)
+    )
 
 
 def _cv_config(args) -> CVConfig:
@@ -238,22 +252,7 @@ def _print_cv_summary(result: CVResult) -> None:
 
 def cmd_cv(args) -> int:
     config = _cv_config(args)
-    pool = None
-    if args.leakage_audit and not (args.corpus and args.manifest):
-        raise SystemExit("error: --leakage-audit needs --corpus/--manifest")
-    if args.leakage_audit and args.features:
-        # the pool alone: the matrix comes from the CSV, read first so that
-        # a wrong CSV argument stops the command before the corpus is parsed
-        matrix = _matrix_from_args(args)
-        seg = SegmentConfig(args.m_lengths)
-        pool = _corpus_pass(
-            args,
-            lambda movements: build_development_pool(movements, seg, args.threshold_reading),
-        )
-    elif args.leakage_audit:
-        matrix, pool, _ = _extract(args)
-    else:
-        matrix = _matrix_from_args(args)
+    matrix, pool = _inputs(args, pool=args.leakage_audit)
     result = run_cv(matrix, config, development_pool=pool)
     out = _out_dir(args)
     _write_json(out / "cv_result.json", result.to_json())
@@ -300,7 +299,7 @@ def render_report(payload: dict) -> str:
 
 def cmd_fit(args) -> int:
     config = _cv_config(args)
-    matrix = _matrix_from_args(args)
+    matrix, _ = _inputs(args, pool=False)
     report = fit_full_model(matrix, config)
     out = _out_dir(args)
     payload = report.to_json()

@@ -8,7 +8,6 @@ with a coefficient table and Hosmer-Lemeshow sweep.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from collections import Counter
@@ -24,6 +23,7 @@ from .features import (
     FeatureMatrix,
     near_zero_variance_filter,
     parse_label,
+    write_csv,
 )
 from .glm import PriorConfig
 from .score import Composer
@@ -589,49 +589,28 @@ def fit_full_model(matrix: FeatureMatrix, config: CVConfig) -> FullModelReport:
 # ---------------------------------------------------------------------------
 
 
+def _cell(x: float) -> str:
+    """A probability or cutoff cell: blank for NaN, else 12 significant digits."""
+    return "" if math.isnan(x) else f"{x:.12g}"
+
+
 def write_fold_csv(result: CVResult, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["fold_id", "source_path", "true_class", "probability", "cutoff", "predicted", "selected_features"]
-        )
-        for _, src, true, prob, pred, fold in result.iter_movements():
-            writer.writerow(
-                [
-                    fold.fold_id,
-                    src,
-                    true,
-                    "" if math.isnan(prob) else f"{prob:.12g}",
-                    "" if math.isnan(fold.cutoff) else f"{fold.cutoff:.12g}",
-                    pred,
-                    ";".join(fold.selected),
-                ]
-            )
+    header = ["fold_id", "source_path", "true_class", "probability", "cutoff", "predicted",
+              "selected_features"]
+    rows = ([f.fold_id, src, true, _cell(prob), _cell(f.cutoff), pred, ";".join(f.selected)]
+            for _, src, true, prob, pred, f in result.iter_movements())
+    write_csv(path, header, rows)
 
 
 def write_probability_csv(result: CVResult, path) -> None:
     """Per-movement probabilities ordered by composer then corpus order,
     ready for probability-timeline charts."""
-    rows = sorted(result.iter_movements(), key=lambda r: (r[2], r[0]))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["order", "source_path", "composer", "probability", "predicted", "correct"])
-        for order, (_, src, true, prob, pred, _) in enumerate(rows):
-            writer.writerow(
-                [
-                    order,
-                    src,
-                    true,
-                    "" if math.isnan(prob) else f"{prob:.12g}",
-                    pred,
-                    int(true == pred),
-                ]
-            )
+    ordered = sorted(result.iter_movements(), key=lambda r: (r[2], r[0]))
+    rows = ([order, src, true, _cell(prob), pred, int(true == pred)]
+            for order, (_, src, true, prob, pred, _) in enumerate(ordered))
+    header = ["order", "source_path", "composer", "probability", "predicted", "correct"]
+    write_csv(path, header, rows)
 
 
 def write_stability_csv(entries: list[StabilityEntry], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "category", "folds_selected"])
-        for e in entries:
-            writer.writerow([e.feature, e.category, e.count])
+    write_csv(path, ["feature", "category", "folds_selected"], entries)

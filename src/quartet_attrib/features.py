@@ -279,26 +279,12 @@ class FeatureMatrix:
             if not path or path != path.strip() or path in seen:
                 raise ValueError(f"row {i} has a blank, padded or repeated source path {path!r}")
             seen.add(path)
-        with open(features_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["source_path", *self.labels])
-            for meta, row in zip(self.rows, self.values):
-                writer.writerow(
-                    [meta.source_path] + [_format_value(x) for x in row]
-                )
-        with open(meta_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["source_path", "composer", "quartet_id", "set_id", "movement_number"])
-            for meta in self.rows:
-                writer.writerow(
-                    [
-                        meta.source_path,
-                        int(meta.composer),
-                        meta.quartet_id,
-                        meta.set_id,
-                        meta.movement_number,
-                    ]
-                )
+        rows = ([m.source_path, *map(_format_value, v)] for m, v in zip(self.rows, self.values))
+        write_csv(features_path, ["source_path", *self.labels], rows)
+        header = ["source_path", "composer", "quartet_id", "set_id", "movement_number"]
+        metas = ([m.source_path, int(m.composer), m.quartet_id, m.set_id, m.movement_number]
+                 for m in self.rows)
+        write_csv(meta_path, header, metas)
 
     @classmethod
     def from_csv(cls, features_path, meta_path) -> "FeatureMatrix":
@@ -311,9 +297,8 @@ class FeatureMatrix:
             if header[0] != "source_path":
                 raise ValueError("feature CSV must start with a source_path column")
             columns = tuple(parse_label(lbl) for lbl in header[1:])
-            rows: list[MovementMeta] = []
+            rows: dict[str, MovementMeta] = {}
             data: list[list[float]] = []
-            seen: set[str] = set()
             for rec in reader:
                 path = rec[0]
                 if len(rec) != len(header):
@@ -323,14 +308,32 @@ class FeatureMatrix:
                     )
                 if path not in metas:
                     raise ValueError(f"feature row {path!r} missing from metadata sidecar")
-                if path in seen:
+                if path in rows:
                     raise ValueError(f"feature CSV repeats the row {path!r}")
-                seen.add(path)
-                rows.append(metas[path])
-                data.append([float(x) if x != "" else float("nan") for x in rec[1:]])
+                rows[path] = metas[path]
+                data.append([_read_value(x, path, lbl) for x, lbl in zip(rec[1:], header[1:])])
         # a header-only CSV reads as 0 rows of the header's columns
         values = np.array(data, dtype=float).reshape(len(rows), len(columns))
-        return cls(rows=tuple(rows), columns=columns, values=values)
+        return cls(rows=tuple(rows.values()), columns=columns, values=values)
+
+
+def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and then ``rows`` to ``path`` as a UTF-8 CSV table."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_value(text: str, row: str, column: str) -> float:
+    """A feature CSV cell: a blank reads as NaN, anything else must be a finite float."""
+    try:
+        value = float(text) if text else _NAN
+    except ValueError:
+        value = math.inf
+    if text and not math.isfinite(value):
+        raise ValueError(f"feature row {row!r} column {column!r} is not finite: {text!r}")
+    return value
 
 
 def _format_value(x: float) -> str:

@@ -264,6 +264,32 @@ class TestCorpusErrors:
             assert err[-1] == "error: rests.krn: voice Violin2 has no notes"
         assert not out.exists()
 
+    @pytest.mark.parametrize("consumer", ["extract", "cv-corpus", "cv-audit-features"])
+    def test_one_bad_file_stops_every_consumer_of_the_corpus_pass(
+        self, tmp_path, capsys, consumer
+    ):
+        """The feed ends at the bad file, which is named once, and nothing
+        is written; the good movements after it are still parsed."""
+        args = self.corpus(tmp_path, [])
+        manifest = Path(args[3])
+        csvs = tmp_path / "csvs"
+        assert main(["extract", *args, "--out", str(csvs)]) == 0
+        capsys.readouterr()
+        header, *rows = manifest.read_text().splitlines()
+        manifest.write_text("\n".join([header, rows[0], "broken.krn,1,hq9,set9,1", *rows[1:]]) + "\n")
+        command = {
+            "extract": ["extract"],
+            "cv-corpus": ["cv", "--restarts", "1"],
+            "cv-audit-features": ["cv", "--leakage-audit", "--restarts", "1",
+                                  "--features", str(csvs / "features.csv"),
+                                  "--meta", str(csvs / "movement_meta.csv")],
+        }[consumer]
+        out = tmp_path / "o"
+        assert main([*command, *args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error parsing broken.krn: "), err
+        assert not out.exists()
+
     @pytest.mark.parametrize("skip_bad", [False, True], ids=["strict", "skip-bad"])
     def test_all_bad_corpus(self, tmp_path, capsys, skip_bad):
         corpus = tmp_path / "corpus"
@@ -339,7 +365,7 @@ class TestCV:
         self, tmp_path, capsys, monkeypatch, command
     ):
         # reading the matrix would raise TypeError
-        monkeypatch.setattr("quartet_attrib.cli._matrix_from_args", None)
+        monkeypatch.setattr("quartet_attrib.cli._inputs", None)
         fp, mp = toy_feature_csvs(tmp_path)
         out = tmp_path / "x"
         args = ["--features", str(fp), "--meta", str(mp), "--seed", "-2", "--out", str(out)]
@@ -869,6 +895,26 @@ class TestCvEntryPoints:
             assert {key: cfg[key] for key in want} == want
             if command != "extract":
                 assert (cfg["features"], cfg["meta"]) == (inputs or (None, None))
+
+    @pytest.mark.parametrize(
+        "lengths, message",
+        [("8,1", "segment lengths must be >= 2"),
+         ("8,8", "segment lengths must be distinct"),
+         ("8,x", "invalid literal for int() with base 10: 'x'")],
+    )
+    @pytest.mark.parametrize("command", ["extract", "cv", "fit"])
+    def test_lengths_are_checked_when_parsed_for_every_command(
+        self, tmp_path, capsys, command, lengths, message
+    ):
+        fp, mp = toy_feature_csvs(tmp_path)
+        inputs = (["--corpus", str(tmp_path), "--manifest", str(mp)] if command == "extract"
+                  else ["--features", str(fp), "--meta", str(mp)])
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, *inputs, "--m-lengths", lengths, "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"argument --m-lengths: {message}\n")
+        assert not out.exists()
 
     def test_bad_lengths_stop_the_command_before_any_output(self, tmp_path):
         _, csvs, _ = self.corpus_and_csvs(tmp_path)

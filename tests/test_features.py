@@ -854,6 +854,23 @@ class TestMatrixIO:
         with pytest.raises(ValueError, match=r"'r1\.krn' has 4 fields, the header has 5"):
             FeatureMatrix.from_csv(fp, mp)
 
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "NaN", "x"])
+    def test_a_value_neither_blank_nor_finite_names_its_row_and_column(self, tmp_path, text):
+        """A non-finite value would pass the variance filter and be scored as
+        NaN by every fit, so the reader refuses it."""
+        rows = [synth.make_meta(path=f"r{i}.krn", quartet=f"q{i}") for i in range(3)]
+        columns = feature_names(SMALL)[:4]
+        fp, mp = tmp_path / "f.csv", tmp_path / "m.csv"
+        values = np.ones((3, 4))
+        values[0, 0] = np.nan  # written blank, read back as NaN
+        FeatureMatrix(rows=rows, columns=columns, values=values).to_csv(fp, mp)
+        lines = [line.split(",") for line in fp.read_text(encoding="utf-8").splitlines()]
+        lines[2][3] = text  # r1.krn's value of the third column
+        fp.write_text("\n".join(",".join(line) for line in lines) + "\n", encoding="utf-8")
+        message = f"feature row 'r1.krn' column {columns[2].label!r} is not finite: {text!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FeatureMatrix.from_csv(fp, mp)
+
     @pytest.mark.parametrize(
         "paths",
         [("r0.krn", ""), ("r0.krn", " "), ("r0.krn", " r1.krn"), ("r1.krn", "r0.krn", "r0.krn")],
